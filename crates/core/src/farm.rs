@@ -46,8 +46,8 @@ use rnr_replay::{
 };
 
 use crate::pipeline::{
-    ar_replay_config, durable_writer_for, finish_report, panic_text, record_config, replay_config,
-    run_recorder_sequential, ArStats, CaseResolver,
+    ar_replay_config, finish_report, panic_text, record_config, recorder_for, replay_config, run_recorder,
+    ArStats, CaseResolver,
 };
 use crate::{AlarmResolution, FailedCase, PipelineConfig, PipelineError, PipelineReport};
 
@@ -485,8 +485,14 @@ impl<'s> Fleet<'s> {
     fn record_session(&self, s: usize) -> Result<RecordOutcome, FarmError> {
         let spec = &self.sessions[s];
         let rc = record_config(&spec.config, Some(self.plans[s].cadence));
-        let writer = durable_writer_for(self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
-        let rec = run_recorder_sequential(&spec.vm, rc, &self.shared, writer)?;
+        let recorder = recorder_for(
+            &spec.vm,
+            rc,
+            &self.shared,
+            self.plans[s].durable.as_ref(),
+            &spec.config.fault_plan,
+        )?;
+        let rec = run_recorder(recorder)?;
         if let Some(max) = spec.budget.log_bytes {
             let used = rec.log.total_bytes();
             if used > max {
@@ -541,9 +547,8 @@ impl<'s> Fleet<'s> {
                 });
             }
         }
-        // The fault plan's worker-kill models the same way the serial
-        // pipeline's inline path does: the kill is recorded, the case is
-        // resolved anyway (here by whichever pool worker draws it).
+        // The fault plan's worker-kill is recorded as in the pipeline; the
+        // case is resolved anyway, by whichever pool worker draws it.
         let workers_lost =
             u64::from(spec.config.fault_plan.kill_ar_worker_at_case.is_some_and(|k| k < cases));
         let resolver = Arc::new(CaseResolver::new(

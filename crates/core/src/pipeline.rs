@@ -2,18 +2,19 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use rnr_hypervisor::{RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder, VmSpec};
 use rnr_log::{
-    log_channel_with, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, DEFAULT_BATCH,
+    log_channel_with, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, LogSource,
+    DEFAULT_BATCH,
 };
 use rnr_machine::{BlockStats, CostModel, SharedPageCache};
 use rnr_ras::RasConfig;
 use rnr_replay::{
-    replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer, SpanFeed,
-    Verdict, VIRTUAL_HZ,
+    pool, replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer,
+    SpanFeed, Verdict, VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -415,11 +416,7 @@ impl Pipeline {
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
         // sequential, with identical results.
-        let (rec, cr_out, cr_block_stats) = if cfg.streaming {
-            self.record_and_replay_streaming(rc, replay_cfg.clone(), &shared)?
-        } else {
-            self.record_and_replay_sequential(rc, replay_cfg.clone(), &shared)?
-        };
+        let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg, &shared)?;
         // Phase 3: alarm replay for every escalated case — on a bounded,
         // supervised worker pool when configured ("multiple ARs… in
         // parallel", §6). Each case is resolved under `catch_unwind` with
@@ -434,161 +431,79 @@ impl Pipeline {
             &cfg.fault_plan,
         );
         let cases = &cr_out.alarm_cases;
-        let workers = ar_worker_count(cfg, cases.len());
-        let kill_at = cfg.fault_plan.kill_ar_worker_at_case;
-        let workers_lost = AtomicU64::new(0);
-        let mut slots: Vec<Option<Result<AlarmResolution, FailedCase>>> = if workers > 1 {
-            let next = AtomicUsize::new(0);
-            let killed = AtomicBool::new(false);
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let killed = &killed;
-                    let resolver = &resolver;
-                    let workers_lost = &workers_lost;
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(case) = cases.get(i) else { break };
-                        // The fault plan may kill one worker as it picks
-                        // up this case: it abandons the case unresolved
-                        // and exits; the supervisor fills the hole below.
-                        if kill_at == Some(i) && !killed.swap(true, Ordering::Relaxed) {
-                            workers_lost.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        if tx.send((i, resolver.resolve(i, case))).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                let mut slots: Vec<Option<_>> = (0..cases.len()).map(|_| None).collect();
-                for (i, result) in rx {
-                    slots[i] = Some(result);
-                }
-                slots
+        let kill_at = cfg.fault_plan.kill_ar_worker_at_case.filter(|&k| k < cases.len());
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<AlarmResolution, FailedCase>>>> =
+            cases.iter().map(|_| Mutex::new(None)).collect();
+        let (resolver_ref, slots_ref) = (&resolver, &slots);
+        pool::drain(ar_worker_count(cfg, cases.len()), &|| {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            (i < cases.len()).then(|| {
+                Box::new(move || {
+                    // The fault plan may kill the worker that draws this
+                    // case: the case is abandoned unresolved, and the
+                    // supervisor fills the hole below.
+                    if kill_at != Some(i) {
+                        *slots_ref[i].lock().expect("case slot") = Some(resolver_ref.resolve(i, &cases[i]));
+                    }
+                }) as pool::Task<'_>
             })
-        } else {
-            // Inline resolution: the "pool" of one is the supervisor
-            // itself, so a kill spec is recorded and the case resolved
-            // immediately anyway.
-            if kill_at.is_some_and(|k| k < cases.len()) {
-                workers_lost.fetch_add(1, Ordering::Relaxed);
-            }
-            cases.iter().enumerate().map(|(i, case)| Some(resolver.resolve(i, case))).collect()
-        };
-        // Cases abandoned by a killed worker are re-resolved inline — the
-        // report never silently drops a verdict.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(resolver.resolve(i, &cases[i]));
-            }
-        }
-        let outcomes: Vec<Result<AlarmResolution, FailedCase>> = slots.into_iter().flatten().collect();
-        let (ar_retries, ar_panics) = resolver.counters();
-        let ar = ArStats {
-            retries: ar_retries,
-            panics: ar_panics,
-            workers_lost: workers_lost.load(Ordering::Relaxed),
-        };
+        });
+        // Abandoned cases are re-resolved inline — the report never silently
+        // drops a verdict.
+        let outcomes: Vec<Result<AlarmResolution, FailedCase>> = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.into_inner().expect("case slot").unwrap_or_else(|| resolver.resolve(i, &cases[i]))
+            })
+            .collect();
+        let (retries, panics) = resolver.counters();
+        let ar = ArStats { retries, panics, workers_lost: u64::from(kill_at.is_some()) };
         Ok(finish_report(self.spec.name.clone(), cfg, &rec, &cr_out, cr_block_stats, outcomes, ar))
     }
 
-    /// Phases 1 + 2, sequential: record to completion, then replay the
-    /// finished log with digest verification armed up front. Returns the
-    /// recording, the CR outcome, and the CR phase's block-cache counters
-    /// (summed across span workers when replay is parallel).
-    fn record_and_replay_sequential(
+    /// Phases 1 + 2: the monitored recording and the checkpointing replay.
+    ///
+    /// Streaming, the recorder publishes each record to a live stream as it
+    /// is logged and the CR consumes the stream on this thread, trailing the
+    /// recording (§4: recording and replay proceed in parallel); otherwise
+    /// the CR replays the finished log. Either way the CR is serial or span-
+    /// parallel per `parallel_spans`, and its final digest is checked
+    /// against the recording's once both are done. A recorder panic takes
+    /// precedence over a guest fault, and both over whatever truncated-log
+    /// error they induced in the CR. Returns the recording, the CR outcome,
+    /// and the CR phase's block-cache counters (summed across span workers).
+    fn record_and_replay(
         &self,
         rc: RecordConfig,
-        replay_cfg: ReplayConfig,
+        replay_cfg: &ReplayConfig,
         shared: &Arc<SharedPageCache>,
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
-        let writer = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)?;
-        let rec = run_recorder_sequential(&self.spec, rc, shared, writer)?;
-        if replay_cfg.parallel_spans > 0 {
-            let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-            let par = replay_spans(&self.spec, feed, &replay_cfg, Some(rec.final_digest), Some(shared))?;
-            if par.outcome.verified != Some(true) {
-                return Err(PipelineError::VerificationFailed);
-            }
-            return Ok((rec, par.outcome, par.block_stats));
-        }
-        let mut cr = Replayer::new(&self.spec, Arc::clone(&rec.log), replay_cfg);
-        cr.attach_shared_cache(Arc::clone(shared));
-        cr.verify_against(rec.final_digest);
-        let cr_out = cr.run()?;
-        if cr_out.verified != Some(true) {
-            return Err(PipelineError::VerificationFailed);
-        }
-        let stats = cr_out.vm().block_stats();
-        Ok((rec, cr_out, stats))
-    }
-
-    /// Phases 1 + 2, concurrent: the recorder publishes each record to a
-    /// live stream as it is logged, and the CR consumes the stream on this
-    /// thread, trailing the recording (§4: recording and replay proceed in
-    /// parallel). The final digest is only known once recording ends, so
-    /// verification happens after the join; a guest fault while recording
-    /// takes precedence over whatever truncated-log error it induced in
-    /// the CR.
-    fn record_and_replay_streaming(
-        &self,
-        rc: RecordConfig,
-        replay_cfg: ReplayConfig,
-        shared: &Arc<SharedPageCache>,
-    ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
-        let mut recorder = Recorder::new(&self.spec, rc)?;
-        recorder.attach_shared_cache(Arc::clone(shared));
-        let (mut sink, stream) = log_channel_with(DEFAULT_BATCH, &self.config.fault_plan);
-        if let Some(writer) = durable_writer_for(self.config.durable_log.as_ref(), &self.config.fault_plan)? {
-            // Sink-side persistence: each pristine frame is written to disk
-            // as it is flushed, *before* transport injection can damage it.
-            sink.persist_to(writer);
-        }
-        recorder.stream_to(sink);
-        let (rec_result, cr_result) = if replay_cfg.parallel_spans > 0 {
-            // Parallel CR: seeds stream from the recorder alongside the
-            // records, and span workers launch as soon as both sides of a
-            // boundary have been observed.
+        let cfg = &self.config;
+        let mut recorder = recorder_for(&self.spec, rc, shared, cfg.durable_log.as_ref(), &cfg.fault_plan)?;
+        let (rec, cr_result) = if cfg.streaming {
+            let (sink, stream) = log_channel_with(DEFAULT_BATCH, &cfg.fault_plan);
+            recorder.stream_to(sink);
             let (seed_tx, seed_rx) = std::sync::mpsc::channel();
-            recorder.seed_to(seed_tx);
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(move || catch_unwind(AssertUnwindSafe(move || recorder.run())));
-                let feed = SpanFeed::Streaming { stream: Box::new(stream), seed_rx };
-                let cr_result = replay_spans(&self.spec, feed, &replay_cfg, None, Some(shared))
-                    .map(|par| (par.outcome, par.block_stats));
-                let rec_result = handle.join().unwrap_or_else(Err);
-                (rec_result, cr_result)
-            })
+            if replay_cfg.parallel_spans > 0 {
+                // Span workers launch as soon as both sides of a boundary
+                // have been observed.
+                recorder.seed_to(seed_tx);
+            }
+            let feed = SpanFeed::Streaming { stream: Box::new(stream), seed_rx };
+            let (rec, cr_result) = std::thread::scope(|scope| {
+                let handle = scope.spawn(move || run_recorder(recorder));
+                let cr_result = replay_cr(&self.spec, feed, replay_cfg, shared);
+                (handle.join().expect("recorder panics are caught in-thread"), cr_result)
+            });
+            (rec?, cr_result)
         } else {
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(move || catch_unwind(AssertUnwindSafe(move || recorder.run())));
-                let mut cr = Replayer::new(&self.spec, stream, replay_cfg);
-                cr.attach_shared_cache(Arc::clone(shared));
-                let cr_result = cr.run().map(|out| {
-                    let stats = out.vm().block_stats();
-                    (out, stats)
-                });
-                // `catch_unwind` inside the thread carries any recorder panic
-                // out as a value, so `join` itself cannot fail here; fold the
-                // two layers into one.
-                let rec_result = handle.join().unwrap_or_else(Err);
-                (rec_result, cr_result)
-            })
+            let rec = run_recorder(recorder)?;
+            let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
+            let cr_result = replay_cr(&self.spec, feed, replay_cfg, shared);
+            (rec, cr_result)
         };
-        // Precedence: a recorder panic explains everything downstream
-        // (including whatever truncated-log error it induced in the CR),
-        // then a guest fault, then the CR's own result.
-        let rec = match rec_result {
-            Ok(rec) => rec,
-            Err(payload) => return Err(PipelineError::RecorderPanicked(panic_text(payload.as_ref()))),
-        };
-        if let Some(fault) = rec.fault {
-            return Err(PipelineError::GuestFault(fault));
-        }
         let (mut cr_out, cr_stats) = cr_result?;
         cr_out.verified = Some(cr_out.final_digest == rec.final_digest);
         if cr_out.verified != Some(true) {
@@ -596,6 +511,30 @@ impl Pipeline {
         }
         Ok((rec, cr_out, cr_stats))
     }
+}
+
+/// The checkpointing replay over `feed`: span-parallel when the config asks
+/// for span workers, else the serial engine. Returns the outcome and the
+/// phase's block-cache counters.
+fn replay_cr(
+    spec: &VmSpec,
+    feed: SpanFeed,
+    replay_cfg: &ReplayConfig,
+    shared: &Arc<SharedPageCache>,
+) -> Result<(ReplayOutcome, BlockStats), ReplayError> {
+    if replay_cfg.parallel_spans > 0 {
+        let par = replay_spans(spec, feed, replay_cfg, None, Some(shared))?;
+        return Ok((par.outcome, par.block_stats));
+    }
+    let source = match feed {
+        SpanFeed::Complete { log, .. } => LogSource::Complete(log),
+        SpanFeed::Streaming { stream, .. } => LogSource::Streaming(stream),
+    };
+    let mut cr = Replayer::new(spec, source, replay_cfg.clone());
+    cr.attach_shared_cache(Arc::clone(shared));
+    let out = cr.run()?;
+    let stats = out.vm().block_stats();
+    Ok((out, stats))
 }
 
 /// The recorder configuration a [`PipelineConfig`] implies. `span_cadence`
@@ -648,43 +587,35 @@ pub(crate) fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
     }
 }
 
-/// The fault-plan-aware durable segment writer when a `durable_log` knob is
-/// set: every record path persists through this, so the plan's disk faults
-/// hit the same sealed segments in any mode.
-pub(crate) fn durable_writer_for(
-    durable: Option<&DurableLogConfig>,
-    plan: &FaultPlan,
-) -> Result<Option<DurableWriter>, PipelineError> {
-    match durable {
-        Some(d) => DurableWriter::create(d.clone(), plan)
-            .map(Some)
-            .map_err(|e| PipelineError::Record(RecordError::DurableLog(e.to_string()))),
-        None => Ok(None),
-    }
-}
-
-/// Records to completion on the calling thread, with recorder panics caught
-/// and guest faults surfaced as structured errors. The shared cache and the
-/// optional durable writer are attached before the run.
-pub(crate) fn run_recorder_sequential(
+/// A recorder for `spec` attached to the run-wide shared cache and, when a
+/// `durable_log` knob is set, to a durable segment writer — the one
+/// persistence path, in every mode — that injects the plan's disk faults.
+pub(crate) fn recorder_for(
     spec: &VmSpec,
     rc: RecordConfig,
     shared: &Arc<SharedPageCache>,
-    writer: Option<DurableWriter>,
-) -> Result<RecordOutcome, PipelineError> {
+    durable: Option<&DurableLogConfig>,
+    plan: &FaultPlan,
+) -> Result<Recorder, PipelineError> {
     let mut recorder = Recorder::new(spec, rc)?;
     recorder.attach_shared_cache(Arc::clone(shared));
-    if let Some(writer) = writer {
+    if let Some(d) = durable {
+        let writer = DurableWriter::create(d.clone(), plan)
+            .map_err(|e| PipelineError::Record(RecordError::DurableLog(e.to_string())))?;
         recorder.persist_to(writer);
     }
-    let rec = match catch_unwind(AssertUnwindSafe(move || recorder.run())) {
-        Ok(rec) => rec,
-        Err(payload) => return Err(PipelineError::RecorderPanicked(panic_text(payload.as_ref()))),
-    };
-    if let Some(fault) = rec.fault {
-        return Err(PipelineError::GuestFault(fault));
+    Ok(recorder)
+}
+
+/// Records to completion, with recorder panics caught and guest faults
+/// surfaced as structured errors.
+pub(crate) fn run_recorder(recorder: Recorder) -> Result<RecordOutcome, PipelineError> {
+    let rec = catch_unwind(AssertUnwindSafe(move || recorder.run()))
+        .map_err(|payload| PipelineError::RecorderPanicked(panic_text(payload.as_ref())))?;
+    match rec.fault {
+        Some(fault) => Err(PipelineError::GuestFault(fault)),
+        None => Ok(rec),
     }
-    Ok(rec)
 }
 
 /// The supervised per-case alarm resolver shared by [`Pipeline::run`] and

@@ -40,30 +40,21 @@ pub const SEGMENT_EXT: &str = "rnrseg";
 pub const DEFAULT_FRAMES_PER_SEGMENT: usize = 8;
 
 /// Configuration of the durable log store (the `durable_log` knob).
+/// Segment bodies are always RLE-compressed where that shrinks them, and
+/// frames always hold [`DEFAULT_BATCH`] records — the transport batch — so a
+/// frame's on-disk sequence number is its wire sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableLogConfig {
     /// Directory holding the segment files (created if absent).
     pub dir: PathBuf,
     /// Frames sealed into one segment file (min 1).
     pub frames_per_segment: usize,
-    /// RLE-compress segment bodies (skipped per segment when it doesn't
-    /// shrink; the on-disk bytes stay deterministic either way).
-    pub compress: bool,
-    /// Records per self-batched frame when the writer is fed record-by-
-    /// record ([`DurableWriter::push`]); matches the transport batch so a
-    /// recorder-side writer produces frames byte-identical to the sink's.
-    pub batch_records: usize,
 }
 
 impl DurableLogConfig {
     /// A config with the default segment geometry.
     pub fn new(dir: impl Into<PathBuf>) -> DurableLogConfig {
-        DurableLogConfig {
-            dir: dir.into(),
-            frames_per_segment: DEFAULT_FRAMES_PER_SEGMENT,
-            compress: true,
-            batch_records: DEFAULT_BATCH,
-        }
+        DurableLogConfig { dir: dir.into(), frames_per_segment: DEFAULT_FRAMES_PER_SEGMENT }
     }
 }
 
@@ -131,30 +122,31 @@ impl DurableWriter {
             self.stats.io_errors += 1;
             return;
         }
-        self.pending.push(records.to_vec());
-        if self.pending.len() >= self.cfg.frames_per_segment.max(1) {
-            self.seal();
-        }
+        self.add_frame(records.to_vec());
     }
 
-    /// Appends one record, self-batching into frames of
-    /// [`DurableLogConfig::batch_records`] — the recorder-side feed used
-    /// when no streaming sink exists. The resulting frames are
-    /// byte-identical to what a sink with the same batch size would retain.
+    /// Appends one record, batching into frames of [`DEFAULT_BATCH`]
+    /// records — the recorder's feed. The resulting frames are
+    /// byte-identical to the ones a streaming sink sends and retains.
     pub fn push(&mut self, record: &Record) {
         self.batch.push(record.clone());
-        if self.batch.len() >= self.cfg.batch_records.max(1) {
+        if self.batch.len() >= DEFAULT_BATCH {
             self.flush_batch();
         }
     }
 
     fn flush_batch(&mut self) {
-        if self.batch.is_empty() {
-            return;
+        if !self.batch.is_empty() {
+            let frame = std::mem::replace(&mut self.batch, Vec::with_capacity(DEFAULT_BATCH));
+            self.add_frame(frame);
         }
-        let seq = self.pending_first_seq + self.pending.len() as u64;
-        let records = std::mem::take(&mut self.batch);
-        self.append_frame(seq, &records);
+    }
+
+    fn add_frame(&mut self, records: Vec<Record>) {
+        self.pending.push(records);
+        if self.pending.len() >= self.cfg.frames_per_segment.max(1) {
+            self.seal();
+        }
     }
 
     /// Flushes any partial batch, seals the remainder, and reports what was
@@ -196,7 +188,7 @@ impl DurableWriter {
             return;
         }
 
-        let bytes = encode_segment(&segment, self.cfg.compress);
+        let bytes = encode_segment(&segment, true);
         let path = self.cfg.dir.join(segment_file_name(index));
         let tmp = self.cfg.dir.join(format!("{}.tmp", segment_file_name(index)));
         let sealed = (|| -> io::Result<()> {
@@ -499,7 +491,7 @@ mod tests {
     }
 
     fn cfg(dir: &Path, frames_per_segment: usize) -> DurableLogConfig {
-        DurableLogConfig { frames_per_segment, compress: true, batch_records: 4, dir: dir.to_path_buf() }
+        DurableLogConfig { frames_per_segment, dir: dir.to_path_buf() }
     }
 
     fn records(n: u64, base: u64) -> Vec<Record> {
@@ -535,7 +527,8 @@ mod tests {
         let tmp = TempDir::new("push-mode");
         let a = tmp.0.join("a");
         let b = tmp.0.join("b");
-        let all: Vec<Record> = (0..10).map(|i| Record::Rdtsc { value: i }).collect();
+        let all: Vec<Record> =
+            (0..2 * DEFAULT_BATCH as u64 + 10).map(|i| Record::Rdtsc { value: i }).collect();
 
         let mut wa = DurableWriter::create(cfg(&a, 2), &FaultPlan::default()).unwrap();
         for r in &all {
@@ -544,12 +537,12 @@ mod tests {
         wa.finish();
 
         let mut wb = DurableWriter::create(cfg(&b, 2), &FaultPlan::default()).unwrap();
-        for (seq, chunk) in all.chunks(4).enumerate() {
+        for (seq, chunk) in all.chunks(DEFAULT_BATCH).enumerate() {
             wb.append_frame(seq as u64, chunk);
         }
         wb.finish();
 
-        // 10 records → frames of 4+4+2 → segments of 2 frames + 1 frame.
+        // Three frames (the last one partial) → segments of 2 frames + 1.
         for seg in 0..2u64 {
             let fa = fs::read(a.join(segment_file_name(seg))).unwrap();
             let fb = fs::read(b.join(segment_file_name(seg))).unwrap();

@@ -92,7 +92,6 @@ pub fn log_channel_with(batch_size: usize, plan: &FaultPlan) -> (LogSink, LogStr
             retained: Arc::clone(&retained),
             injector,
             delayed: None,
-            durable: None,
         },
         LogStream {
             rx,
@@ -123,9 +122,6 @@ pub struct LogSink {
     injector: Option<FaultInjector>,
     /// A frame held back by a planned delay; it rides behind its successor.
     delayed: Option<Bytes>,
-    /// Mirrors every flushed frame to the durable segment store, pristine
-    /// (persistence happens before any planned wire damage).
-    durable: Option<crate::DurableWriter>,
 }
 
 impl LogSink {
@@ -137,13 +133,6 @@ impl LogSink {
         }
     }
 
-    /// Mirrors every frame this sink flushes to `writer`, giving the
-    /// recorder's retained log an on-disk life. Frames are persisted before
-    /// transport-fault injection, so disk always holds the pristine copy.
-    pub fn persist_to(&mut self, writer: crate::DurableWriter) {
-        self.durable = Some(writer);
-    }
-
     /// Frames and sends any batched records immediately.
     pub fn flush(&mut self) {
         if self.batch.is_empty() {
@@ -152,9 +141,6 @@ impl LogSink {
         let seq = self.next_seq;
         self.next_seq += 1;
         let frame = encode_frame(seq, &self.batch);
-        if let Some(writer) = &mut self.durable {
-            writer.append_frame(seq, &self.batch);
-        }
         self.batch.clear();
         let (retained, outgoing, delay) = match &self.injector {
             Some(inj) => {

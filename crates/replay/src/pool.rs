@@ -1,4 +1,5 @@
-//! A minimal scoped worker pool shared by span replay and the replay farm.
+//! A minimal scoped worker pool: the one pool behind span replay, alarm
+//! replay, and the replay farm.
 //!
 //! The pool owns no queue and no policy: callers hand it a *source* — a
 //! closure that either produces the next runnable task (possibly blocking
@@ -6,9 +7,11 @@
 //! simply keeps `workers` threads pulling from it. Scheduling decisions
 //! (span order, fleet fairness, budget backpressure) live entirely in the
 //! source, which keeps this primitive reusable across very different
-//! consumers: `replay_spans` feeds it a fixed job list through an atomic
-//! cursor, while the farm feeds it a weighted round-robin scheduler behind
-//! a condvar.
+//! consumers: `replay_spans` feeds it span jobs planned up front, or a
+//! live-recording drain task followed by the jobs it publishes behind a
+//! condvar; the pipeline's alarm phase feeds it cases through an atomic
+//! cursor; and the farm feeds it a weighted round-robin scheduler behind a
+//! condvar.
 
 /// A unit of pooled work.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;

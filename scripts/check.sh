@@ -77,9 +77,10 @@ timed fault-matrix-par cargo run --release -q -p rnr-bench --bin fault_matrix --
 timed fault-matrix-farm cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --farm
 
 # Perf gate: rerun the attack-pipeline comparison and fail if the reports
-# diverge across configurations, or if either the overall speedup or the
-# superblock trace engine's speedup over the block engine regresses >20%
-# below the committed BENCH_pipeline.json figures. Never rewrites the
+# diverge across configurations (baseline, block engine only, optimized),
+# or if the overall speedup regresses >20% below the committed
+# BENCH_pipeline.json figure. Superblocks are held to report identity only:
+# they do not pay on this pipeline (DESIGN.md §12). Never rewrites the
 # committed file. Host-conditional gates print "gate skipped: <reason>"
 # when this box cannot exercise them.
 timed pipeline-speed cargo run --release -q -p rnr-bench --bin pipeline_speed --offline -- --check
@@ -88,3 +89,8 @@ timed pipeline-speed cargo run --release -q -p rnr-bench --bin pipeline_speed --
 # fleet speedup floor applies on 4+ core hosts (skipped with a printed
 # reason below that).
 timed farm-speed cargo run --release -q -p rnr-bench --bin farm_speed --offline -- --check
+
+# Benchmark package gate: build the standalone benchmark (it is not a
+# workspace member, so `cargo test --workspace` never compiles it) and run
+# its unit tests, so an API change that breaks it fails here.
+timed benchmark cargo test --release --offline --manifest-path benchmark/Cargo.toml

@@ -82,3 +82,38 @@ fn replay_from_checkpoint_converges() {
     assert_eq!(resumed.final_digest, rec.final_digest);
     assert_eq!(resumed.retired, rec.retired);
 }
+
+/// A disk read that finishes while its interrupt cannot yet be delivered
+/// lands in guest memory only with the interrupt, exactly where replay
+/// applies it (at the `Interrupt` record). Fileio at 600k instructions,
+/// seeds 163 and 173, stops recording inside that window; the final digests
+/// must still match under the default, span-parallel, and reference
+/// (everything off) pipeline configurations.
+#[test]
+fn disk_completion_at_the_budget_edge_verifies() {
+    use rnr_safe::{Pipeline, PipelineConfig};
+    for seed in [163, 173] {
+        let default = PipelineConfig { seed, duration_insns: 600_000, ..PipelineConfig::default() };
+        let configs = [
+            ("default", default.clone()),
+            ("spans", PipelineConfig { parallel_spans: 2, ..default.clone() }),
+            (
+                "reference",
+                PipelineConfig {
+                    streaming: false,
+                    decode_cache: false,
+                    block_engine: false,
+                    superblocks: false,
+                    parallel_alarm_replay: false,
+                    ..default
+                },
+            ),
+        ];
+        for (name, cfg) in configs {
+            let report = Pipeline::new(Workload::Fileio.spec(false), cfg)
+                .run()
+                .unwrap_or_else(|e| panic!("seed {seed}, {name}: {e}"));
+            assert!(report.replay.verified, "seed {seed}, {name}");
+        }
+    }
+}

@@ -4,7 +4,7 @@
 
 use rnr_log::{
     apply_disk_fault, fault_scenarios, segment_file_name, unrecoverable_scenario, DiskFault, DiskFaultKind,
-    DurableLogConfig, DurableStore, FaultPlan, TransportFault, TransportFaultKind,
+    DurableLogConfig, DurableStore, DurableWriter, FaultPlan, TransportFault, TransportFaultKind,
 };
 use rnr_replay::ReplayError;
 use rnr_safe::{Pipeline, PipelineConfig, PipelineError, PipelineReport};
@@ -207,6 +207,32 @@ fn vrt_armed_heap_attack_heals_to_an_identical_report() {
     }
 }
 
+/// A killed AR worker abandons the case it drew; the supervisor re-resolves
+/// it inline, so every pool size ships the fault-free report.
+#[test]
+fn killed_ar_worker_heals_for_every_pool_size() {
+    let reference = attack_run(FaultPlan::default()).expect("fault-free pipeline completes");
+    let (spec, _attack) =
+        rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).expect("attack mounts");
+    for ar_workers in [1, 2, 4] {
+        let cfg = PipelineConfig {
+            duration_insns: 900_000,
+            checkpoint_interval_secs: Some(0.125),
+            ar_workers,
+            fault_plan: FaultPlan { seed: SEED, kill_ar_worker_at_case: Some(1), ..FaultPlan::default() },
+            ..PipelineConfig::default()
+        };
+        let report = Pipeline::new(spec.clone(), cfg).run().expect("healed run");
+        assert_eq!(
+            report.to_json(),
+            reference.to_json(),
+            "ar_workers={ar_workers}: report must be identical"
+        );
+        assert_eq!(report.recovery.ar_workers_lost, 1, "ar_workers={ar_workers}");
+        assert!(report.recovery.failed_cases.is_empty(), "ar_workers={ar_workers}");
+    }
+}
+
 #[test]
 fn poisoned_retained_store_fails_with_structured_error_not_panic() {
     let (name, plan) = unrecoverable_scenario(SEED);
@@ -296,9 +322,10 @@ fn durable_store_reopens_and_restores_after_every_damage_kind() {
 
     let spec = Workload::Mysql.spec(false);
     let master = TempDir::new("reopen-master");
-    let mut rc = RecordConfig::new(RecordMode::Rec, 42, 250_000);
-    rc.durable_log = Some(durable_cfg(&master.0));
-    let rec = Recorder::new(&spec, rc).expect("recorder").run();
+    let mut recorder =
+        Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 250_000)).expect("recorder");
+    recorder.persist_to(DurableWriter::create(durable_cfg(&master.0), &FaultPlan::default()).expect("store"));
+    let rec = recorder.run();
     let total_frames = {
         let store = DurableStore::open(&master.0).expect("pristine store opens");
         assert!(store.scan().clean(), "pristine store must scan clean: {:?}", store.scan());
