@@ -40,7 +40,7 @@ pub fn rows() -> Vec<ConfigRow> {
         ConfigRow {
             name: "guest memory",
             paper: "1 GB",
-            repro: format!("{} MiB", rnr_machine::MachineConfig::DEFAULT_MEM >> 20),
+            repro: format!("{} MiB", rnr_machine::MachineConfig::MEM_BYTES >> 20),
         },
         ConfigRow {
             name: "guest OS",
@@ -50,7 +50,7 @@ pub fn rows() -> Vec<ConfigRow> {
         ConfigRow {
             name: "guest disk",
             paper: "32 GB",
-            repro: format!("{} MiB virtual disk", rnr_machine::MachineConfig::DEFAULT_DISK >> 20),
+            repro: format!("{} MiB virtual disk", rnr_hypervisor::VmSpec::DEFAULT_DISK >> 20),
         },
         ConfigRow {
             name: "RAS",

@@ -207,7 +207,7 @@ fn emit_boot(a: &mut Assembler) {
     a.st(R5, tcb::KIND, R6);
     store_global_reg(a, "current", R5);
     // Install the IVT.
-    a.movi(R5, MachineConfig::DEFAULT_IVT as i32);
+    a.movi(R5, MachineConfig::IVT_BASE as i32);
     a.lea(R6, "irq_timer");
     a.st(R5, 0, R6);
     a.lea(R6, "irq_disk");

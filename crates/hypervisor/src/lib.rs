@@ -40,5 +40,7 @@ pub use attribution::CycleAttribution;
 pub use devices::{DiskDevice, NicDevice};
 pub use introspect::Introspector;
 pub use nondet::{NetProfile, NondetSource, PacketInjection};
-pub use recorder::{RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder, SpanSeed};
+pub use recorder::{
+    verification_digest, RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder, SpanSeed,
+};
 pub use spec::{jop_table_from_spec, VmSpec};

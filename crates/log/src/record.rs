@@ -190,11 +190,16 @@ impl Record {
         matches!(self, Record::Interrupt { .. } | Record::Dma { .. })
     }
 
-    /// The injection point of asynchronous records.
+    /// The retired-instruction count a record takes effect at: the
+    /// injection point of asynchronous records, the raising instruction of
+    /// alarms, and the end of the recording. `None` for synchronous data
+    /// records (replay meets them at their trapping instruction) and evict
+    /// records.
     pub fn at_insn(&self) -> Option<u64> {
         match self {
             Record::Interrupt { at_insn, .. } | Record::Dma { at_insn, .. } => Some(*at_insn),
             Record::End { at_insn, .. } | Record::JopAlarm { at_insn, .. } => Some(*at_insn),
+            Record::Alarm(info) => Some(info.at_insn),
             Record::VrtAlarm(info) => Some(info.at_insn),
             _ => None,
         }

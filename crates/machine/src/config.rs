@@ -9,13 +9,6 @@ use crate::{CostModel, ExitControls};
 /// Static configuration of a [`GuestVm`](crate::GuestVm).
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Guest physical memory size in bytes.
-    pub mem_bytes: usize,
-    /// Virtual disk size in bytes.
-    pub disk_bytes: usize,
-    /// Base address of the interrupt vector table (one 8-byte handler
-    /// address per IRQ line).
-    pub ivt_base: Addr,
     /// Guest-kernel syscall entry point (set after the kernel is assembled).
     pub syscall_entry: Addr,
     /// RAS hardware configuration.
@@ -52,22 +45,18 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Default guest memory: 4 MiB — small enough that whole-state digests
+    /// Guest physical memory: 4 MiB — small enough that whole-state digests
     /// and checkpoints stay cheap, large enough for the microkernel and all
     /// workloads.
-    pub const DEFAULT_MEM: usize = 4 << 20;
-    /// Default virtual disk: 8 MiB.
-    pub const DEFAULT_DISK: usize = 8 << 20;
-    /// Default IVT location.
-    pub const DEFAULT_IVT: Addr = 0x100;
+    pub const MEM_BYTES: usize = 4 << 20;
+    /// Base address of the interrupt vector table (one 8-byte handler
+    /// address per IRQ line); the guest kernel installs its handlers here.
+    pub const IVT_BASE: Addr = 0x100;
 }
 
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
-            mem_bytes: MachineConfig::DEFAULT_MEM,
-            disk_bytes: MachineConfig::DEFAULT_DISK,
-            ivt_base: MachineConfig::DEFAULT_IVT,
             syscall_entry: 0,
             ras: RasConfig::default(),
             exits: ExitControls::default(),
@@ -87,9 +76,7 @@ mod tests {
 
     #[test]
     fn defaults_are_consistent() {
-        let c = MachineConfig::default();
-        assert_eq!(c.mem_bytes % crate::PAGE_SIZE, 0);
-        assert_eq!(c.disk_bytes % crate::PAGE_SIZE, 0);
-        assert!(c.ivt_base < c.mem_bytes as u64);
+        assert_eq!(MachineConfig::MEM_BYTES % crate::PAGE_SIZE, 0);
+        assert!(MachineConfig::IVT_BASE < MachineConfig::MEM_BYTES as u64);
     }
 }

@@ -60,6 +60,14 @@ impl CostModel {
     pub fn log_append(&self, bytes: u64) -> u64 {
         self.log_fixed + self.log_per_word * bytes.div_ceil(8)
     }
+
+    /// Cost of one checkpoint: the fixed dump, a copy of each page and disk
+    /// block dirtied in the interval, and each copy-on-write fault taken.
+    pub fn checkpoint(&self, dirty_pages: u64, dirty_blocks: u64, cow_faults: u64) -> u64 {
+        self.checkpoint_fixed
+            + self.checkpoint_page_copy * (dirty_pages + dirty_blocks)
+            + self.cow_fault * cow_faults
+    }
 }
 
 impl Default for CostModel {

@@ -73,11 +73,12 @@ const UNTRACEABLE: u16 = u16::MAX;
 const NO_SUCC: Addr = Addr::MAX;
 
 /// How a trace op executes: straight-line ops batch through the fast
-/// interpreter; control transfers are inlined with a guard on the expected
-/// next PC. Every other opcode (privileged, IO, interrupt-flag, `Rdtsc`,
-/// `Hlt`, `Syscall`/`Sysret`/`Iret`) ends trace formation, so a running
-/// trace can never change the halt/interrupt state or observe the cycle
-/// counter mid-flight.
+/// interpreter; control transfers run through the same semantics core as
+/// the stepper, with a guard on the expected next PC. Every other opcode
+/// (privileged, IO, interrupt-flag, `Rdtsc`, `Hlt`,
+/// `Syscall`/`Sysret`/`Iret`) ends trace formation, so a running trace can
+/// never change the halt/interrupt state or observe the cycle counter
+/// mid-flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceStep {
     /// Non-store straight-line instruction.
@@ -86,20 +87,10 @@ pub enum TraceStep {
     /// executor checks the written range against the trace's op-slot map
     /// after it (self-modification side-exits).
     StraightStore,
-    /// Unconditional direct jump — free at runtime (the next op *is* the
-    /// target), it only retires.
-    Jmp,
-    /// Conditional branch, guarded on the direction observed at build time.
-    Branch,
-    /// Direct call: push + RAS, target known statically.
-    Call,
-    /// Indirect call: push + RAS + JOP check, guarded on the profiled
-    /// target.
-    CallR,
-    /// Return: pop + RAS, guarded on the profiled target.
-    Ret,
-    /// Indirect jump: JOP check, guarded on the profiled target.
-    JmpR,
+    /// Control transfer (jump, branch, call, return), guarded on the
+    /// successor observed at build time: static for direct jumps and
+    /// calls, profiled otherwise.
+    Control,
 }
 
 /// One flattened instruction of a superblock trace.

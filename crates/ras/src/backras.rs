@@ -86,9 +86,13 @@ impl BackRasTable {
         self.map.remove(&tid)
     }
 
-    /// Allocates a clean entry for a newly created thread (§5.2.2).
+    /// Allocates a clean entry for a newly created thread (§5.2.2). An
+    /// existing entry is kept: the create trap can fire after the new thread
+    /// already ran and was switched out (an interrupt landing on the trapped
+    /// instruction runs first), and a killed thread's entry is removed at
+    /// its last switch, so a reused ID never finds a stale one.
     pub fn allocate(&mut self, tid: ThreadId) {
-        self.map.insert(tid, BackRasEntry::new());
+        self.map.entry(tid).or_default();
     }
 
     /// Number of threads tracked.
@@ -147,6 +151,15 @@ mod tests {
         t.allocate(tid);
         assert!(t.load(tid).is_empty());
         assert!(t.contains(tid));
+    }
+
+    #[test]
+    fn allocate_keeps_a_live_entry() {
+        let mut t = BackRasTable::new();
+        let tid = ThreadId(9);
+        t.save(tid, BackRasEntry::from_entries(vec![0x10, 0x20]));
+        t.allocate(tid);
+        assert_eq!(t.load(tid).entries(), &[0x10, 0x20]);
     }
 
     #[test]

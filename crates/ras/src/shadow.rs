@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use rnr_isa::Addr;
 
-use crate::{BackRasEntry, BackRasTable, ThreadId, Whitelists};
+use crate::{BackRasTable, ThreadId, Whitelists};
 
 /// Outcome of feeding a return to the [`ShadowRas`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +110,12 @@ impl ShadowRas {
         }
     }
 
-    /// Seeds a thread's stack, replacing any existing content.
-    pub fn seed_thread(&mut self, tid: ThreadId, entry: &BackRasEntry) {
-        self.stacks.insert(tid, entry.entries().iter().map(|&ret| Frame { ret, slot: None }).collect());
+    /// Starts an empty stack for a newly created thread, keeping the stack
+    /// of a thread that already ran: the create trap can fire after the new
+    /// thread was first scheduled (an interrupt landing on the trapped
+    /// instruction runs first).
+    pub fn start_thread(&mut self, tid: ThreadId) {
+        self.stacks.entry(tid).or_default();
     }
 
     /// Depth of the current thread's stack.
@@ -190,6 +193,7 @@ impl ShadowRas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackRasEntry;
 
     const SP0: Addr = 0x8000;
 

@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 mod alarm;
+mod book;
 mod checkpoint;
 mod engine;
 mod parallel;

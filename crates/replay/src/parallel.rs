@@ -31,11 +31,12 @@ use rnr_hypervisor::{CycleAttribution, SpanSeed, VmSpec};
 use rnr_isa::Addr;
 use rnr_log::{Category, FaultPlan, InputLog, LogCursor, LogSource, LogStream, Record, TransportStats};
 use rnr_machine::{BlockStats, Digest, SharedPageCache};
-use rnr_ras::{MispredictKind, ThreadId};
+use rnr_ras::ThreadId;
 
+use crate::book::AlarmBook;
 use crate::engine::SpanRun;
 use crate::{
-    pool, AlarmCase, CaseKind, Checkpoint, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery,
+    pool, AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery,
     Replayer, RewindStep,
 };
 
@@ -165,16 +166,56 @@ struct CaseRef {
 }
 
 /// The serial CR's derived state, reconstructed from the span traces.
-struct FoldOut {
+#[derive(Default)]
+struct Fold {
+    /// The serial CR's absolute virtual clock.
     cycles: u64,
+    /// The clock at the latest checkpoint.
+    last_checkpoint: u64,
     checkpoint_cycles: u64,
     taken: u64,
     max_live: usize,
-    alarms_seen: u64,
-    cancelled: u64,
-    jop_cases: Vec<JopCase>,
-    case_refs: Vec<CaseRef>,
+    /// The retained-checkpoint window, as (placement id, at_insn).
+    live: VecDeque<(u64, u64)>,
     placements: Vec<Placement>,
+    /// Pages and disk blocks dirtied since the latest checkpoint.
+    dirty_pages: HashSet<usize>,
+    dirty_blocks: HashSet<usize>,
+    book: AlarmBook,
+    case_refs: Vec<CaseRef>,
+}
+
+impl Fold {
+    /// Schedules a checkpoint after record `at_record` of span `span`,
+    /// charging its cost into the clock like `Replayer::take_checkpoint`.
+    fn place(&mut self, cfg: &ReplayConfig, span: usize, at_record: Option<usize>, at_insn: u64) {
+        let dirty_pages = self.dirty_pages.len();
+        let dirty_blocks = self.dirty_blocks.len();
+        // The serial CR's cow-fault counter equals the distinct pages
+        // dirtied in the epoch, which is exactly this union's page count.
+        let cost = cfg.costs.checkpoint(dirty_pages as u64, dirty_blocks as u64, dirty_pages as u64);
+        self.cycles += cost;
+        self.checkpoint_cycles += cost;
+        self.last_checkpoint = self.cycles;
+        let id = self.placements.len() as u64;
+        self.placements.push(Placement {
+            span,
+            at_record,
+            at_insn,
+            at_cycle: self.cycles,
+            evicts: self.book.evicts().clone(),
+            dirty_pages,
+            dirty_blocks,
+        });
+        self.live.push_back((id, at_insn));
+        self.taken += 1;
+        while self.live.len() > cfg.retain {
+            self.live.pop_front();
+        }
+        self.max_live = self.max_live.max(self.live.len());
+        self.dirty_pages.clear();
+        self.dirty_blocks.clear();
+    }
 }
 
 /// Replays a recording across `cfg.parallel_spans.max(1)` span workers and
@@ -494,10 +535,10 @@ pub fn assemble_spans(
         attribution,
         checkpoints_taken: fold.taken,
         checkpoints_live_max: fold.max_live,
-        alarms_seen: fold.alarms_seen,
-        underflows_cancelled: fold.cancelled,
+        alarms_seen: fold.book.alarms_seen,
+        underflows_cancelled: fold.book.cancelled,
         alarm_cases,
-        jop_cases: fold.jop_cases,
+        jop_cases: fold.book.jop_cases,
         callret_traps,
         console,
         recovery,
@@ -663,214 +704,53 @@ fn run_one_span(
 /// Replays the span traces through the serial CR's bookkeeping: one walk
 /// over the records in order, re-basing each worker's relative cycle deltas
 /// onto the absolute clock, scheduling checkpoints where the serial CR
-/// would (charging their costs into the clock), and reproducing the alarm/
-/// evict protocol of §4.6.2.
-fn fold_spans(cfg: &ReplayConfig, records: &[Record], spans: &[&SpanRun]) -> FoldOut {
-    let costs = &cfg.costs;
-    let mut a: u64 = 0;
-    let mut last_cp: u64 = 0;
-    let mut checkpoint_cycles: u64 = 0;
-    let mut taken: u64 = 0;
-    let mut max_live: usize = 0;
-    // The retained-checkpoint window, as (placement id, at_insn).
-    let mut live: VecDeque<(u64, u64)> = VecDeque::new();
-    let mut placements: Vec<Placement> = Vec::new();
-    let mut dirty_pages: HashSet<usize> = HashSet::new();
-    let mut dirty_blocks: HashSet<usize> = HashSet::new();
-    let mut evicts: HashMap<ThreadId, Vec<Addr>> = HashMap::new();
-    let mut alarms_seen = 0;
-    let mut cancelled = 0;
-    let mut jop_cases = Vec::new();
-    let mut case_refs = Vec::new();
-    // A span's record-free tail (seam run) belongs to the serial interval
-    // that ends at the *next* record: carry its delta and dirt forward.
-    let mut pending_delta: u64 = 0;
-    let mut pending_pages: Vec<usize> = Vec::new();
-    let mut pending_blocks: Vec<usize> = Vec::new();
-
-    let place = |a: &mut u64,
-                 checkpoint_cycles: &mut u64,
-                 live: &mut VecDeque<(u64, u64)>,
-                 placements: &mut Vec<Placement>,
-                 taken: &mut u64,
-                 max_live: &mut usize,
-                 dirty_pages: &mut HashSet<usize>,
-                 dirty_blocks: &mut HashSet<usize>,
-                 span: usize,
-                 at_record: Option<usize>,
-                 at_insn: u64,
-                 evicts: HashMap<ThreadId, Vec<Addr>>| {
-        let dp = dirty_pages.len();
-        let db = dirty_blocks.len();
-        // The serial CR's cow-fault counter equals the distinct pages
-        // dirtied in the epoch, which is exactly this union's page count.
-        let cost = costs.checkpoint_fixed
-            + costs.checkpoint_page_copy * (dp + db) as u64
-            + costs.cow_fault * dp as u64;
-        *a += cost;
-        *checkpoint_cycles += cost;
-        let id = placements.len() as u64;
-        placements.push(Placement {
-            span,
-            at_record,
-            at_insn,
-            at_cycle: *a,
-            evicts,
-            dirty_pages: dp,
-            dirty_blocks: db,
-        });
-        live.push_back((id, at_insn));
-        *taken += 1;
-        while live.len() > cfg.retain {
-            live.pop_front();
-        }
-        *max_live = (*max_live).max(live.len());
-        dirty_pages.clear();
-        dirty_blocks.clear();
-    };
-
+/// would (charging their costs into the clock), and feeding every record
+/// through the serial CR's [`AlarmBook`].
+fn fold_spans(cfg: &ReplayConfig, records: &[Record], spans: &[&SpanRun]) -> Fold {
+    let mut fold = Fold::default();
     if cfg.collect_cases {
         // The initial checkpoint: the serial `run()` takes it before the
         // first record, draining the construction epoch — which is exactly
         // what worker 0's entry mark recorded.
         let entry = &spans[0].marks[0];
-        dirty_pages.extend(entry.dirty_pages.iter().copied());
-        dirty_blocks.extend(entry.dirty_blocks.iter().copied());
-        place(
-            &mut a,
-            &mut checkpoint_cycles,
-            &mut live,
-            &mut placements,
-            &mut taken,
-            &mut max_live,
-            &mut dirty_pages,
-            &mut dirty_blocks,
-            0,
-            None,
-            0,
-            HashMap::new(),
-        );
-        last_cp = a;
+        fold.dirty_pages.extend(entry.dirty_pages.iter().copied());
+        fold.dirty_blocks.extend(entry.dirty_blocks.iter().copied());
+        fold.place(cfg, 0, None, 0);
     }
-
     for (w, span) in spans.iter().enumerate() {
         let mut prev = span.marks[0].cycles;
         for mark in &span.marks[1..] {
-            let delta = mark.cycles - prev;
+            // A span's record-free tail (seam run) belongs to the serial
+            // interval that ends at the next record: its delta and dirt
+            // simply accumulate until then.
+            fold.cycles += mark.cycles - prev;
             prev = mark.cycles;
-            let Some(j) = mark.record else {
-                pending_delta += delta;
-                pending_pages.extend_from_slice(&mark.dirty_pages);
-                pending_blocks.extend_from_slice(&mark.dirty_blocks);
-                continue;
-            };
-            a += pending_delta + delta;
-            pending_delta = 0;
-            dirty_pages.extend(pending_pages.drain(..));
-            dirty_blocks.extend(pending_blocks.drain(..));
-            dirty_pages.extend(mark.dirty_pages.iter().copied());
-            dirty_blocks.extend(mark.dirty_blocks.iter().copied());
+            fold.dirty_pages.extend(mark.dirty_pages.iter().copied());
+            fold.dirty_blocks.extend(mark.dirty_blocks.iter().copied());
+            let Some(j) = mark.record else { continue };
             let record = &records[j];
-            let mut is_end = false;
-            match record {
-                Record::End { .. } => is_end = true,
-                Record::Evict { tid, addr } => evicts.entry(*tid).or_default().push(*addr),
-                Record::Alarm(info) => {
-                    alarms_seen += 1;
-                    let mut matched = false;
-                    if info.mispredict.kind == MispredictKind::Underflow {
-                        let stack = evicts.entry(info.tid).or_default();
-                        if stack.last() == Some(&info.mispredict.actual) {
-                            // §4.6.2: matches the thread's latest evict
-                            // record — a false alarm; drop both.
-                            stack.pop();
-                            cancelled += 1;
-                            matched = true;
-                        }
-                    }
-                    if !matched && cfg.collect_cases {
-                        let placement = live
-                            .iter()
-                            .rev()
-                            .find(|(_, ai)| *ai <= info.at_insn)
-                            .or_else(|| live.front())
-                            .expect("initial checkpoint always exists")
-                            .0;
-                        case_refs.push(CaseRef {
-                            placement,
-                            kind: CaseKind::Ras(*info),
-                            alarm_index: j,
-                            cr_cycle: a,
-                        });
-                    }
+            if let Some(kind) = fold.book.on_record(record, false) {
+                if cfg.collect_cases {
+                    // The latest retained checkpoint at or before the alarm,
+                    // as `CheckpointStore::before` picks it serially.
+                    let placement = fold
+                        .live
+                        .iter()
+                        .rev()
+                        .find(|(_, at)| *at <= kind.at_insn())
+                        .or_else(|| fold.live.front())
+                        .expect("initial checkpoint always exists")
+                        .0;
+                    fold.case_refs.push(CaseRef { placement, kind, alarm_index: j, cr_cycle: fold.cycles });
                 }
-                Record::VrtAlarm(info) => {
-                    // Like the serial drive loop: VRT alarms have no
-                    // CR-side cancellation rule, so every one escalates.
-                    alarms_seen += 1;
-                    if cfg.collect_cases {
-                        let placement = live
-                            .iter()
-                            .rev()
-                            .find(|(_, ai)| *ai <= info.at_insn)
-                            .or_else(|| live.front())
-                            .expect("initial checkpoint always exists")
-                            .0;
-                        case_refs.push(CaseRef {
-                            placement,
-                            kind: CaseKind::Vrt(*info),
-                            alarm_index: j,
-                            cr_cycle: a,
-                        });
-                    }
-                }
-                Record::JopAlarm { tid, branch_pc, target, at_insn, at_cycle } => {
-                    alarms_seen += 1;
-                    jop_cases.push(JopCase {
-                        tid: *tid,
-                        branch_pc: *branch_pc,
-                        target: *target,
-                        at_insn: *at_insn,
-                        at_cycle: *at_cycle,
-                    });
-                }
-                _ => {}
             }
-            if !is_end {
-                if let Some(interval) = cfg.checkpoint_interval {
-                    if a - last_cp >= interval {
-                        place(
-                            &mut a,
-                            &mut checkpoint_cycles,
-                            &mut live,
-                            &mut placements,
-                            &mut taken,
-                            &mut max_live,
-                            &mut dirty_pages,
-                            &mut dirty_blocks,
-                            w,
-                            Some(j),
-                            mark.retired,
-                            evicts.clone(),
-                        );
-                        last_cp = a;
-                    }
-                }
+            let due = cfg.checkpoint_interval.is_some_and(|i| fold.cycles - fold.last_checkpoint >= i);
+            if due && !matches!(record, Record::End { .. }) {
+                fold.place(cfg, w, Some(j), mark.retired);
             }
         }
     }
-
-    FoldOut {
-        cycles: a,
-        checkpoint_cycles,
-        taken,
-        max_live,
-        alarms_seen,
-        cancelled,
-        jop_cases,
-        case_refs,
-        placements,
-    }
+    fold
 }
 
 /// Builds the checkpoints that alarm cases actually reference, by re-running
@@ -882,7 +762,7 @@ fn materialize_checkpoints(
     cfg: &ReplayConfig,
     shared: Option<&Arc<SharedPageCache>>,
     jobs: &[SpanJob],
-    fold: &FoldOut,
+    fold: &Fold,
 ) -> Result<(HashMap<u64, Checkpoint>, BlockStats), ReplayError> {
     let needed: BTreeSet<u64> = fold.case_refs.iter().map(|c| c.placement).collect();
     let mut by_span: BTreeMap<usize, Vec<u64>> = BTreeMap::new();

@@ -51,6 +51,20 @@ timed doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offli
 
 timed tests cargo test --workspace -q --offline
 
+# Examples gate: the four walkthroughs assert their own outcomes (a benign
+# run verifies clean, the §6 attack is convicted, the JOP/DOS detectors
+# fire, forensics passes repeat), and the benign scan replays the five paper
+# workloads over seeds 0-99, failing on any pipeline error, unverified
+# replay or attack verdict and naming the (workload, seed).
+run_examples() {
+    local example
+    for example in quickstart kernel_rop detectors replay_forensics benign_scan; do
+        echo "example: $example"
+        cargo run --release -q --offline --example "$example" >/dev/null
+    done
+}
+timed examples run_examples
+
 # Fault-matrix gate: run the attack pipeline under every seeded fault
 # scenario — transport, replay, and AR-supervisor faults, plus the durable
 # segment store's disk scenarios (torn write, bit rot, missing segment,

@@ -117,3 +117,37 @@ fn disk_completion_at_the_budget_edge_verifies() {
         }
     }
 }
+
+/// An audit stop (`rnr audit --insn N`, §3.2) placed before a RAS alarm
+/// stops exactly there: the replayer reads the alarm's instruction count
+/// before running into it, as it does for every other record that carries
+/// one.
+#[test]
+fn audit_stop_before_a_ras_alarm_is_exact() {
+    use rnr_attacks::mount_kernel_rop;
+    use rnr_log::Record;
+    use rnr_workloads::WorkloadParams;
+    let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
+    let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 700_000)).unwrap().run();
+    let (index, alarm_at) = rec
+        .log
+        .records()
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| match r {
+            Record::Alarm(info) => Some((i, info.at_insn)),
+            _ => None,
+        })
+        .expect("the attack logs a RAS alarm");
+    let cfg = ReplayConfig { checkpoint_interval: None, collect_cases: false, ..ReplayConfig::default() };
+    let replayer = || Replayer::new(&spec, Arc::clone(&rec.log), cfg.clone());
+    // Where replay stands once every record before the alarm is consumed.
+    let mut r = replayer();
+    r.stop_after_record(index - 1);
+    let before = r.run().unwrap().retired;
+    let stop = alarm_at - 1000;
+    assert!(before < stop, "the alarm at {alarm_at} follows the previous record at {before} closely");
+    let mut r = replayer();
+    r.stop_at_insn(stop);
+    assert_eq!(r.run().unwrap().retired, stop);
+}

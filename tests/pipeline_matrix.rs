@@ -5,18 +5,27 @@ use rnr_workloads::Workload;
 
 #[test]
 fn all_workloads_survive_the_full_pipeline() {
-    for w in Workload::ALL {
+    // Every workload at the default seed, plus Make seeds whose
+    // thread-create trap fires late (an interrupt lands on the trapped
+    // instruction, so the new thread runs before the trap).
+    let cases = Workload::ALL
+        .map(|w| (w, 42, 200_000, 0.25))
+        .into_iter()
+        .chain([(Workload::Make, 120, 600_000, 0.125), (Workload::Make, 252, 600_000, 0.125)]);
+    for (w, seed, duration_insns, interval) in cases {
         let cfg = PipelineConfig {
-            duration_insns: 200_000,
-            checkpoint_interval_secs: Some(0.25),
+            seed,
+            duration_insns,
+            checkpoint_interval_secs: Some(interval),
             ..PipelineConfig::default()
         };
-        let report = Pipeline::new(w.spec(false), cfg).run().unwrap_or_else(|e| panic!("{}: {e}", w.label()));
-        assert!(report.replay.verified, "{}", w.label());
-        assert_eq!(report.attacks_confirmed(), 0, "{}: false conviction", w.label());
-        assert_eq!(report.record.priv_flag, 0, "{}", w.label());
+        let label = format!("{} seed {seed}", w.label());
+        let report = Pipeline::new(w.spec(false), cfg).run().unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert!(report.replay.verified, "{label}");
+        assert_eq!(report.attacks_confirmed(), 0, "{label}: false conviction");
+        assert_eq!(report.record.priv_flag, 0, "{label}");
         // Every escalated alarm must have been resolved benign.
-        assert_eq!(report.false_positives_resolved(), report.resolutions.len(), "{}", w.label());
+        assert_eq!(report.false_positives_resolved(), report.resolutions.len(), "{label}");
     }
 }
 
