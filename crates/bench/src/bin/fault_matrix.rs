@@ -91,9 +91,8 @@ fn main() {
         );
         let b = &reference.block_stats;
         println!(
-            "fault-free: block cache {} hits / {} builds / {} shared imports, \
-             trace cache {} hits / {} builds / {} fallbacks",
-            b.hits, b.builds, b.shared_imports, b.trace_hits, b.trace_builds, b.trace_fallbacks
+            "fault-free: block cache {} hits / {} builds, trace cache {} hits / {} builds / {} fallbacks",
+            b.hits, b.builds, b.trace_hits, b.trace_builds, b.trace_fallbacks
         );
     }
 

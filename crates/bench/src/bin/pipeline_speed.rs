@@ -41,8 +41,7 @@ struct AttackComparison {
     baseline_ms: f64,
     /// Optimized configuration with `superblocks` forced off — the block
     /// engine alone. Its report must match the optimized one; its time is
-    /// not gated, since superblocks do not pay on this pipeline (DESIGN.md
-    /// §12).
+    /// not gated (DESIGN.md §12).
     blocks_ms: f64,
     optimized_ms: f64,
     speedup: f64,
@@ -325,7 +324,7 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
             } else {
                 let pcfg = ReplayConfig { parallel_spans: workers, ..cfg.clone() };
                 let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-                let out = replay_spans(&spec, feed, &pcfg, Some(rec.final_digest), None)
+                let out = replay_spans(&spec, feed, &pcfg, Some(rec.final_digest))
                     .expect("parallel CR replays")
                     .outcome;
                 assert_eq!(out.verified, Some(true), "{workers}-worker digest mismatch");
@@ -471,8 +470,8 @@ fn main() {
     ]);
     emit("Attack pipeline: baseline vs optimized (identical reports)", &t);
     println!(
-        "block cache: {} hits, {} builds, {} flushes, {} shared imports",
-        block_cache.hits, block_cache.builds, block_cache.flushes, block_cache.shared_imports
+        "block cache: {} hits, {} builds, {} flushes",
+        block_cache.hits, block_cache.builds, block_cache.flushes
     );
     println!(
         "trace cache: {} hits, {} builds, {} flushes, {} fallbacks",

@@ -9,9 +9,8 @@
 //! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
 //! `ArCase` per escalated alarm — and a deterministic weighted round-robin
 //! scheduler drains them so an alarm-storming session cannot starve its
-//! quiet siblings. One run-wide [`SharedPageCache`] spans the fleet, so
-//! identical guest images decode once and every session's workers adopt the
-//! published blocks.
+//! quiet siblings. Every VM a work item builds owns its decode, block and
+//! trace caches.
 //!
 //! **Invariance:** a farm of N sessions produces per-session
 //! [`PipelineReport`]s byte-identical (via `to_json()`) to N serial
@@ -39,7 +38,6 @@ use std::time::Instant;
 
 use rnr_hypervisor::{RecordOutcome, VmSpec};
 use rnr_log::{DurableLogConfig, TransportStats};
-use rnr_machine::SharedPageCache;
 use rnr_replay::{
     assemble_spans, plan_spans, pool, run_planned_span, AlarmCase, ReplayConfig, ReplayError, ReplayOutcome,
     SpanDone, SpanJob,
@@ -338,7 +336,6 @@ struct FleetState<'s> {
 struct Fleet<'s> {
     sessions: &'s [SessionSpec],
     plans: Vec<SessionPlan>,
-    shared: Arc<SharedPageCache>,
     state: Mutex<FleetState<'s>>,
     cvar: Condvar,
     started: Instant,
@@ -376,7 +373,6 @@ impl<'s> Fleet<'s> {
         Fleet {
             sessions,
             plans,
-            shared: Arc::new(SharedPageCache::new()),
             state: Mutex::new(FleetState {
                 phases: (0..sessions.len()).map(|_| Phase::Recording).collect(),
                 sched,
@@ -432,12 +428,8 @@ impl<'s> Fleet<'s> {
                 let jobs = Arc::clone(&rp.jobs);
                 let k = item.index;
                 Box::new(move || {
-                    let result = run_planned_span(
-                        &self.sessions[s].vm,
-                        &self.plans[s].replay_cfg,
-                        Some(&self.shared),
-                        &jobs[k],
-                    );
+                    let result =
+                        run_planned_span(&self.sessions[s].vm, &self.plans[s].replay_cfg, None, &jobs[k]);
                     Executed::Span(k, Box::new(result))
                 })
             }
@@ -485,13 +477,7 @@ impl<'s> Fleet<'s> {
     fn record_session(&self, s: usize) -> Result<RecordOutcome, FarmError> {
         let spec = &self.sessions[s];
         let rc = record_config(&spec.config, Some(self.plans[s].cadence));
-        let recorder = recorder_for(
-            &spec.vm,
-            rc,
-            &self.shared,
-            self.plans[s].durable.as_ref(),
-            &spec.config.fault_plan,
-        )?;
+        let recorder = recorder_for(&spec.vm, rc, self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
         let rec = run_recorder(recorder)?;
         if let Some(max) = spec.budget.log_bytes {
             let used = rec.log.total_bytes();
@@ -518,7 +504,7 @@ impl<'s> Fleet<'s> {
         let par = assemble_spans(
             &spec.vm,
             &self.plans[s].replay_cfg,
-            Some(&self.shared),
+            None,
             rp.rec.log.records(),
             &rp.jobs,
             results,
@@ -555,7 +541,6 @@ impl<'s> Fleet<'s> {
             &spec.vm,
             Arc::clone(&rp.rec.log),
             self.plans[s].ar_cfg.clone(),
-            Arc::clone(&self.shared),
             &spec.config.fault_plan,
         ));
         Ok(Box::new(FinalizeOut {

@@ -10,7 +10,7 @@ use rnr_log::{
     log_channel_with, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, LogSource,
     DEFAULT_BATCH,
 };
-use rnr_machine::{BlockStats, CostModel, SharedPageCache};
+use rnr_machine::{BlockStats, CostModel};
 use rnr_ras::RasConfig;
 use rnr_replay::{
     pool, replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer,
@@ -408,15 +408,10 @@ impl Pipeline {
         let cfg = &self.config;
         let rc = record_config(cfg, (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg)));
         let replay_cfg = replay_config(cfg);
-        // One read-mostly decoded-block pool for the whole run: the
-        // recorder, the CR (or its span workers), and every alarm replayer
-        // publish and adopt page decodes through it (wall-clock only; every
-        // consumer revalidates against its own page contents).
-        let shared = Arc::new(SharedPageCache::new());
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
         // sequential, with identical results.
-        let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg, &shared)?;
+        let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg)?;
         // Phase 3: alarm replay for every escalated case — on a bounded,
         // supervised worker pool when configured ("multiple ARs… in
         // parallel", §6). Each case is resolved under `catch_unwind` with
@@ -427,7 +422,6 @@ impl Pipeline {
             &self.spec,
             Arc::clone(&rec.log),
             ar_replay_config(&replay_cfg),
-            Arc::clone(&shared),
             &cfg.fault_plan,
         );
         let cases = &cr_out.alarm_cases;
@@ -478,10 +472,9 @@ impl Pipeline {
         &self,
         rc: RecordConfig,
         replay_cfg: &ReplayConfig,
-        shared: &Arc<SharedPageCache>,
     ) -> Result<(RecordOutcome, ReplayOutcome, BlockStats), PipelineError> {
         let cfg = &self.config;
-        let mut recorder = recorder_for(&self.spec, rc, shared, cfg.durable_log.as_ref(), &cfg.fault_plan)?;
+        let mut recorder = recorder_for(&self.spec, rc, cfg.durable_log.as_ref(), &cfg.fault_plan)?;
         let (rec, cr_result) = if cfg.streaming {
             let (sink, stream) = log_channel_with(DEFAULT_BATCH, &cfg.fault_plan);
             recorder.stream_to(sink);
@@ -494,14 +487,14 @@ impl Pipeline {
             let feed = SpanFeed::Streaming { stream: Box::new(stream), seed_rx };
             let (rec, cr_result) = std::thread::scope(|scope| {
                 let handle = scope.spawn(move || run_recorder(recorder));
-                let cr_result = replay_cr(&self.spec, feed, replay_cfg, shared);
+                let cr_result = replay_cr(&self.spec, feed, replay_cfg);
                 (handle.join().expect("recorder panics are caught in-thread"), cr_result)
             });
             (rec?, cr_result)
         } else {
             let rec = run_recorder(recorder)?;
             let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-            let cr_result = replay_cr(&self.spec, feed, replay_cfg, shared);
+            let cr_result = replay_cr(&self.spec, feed, replay_cfg);
             (rec, cr_result)
         };
         let (mut cr_out, cr_stats) = cr_result?;
@@ -520,19 +513,16 @@ fn replay_cr(
     spec: &VmSpec,
     feed: SpanFeed,
     replay_cfg: &ReplayConfig,
-    shared: &Arc<SharedPageCache>,
 ) -> Result<(ReplayOutcome, BlockStats), ReplayError> {
     if replay_cfg.parallel_spans > 0 {
-        let par = replay_spans(spec, feed, replay_cfg, None, Some(shared))?;
+        let par = replay_spans(spec, feed, replay_cfg, None)?;
         return Ok((par.outcome, par.block_stats));
     }
     let source = match feed {
         SpanFeed::Complete { log, .. } => LogSource::Complete(log),
         SpanFeed::Streaming { stream, .. } => LogSource::Streaming(stream),
     };
-    let mut cr = Replayer::new(spec, source, replay_cfg.clone());
-    cr.attach_shared_cache(Arc::clone(shared));
-    let out = cr.run()?;
+    let out = Replayer::new(spec, source, replay_cfg.clone()).run()?;
     let stats = out.vm().block_stats();
     Ok((out, stats))
 }
@@ -587,18 +577,16 @@ pub(crate) fn ar_replay_config(replay_cfg: &ReplayConfig) -> ReplayConfig {
     }
 }
 
-/// A recorder for `spec` attached to the run-wide shared cache and, when a
-/// `durable_log` knob is set, to a durable segment writer — the one
-/// persistence path, in every mode — that injects the plan's disk faults.
+/// A recorder for `spec`, attached, when a `durable_log` knob is set, to a
+/// durable segment writer — the one persistence path, in every mode — that
+/// injects the plan's disk faults.
 pub(crate) fn recorder_for(
     spec: &VmSpec,
     rc: RecordConfig,
-    shared: &Arc<SharedPageCache>,
     durable: Option<&DurableLogConfig>,
     plan: &FaultPlan,
 ) -> Result<Recorder, PipelineError> {
     let mut recorder = Recorder::new(spec, rc)?;
-    recorder.attach_shared_cache(Arc::clone(shared));
     if let Some(d) = durable {
         let writer = DurableWriter::create(d.clone(), plan)
             .map_err(|e| PipelineError::Record(RecordError::DurableLog(e.to_string())))?;
@@ -640,11 +628,10 @@ impl<'a> CaseResolver<'a> {
         spec: &'a VmSpec,
         log: Arc<InputLog>,
         ar_cfg: ReplayConfig,
-        shared: Arc<SharedPageCache>,
         plan: &FaultPlan,
     ) -> CaseResolver<'a> {
         CaseResolver {
-            ar: AlarmReplayer::new(spec, log).with_config(ar_cfg).with_shared_cache(shared),
+            ar: AlarmReplayer::new(spec, log).with_config(ar_cfg),
             panic_case: plan.ar_panic_case,
             divergence_case: plan.ar_divergence_case,
             retries: AtomicU64::new(0),

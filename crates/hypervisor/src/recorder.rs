@@ -443,12 +443,10 @@ impl Recorder {
         self.seed_tx = Some(tx);
     }
 
-    /// Attaches the run-wide shared decoded-block cache: pages this recorder
-    /// decodes become visible to the replayers of the same run and vice
-    /// versa. Wall-clock only; never affects the log, cycles, or digests.
-    pub fn attach_shared_cache(&mut self, shared: Arc<SharedPageCache>) {
-        self.vm.attach_shared_cache(shared);
-    }
+    /// Does nothing: the recorder decodes into its own VM's cache. Kept
+    /// only because the frozen repository benchmark calls it; deleted at
+    /// the next change to `benchmark/`.
+    pub fn attach_shared_cache(&mut self, _shared: Arc<SharedPageCache>) {}
 
     /// Appends a record to the log, persisting it and mirroring it to the
     /// live sink if either is attached. Disk comes first, so a frame is

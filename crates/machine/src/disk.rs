@@ -18,6 +18,10 @@ type Block = [u8; PAGE_SIZE];
 pub struct BlockStore {
     blocks: Vec<Arc<Block>>,
     dirty_epoch: Vec<u64>,
+    // Indices of blocks written this epoch (unsorted), so closing an epoch is
+    // O(dirty) instead of a scan over every block. Invariant: `dirty` holds
+    // exactly the indices with `dirty_epoch[i] == epoch`, each once.
+    dirty: Vec<usize>,
     epoch: u64,
 }
 
@@ -43,7 +47,7 @@ impl BlockStore {
     pub fn new(bytes: usize) -> BlockStore {
         let n = bytes.div_ceil(PAGE_SIZE);
         let zero: Arc<Block> = Arc::new([0u8; PAGE_SIZE]);
-        BlockStore { blocks: vec![zero; n], dirty_epoch: vec![0; n], epoch: 1 }
+        BlockStore { blocks: vec![zero; n], dirty_epoch: vec![0; n], dirty: Vec::new(), epoch: 1 }
     }
 
     /// Disk capacity in sectors.
@@ -101,16 +105,27 @@ impl BlockStore {
         let (block, off) = self.locate(sector)?;
         if self.dirty_epoch[block] < self.epoch {
             self.dirty_epoch[block] = self.epoch;
+            self.dirty.push(block);
         }
         Arc::make_mut(&mut self.blocks[block])[off..off + SECTOR_SIZE].copy_from_slice(data);
         Ok(())
     }
 
-    /// Starts a new epoch, returning blocks written during the closing one.
+    /// Starts a new epoch, returning blocks written during the closing one,
+    /// in ascending order.
     pub fn begin_epoch(&mut self) -> Vec<usize> {
-        let closing = self.epoch;
         self.epoch += 1;
-        (0..self.blocks.len()).filter(|&b| self.dirty_epoch[b] == closing).collect()
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Marks every block written in the current epoch (a restore or a fresh
+    /// image replaces them all).
+    fn mark_all_dirty(&mut self) {
+        let e = self.epoch;
+        self.dirty_epoch.fill(e);
+        self.dirty = (0..self.blocks.len()).collect();
     }
 
     /// Cheap reference-counted snapshot of all blocks.
@@ -126,8 +141,7 @@ impl BlockStore {
     pub fn restore_blocks(&mut self, blocks: Vec<Arc<Block>>) {
         assert_eq!(blocks.len(), self.blocks.len(), "snapshot size mismatch");
         self.blocks = blocks;
-        let e = self.epoch;
-        self.dirty_epoch.fill(e);
+        self.mark_all_dirty();
     }
 
     /// FNV-1a digest of the full disk contents (combined with the VM digest
@@ -152,18 +166,18 @@ impl BlockStore {
         use std::sync::{Mutex, OnceLock};
         type ImageCache = Mutex<HashMap<(usize, u64), Vec<Arc<Block>>>>;
         static IMAGES: OnceLock<ImageCache> = OnceLock::new();
+        const POISONED: &str = "disk image cache lock (a thread panicked while holding it)";
         let cache = IMAGES.get_or_init(|| Mutex::new(HashMap::new()));
         let key = (self.blocks.len(), seed);
-        let cached = cache.lock().unwrap().get(&key).cloned();
+        let cached = cache.lock().expect(POISONED).get(&key).cloned();
         match cached {
             Some(image) => self.blocks = image,
             None => {
                 self.fill_deterministic_uncached(seed);
-                cache.lock().unwrap().insert(key, self.blocks.clone());
+                cache.lock().expect(POISONED).insert(key, self.blocks.clone());
             }
         }
-        let e = self.epoch;
-        self.dirty_epoch.fill(e);
+        self.mark_all_dirty();
     }
 
     fn fill_deterministic_uncached(&mut self, seed: u64) {
@@ -185,6 +199,7 @@ impl BlockStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sector_round_trip() {
@@ -213,6 +228,67 @@ mod tests {
         d.write_sector((2 * BlockStore::SECTORS_PER_BLOCK) as u64, &[2; SECTOR_SIZE]).unwrap(); // block 2
         assert_eq!(d.begin_epoch(), vec![0, 2]);
         assert!(d.begin_epoch().is_empty());
+    }
+
+    #[test]
+    fn begin_epoch_is_o_dirty_and_restore_marks_all() {
+        let per = BlockStore::SECTORS_PER_BLOCK as u64;
+        let mut d = BlockStore::new(PAGE_SIZE * 3);
+        d.write_sector(2 * per, &[1; SECTOR_SIZE]).unwrap();
+        d.write_sector(0, &[1; SECTOR_SIZE]).unwrap();
+        d.write_sector(1, &[1; SECTOR_SIZE]).unwrap();
+        assert_eq!(d.begin_epoch(), vec![0, 2], "dirty list reported once each, in ascending order");
+        let snap = d.snapshot_blocks();
+        d.restore_blocks(snap);
+        // After a restore every block belongs to the new baseline.
+        assert_eq!(d.begin_epoch(), vec![0, 1, 2]);
+        assert!(d.begin_epoch().is_empty());
+        d.fill_deterministic(7);
+        assert_eq!(d.begin_epoch(), vec![0, 1, 2], "a fresh image marks every block");
+        assert!(d.begin_epoch().is_empty());
+    }
+
+    const DISK_BLOCKS: usize = 6;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Write(u64),
+        Restore,
+        Fill(u64),
+        Epoch,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (0..DISK_BLOCKS as u64 * BlockStore::SECTORS_PER_BLOCK as u64).prop_map(Op::Write),
+            1 => Just(Op::Restore),
+            1 => (0..3u64).prop_map(Op::Fill),
+            3 => Just(Op::Epoch),
+        ]
+    }
+
+    proptest! {
+        // The dirty list reports exactly what a full scan of the per-block
+        // epochs would, so checkpoint costs (which read its length) cannot
+        // move.
+        #[test]
+        fn dirty_list_matches_a_full_scan(ops in prop::collection::vec(op(), 1..64)) {
+            let mut d = BlockStore::new(PAGE_SIZE * DISK_BLOCKS);
+            let mut snap = d.snapshot_blocks();
+            for op in ops {
+                match op {
+                    Op::Write(sector) => d.write_sector(sector, &[sector as u8; SECTOR_SIZE]).unwrap(),
+                    Op::Restore => d.restore_blocks(snap.clone()),
+                    Op::Fill(seed) => d.fill_deterministic(seed),
+                    Op::Epoch => {
+                        let scan: Vec<usize> =
+                            (0..DISK_BLOCKS).filter(|&b| d.dirty_epoch[b] == d.epoch).collect();
+                        prop_assert_eq!(d.begin_epoch(), scan);
+                        snap = d.snapshot_blocks();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

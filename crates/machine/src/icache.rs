@@ -39,8 +39,7 @@
 //! default ([`crate::CostModel::decode`] is 0), so caching changes wall-clock
 //! time only, never virtual cycles.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +65,7 @@ pub const TRACE_MAX_OPS: usize = 256;
 pub const TRACE_MAX_PAGES: usize = 8;
 
 /// Heat sentinel: trace formation failed at this head, stop profiling it.
-/// Lives in the (local-only) profile so the `heads` list stays short.
+/// Lives in the profile, so `heads` holds live traces only.
 const UNTRACEABLE: u16 = u16::MAX;
 
 /// "No successor observed yet" marker in the edge-profile array.
@@ -168,10 +167,11 @@ impl TracePage {
     }
 }
 
-/// The immutable body of a superblock, shared across VMs via `Arc`: the
-/// flattened ops plus everything a dispatcher or importer needs to validate
-/// it (PC bounds for breakpoint filtering, the exact page `Arc`s it was
-/// decoded from for shared-pool identity checks).
+/// The immutable body of a superblock, behind an `Arc` so a dispatch can
+/// hold it while the cache changes: the flattened ops plus everything a
+/// dispatcher needs to validate it (PC bounds for breakpoint filtering, the
+/// exact page `Arc`s it was decoded from for the survival check after a
+/// page-version bump).
 #[derive(Debug)]
 pub struct TraceBody {
     /// Flattened ops, head first; loops appear unrolled.
@@ -218,10 +218,9 @@ impl TraceBody {
     }
 }
 
-/// Per-VM write-version guards of a trace: one `(page, version)` pair per
+/// Write-version guards of a trace: one `(page, version)` pair per
 /// constituent page, stamped at install time against the owning VM's
-/// memory (versions are per-VM, so shared-pool imports re-stamp them).
-/// `Copy` by design — dispatch grabs a snapshot without allocating.
+/// memory. `Copy` by design — dispatch grabs a snapshot without allocating.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceGuards {
     len: u8,
@@ -294,11 +293,11 @@ pub struct BlockStats {
     pub builds: u64,
     /// Page caches dropped because the page's write-version moved.
     pub flushes: u64,
-    /// Page caches adopted from the run-wide shared cache instead of being
-    /// rebuilt locally.
+    /// Always 0: every VM decodes into its own cache. Kept only because the
+    /// frozen repository benchmark reads it; deleted at the next change to
+    /// `benchmark/`.
     pub shared_imports: u64,
-    /// Superblock traces chained and installed (locally built or adopted
-    /// from the shared pool).
+    /// Superblock traces chained and installed.
     pub trace_builds: u64,
     /// Superblock dispatches: a valid trace was entered (it may still
     /// side-exit early on a guard mispredict, fault, or SMC).
@@ -320,7 +319,6 @@ impl BlockStats {
         self.hits += other.hits;
         self.builds += other.builds;
         self.flushes += other.flushes;
-        self.shared_imports += other.shared_imports;
         self.trace_builds += other.trace_builds;
         self.trace_hits += other.trace_hits;
         self.trace_flushes += other.trace_flushes;
@@ -337,17 +335,12 @@ struct PageCache {
     slots: Box<[Option<Instruction>; SLOTS]>,
     blocks: Box<[u16; SLOTS]>,
     // Live superblock heads: per-slot trace pool id, 0 = none. Allocated
-    // on the first install so trace-free pages (and every shared-pool
-    // clone — publishing strips heads) stay light; the direct index keeps
-    // the per-dispatch lookup O(1). Heads formation gave up on are not
+    // on the first install so trace-free pages stay light; the direct index
+    // keeps the per-dispatch lookup O(1). Heads formation gave up on are not
     // recorded here; they carry the `UNTRACEABLE` heat sentinel in the
     // profile instead.
     heads: Option<Box<[u32; SLOTS]>>,
-    // Edge profile, allocated on the first profiled block exit. Kept out
-    // of the decode arrays on purpose: heat and successors are per-VM
-    // profiling state, so the shared pool never carries them — publishing
-    // or importing a page clones only the decode, exactly as it did
-    // before superblocks existed.
+    // Edge profile, allocated on the first profiled block exit.
     profile: Option<Box<Profile>>,
 }
 
@@ -394,7 +387,7 @@ impl PageCache {
     }
 }
 
-/// A pooled superblock: the shared body plus this VM's guard stamps.
+/// A pooled superblock: its body plus the guard stamps it was validated at.
 #[derive(Debug, Clone)]
 struct TraceRef {
     body: Arc<TraceBody>,
@@ -550,10 +543,10 @@ impl BlockCache {
         }
     }
 
-    /// The valid superblock headed at `pc`, as `(shared body, this VM's
-    /// guard snapshot)`. A trace whose guards went stale is dropped on the
-    /// spot and its head re-heats, so the next threshold crossing rebuilds
-    /// against the new bytes.
+    /// The valid superblock headed at `pc`. A trace whose guards went stale
+    /// is re-validated against its op bytes; one whose code changed is
+    /// dropped on the spot and its head re-heats, so the next threshold
+    /// crossing rebuilds against the new bytes.
     #[inline]
     pub fn trace_at(&mut self, pc: Addr, mem: &Memory) -> Option<Arc<TraceBody>> {
         let page = (pc as usize) / PAGE_SIZE;
@@ -651,15 +644,15 @@ impl BlockCache {
     }
 
     /// Installs a built superblock at its head `pc`, stamping guards from
-    /// `mem`'s current page versions. Returns false (and installs nothing)
-    /// when the head's page cache is missing or stale.
-    pub fn install_trace(&mut self, pc: Addr, body: Arc<TraceBody>, mem: &Memory) -> bool {
+    /// `mem`'s current page versions. Installs nothing when the head's page
+    /// cache is missing or stale.
+    pub fn install_trace(&mut self, pc: Addr, body: Arc<TraceBody>, mem: &Memory) {
         debug_assert!(body.pages.len() <= TRACE_MAX_PAGES);
         let page = (pc as usize) / PAGE_SIZE;
         let slot = (pc as usize % PAGE_SIZE) / 8;
-        let Some(Some(cached)) = self.pages.get(page) else { return false };
+        let Some(Some(cached)) = self.pages.get(page) else { return };
         if cached.version != mem.page_version(page) {
-            return false;
+            return;
         }
         let old = cached.head(slot);
         let guards = TraceGuards::stamp(&body, mem);
@@ -669,7 +662,6 @@ impl BlockCache {
         }
         self.pages[page].as_mut().expect("page checked above").set_head(slot, id);
         self.stats.trace_builds += 1;
-        true
     }
 
     /// Counts a dispatch fallback: a valid trace was found but a budget
@@ -680,142 +672,18 @@ impl BlockCache {
     }
 }
 
-/// A run-wide, read-mostly pool of decoded page caches shared between the
-/// recorder, the CR (or its span workers), and the alarm replayers.
-///
-/// Each entry pairs a decoded `PageCache` with an `Arc` of the exact page
-/// bytes it was decoded from. That pairing is what makes the pool sound
-/// across threads with no version protocol: guest pages are immutable behind
-/// their `Arc` (every writer goes through `Arc::make_mut`, and the pool's
-/// own clone keeps the refcount above one, forcing copy-on-write), so a
-/// consumer whose current page is *pointer-equal* to an entry's page is
-/// guaranteed the decode is for exactly the bytes it would decode itself.
-/// There is no staleness to detect — a stale page is a *different* `Arc`
-/// and simply fails the pointer check.
-///
-/// Publishing and importing touch no guest state, so sharing is wall-clock
-/// only: virtual cycles, digests, and verdicts are identical with the pool
-/// attached or not.
+/// Does nothing: every VM decodes, builds blocks and forms traces in its own
+/// [`BlockCache`]. The type survives only because the frozen repository
+/// benchmark still names it; it is deleted at the next change to
+/// `benchmark/`.
 #[derive(Debug, Default)]
-pub struct SharedPageCache {
-    entries: Mutex<HashMap<usize, SharedEntry>>,
-}
-
-/// The exact page bytes a decode came from, paired with that decode and
-/// the superblocks headed in the page (shared by body; guard stamps are
-/// per-VM and re-issued on import).
-#[derive(Debug)]
-struct SharedEntry {
-    bytes: Arc<[u8; PAGE_SIZE]>,
-    cache: PageCache,
-    traces: Vec<(usize, Arc<TraceBody>)>,
-}
+pub struct SharedPageCache;
 
 impl SharedPageCache {
-    /// An empty pool.
+    /// Does nothing (see [`SharedPageCache`]); deleted at the next change to
+    /// `benchmark/`.
     pub fn new() -> SharedPageCache {
-        SharedPageCache::default()
-    }
-}
-
-impl BlockCache {
-    /// Offers this cache's decode of `page` to the run-wide pool, keyed by
-    /// the exact page bytes it was decoded from, together with the
-    /// superblocks headed in the page. Later publications simply overwrite
-    /// — decodes are a pure function of the page bytes, and any trace that
-    /// survives the importer's per-page identity checks is valid for it.
-    pub fn publish_to(&self, shared: &SharedPageCache, page: usize, mem: &Memory) {
-        let Some(bytes) = mem.page_arc(page) else { return };
-        let Some(Some(local)) = self.pages.get(page) else { return };
-        if local.version != mem.page_version(page) {
-            return;
-        }
-        // Only the decode travels; heat/succ are per-VM profiling state and
-        // pool indices are publisher-local, so importers rebuild their own.
-        let cache = PageCache {
-            version: local.version,
-            slots: local.slots.clone(),
-            blocks: local.blocks.clone(),
-            heads: None,
-            profile: None,
-        };
-        let traces = local.heads.as_ref().map_or_else(Vec::new, |hs| {
-            hs.iter()
-                .enumerate()
-                .filter(|&(_, &id)| id != 0)
-                .map(|(slot, &id)| {
-                    (slot, Arc::clone(&self.traces[(id - 1) as usize].as_ref().expect("indexed").body))
-                })
-                .collect()
-        });
-        let mut entries = shared.entries.lock().expect("shared cache lock");
-        entries.insert(page, SharedEntry { bytes: Arc::clone(bytes), cache, traces });
-    }
-
-    /// Adopts the pool's decode of `page` if the pool's entry was decoded
-    /// from the very `Arc` this memory currently holds (pointer equality ⇒
-    /// identical bytes ⇒ identical decode). Published superblocks ride
-    /// along when *every* constituent page passes the same identity check;
-    /// their guards are re-stamped against the importer's own versions.
-    /// Returns whether an entry was installed.
-    pub fn import_from(&mut self, shared: &SharedPageCache, page: usize, mem: &Memory) -> bool {
-        let Some(bytes) = mem.page_arc(page) else { return false };
-        let entries = shared.entries.lock().expect("shared cache lock");
-        let Some(entry) = entries.get(&page) else { return false };
-        if !Arc::ptr_eq(&entry.bytes, bytes) {
-            return false;
-        }
-        let mut cache = entry.cache.clone();
-        let traces: Vec<(usize, Arc<TraceBody>)> = entry
-            .traces
-            .iter()
-            .filter(|(_, body)| {
-                body.pages.iter().all(|p| {
-                    mem.page_arc(p.index)
-                        .is_some_and(|cur| Arc::ptr_eq(&p.bytes, cur) || p.ops_unchanged(cur))
-                })
-            })
-            .cloned()
-            .collect();
-        drop(entries);
-        // Re-stamp with the importer's own version counter (versions are
-        // per-VM, not per-content).
-        cache.version = mem.page_version(page);
-        if self.pages.len() <= page {
-            self.pages.resize(page + 1, None);
-        }
-        // Keep pool entries whose body the pool would re-install anyway:
-        // repeated imports of a hot page then neither free nor re-stamp
-        // per trace, and the flush counter stays an invalidation count
-        // instead of an import-churn count.
-        let mut old_heads = self.pages[page].take().and_then(|old| old.heads);
-        for (slot, body) in traces {
-            let reusable = old_heads.as_ref().map_or(0, |h| h[slot]);
-            let id = if reusable != 0
-                && self.traces[(reusable - 1) as usize]
-                    .as_ref()
-                    .is_some_and(|tr| Arc::ptr_eq(&tr.body, &body))
-            {
-                let tr = self.traces[(reusable - 1) as usize].as_mut().expect("checked live");
-                tr.guards = TraceGuards::stamp(&body, mem);
-                old_heads.as_mut().expect("non-empty")[slot] = 0;
-                reusable
-            } else {
-                let guards = TraceGuards::stamp(&body, mem);
-                self.alloc_trace(TraceRef { body, guards })
-            };
-            cache.set_head(slot, id);
-        }
-        if let Some(h) = old_heads {
-            for &id in h.iter() {
-                if id != 0 {
-                    self.free_trace(id);
-                }
-            }
-        }
-        self.pages[page] = Some(cache);
-        self.stats.shared_imports += 1;
-        true
+        SharedPageCache
     }
 }
 
@@ -887,7 +755,7 @@ mod tests {
         cache.insert(0x0, insn(1), &mem);
         // Nothing was written between snapshot and restore: the pages are
         // the same `Arc`s, the content cannot have changed, and the decode
-        // survives (the warm-restore optimization for alarm replayers).
+        // survives (the warm-restore optimization for CR rewinds).
         mem.restore_pages(snap);
         assert_eq!(cache.get(0x0, &mem), Some(insn(1)));
     }

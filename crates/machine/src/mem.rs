@@ -245,9 +245,8 @@ impl Memory {
     }
 
     /// The reference-counted page at `index`, if in range. Pointer identity
-    /// of these `Arc`s is what lets threads of one run recognise each
-    /// other's pages: equal pointers imply equal content, because any write
-    /// to a shared page copies it first.
+    /// of these `Arc`s proves a page unchanged: equal pointers imply equal
+    /// content, because any write to a shared page copies it first.
     pub fn page_arc(&self, index: usize) -> Option<&Arc<Page>> {
         self.pages.get(index)
     }
@@ -263,10 +262,10 @@ impl Memory {
         assert_eq!(pages.len(), self.pages.len(), "snapshot size mismatch");
         // Pages are immutable behind their `Arc`: pointer equality implies
         // identical content, so only pages that actually changed invalidate
-        // derived per-page caches (decoded blocks stay warm across the
-        // checkpoint restores that alarm replayers start from). The dirty /
-        // CoW accounting below stays unconditional — virtual costs must not
-        // depend on pointer sharing.
+        // derived per-page caches (decoded blocks stay warm across a CR
+        // rewind to its last checkpoint). The dirty / CoW accounting below
+        // stays unconditional — virtual costs must not depend on pointer
+        // sharing.
         for (index, new) in pages.iter().enumerate() {
             if !Arc::ptr_eq(&self.pages[index], new) {
                 self.versions[index] = self.versions[index].wrapping_add(1);

@@ -100,11 +100,6 @@ pub struct GuestVm {
     trace_cap: usize,
     watch_addr: Option<Addr>,
     watch_hits: Vec<(Addr, u64, u64, u64)>,
-    // Optional run-wide pool of decoded page caches (see
-    // `SharedPageCache`): blocks built here are published, and misses try
-    // to adopt a pool entry decoded from the identical page `Arc` before
-    // rebuilding. Wall-clock only — never touches guest state.
-    shared_cache: Option<std::sync::Arc<crate::icache::SharedPageCache>>,
     // The Variable Record Table memory-safety detector (DESIGN.md §15).
     // Armed on recording VMs only; replay VMs take VRT alarms from the log.
     vrt: Option<rnr_vrt::VrtUnit>,
@@ -140,15 +135,7 @@ impl GuestVm {
             trace_cap: 0,
             watch_addr: None,
             watch_hits: Vec::new(),
-            shared_cache: None,
         }
-    }
-
-    /// Attaches the run-wide shared decode/block cache. All VMs of one run
-    /// (recorder, CR span workers, alarm replayers) may share one pool; the
-    /// per-page `Arc` identity check makes every adopted entry exact.
-    pub fn attach_shared_cache(&mut self, shared: std::sync::Arc<crate::icache::SharedPageCache>) {
-        self.shared_cache = Some(shared);
     }
 
     /// VRT doorbell (hypervisor device emulation): a guest region went
@@ -549,7 +536,7 @@ impl GuestVm {
                     self.icache.note_trace_fallback();
                 }
             }
-            let info = match self.block_info_shared(pc) {
+            let info = match self.icache.block_info(pc, &self.mem) {
                 Some(info) => info,
                 None => match self.build_block(pc) {
                     Some(info) => info,
@@ -794,7 +781,7 @@ impl GuestVm {
             if ops.len() >= TRACE_MAX_OPS || pc & 7 != 0 {
                 break;
             }
-            let info = match self.block_info_shared(pc) {
+            let info = match self.icache.block_info(pc, &self.mem) {
                 Some(info) => info,
                 None => match self.build_block(pc) {
                     Some(info) => info,
@@ -880,12 +867,7 @@ impl GuestVm {
         pcs.dedup_by_key(|&mut (p, _)| p);
         let (min_pc, max_pc) = (pcs[0].0, pcs.last().expect("non-empty").0);
         let body = Arc::new(TraceBody { ops, end_pc: pc, pages, min_pc, max_pc, pcs });
-        if self.icache.install_trace(head, body, &self.mem) {
-            if let Some(shared) = &self.shared_cache {
-                let page = (head as usize) / crate::mem::PAGE_SIZE;
-                self.icache.publish_to(shared, page, &self.mem);
-            }
-        }
+        self.icache.install_trace(head, body, &self.mem);
     }
 
     /// Decodes and caches the basic block starting at `pc` (aligned).
@@ -922,28 +904,7 @@ impl GuestVm {
         }
         let info = BlockInfo { len, has_terminal, has_store };
         self.icache.insert_block(pc, &insns, info, &self.mem);
-        if let Some(shared) = &self.shared_cache {
-            let page = (pc as usize) / crate::mem::PAGE_SIZE;
-            self.icache.publish_to(shared, page, &self.mem);
-        }
         Some(info)
-    }
-
-    /// Block lookup with a shared-pool fallback: on a local miss, try to
-    /// adopt the pool's decode of the page (valid only if it was decoded
-    /// from the identical page `Arc`) and retry. A successful import may
-    /// still miss — the publisher never decoded a block at this `pc` — in
-    /// which case the caller builds it, growing the adopted page cache.
-    fn block_info_shared(&mut self, pc: Addr) -> Option<BlockInfo> {
-        if let Some(info) = self.icache.block_info(pc, &self.mem) {
-            return Some(info);
-        }
-        let shared = self.shared_cache.as_ref()?;
-        let page = (pc as usize) / crate::mem::PAGE_SIZE;
-        if !self.icache.import_from(shared, page, &self.mem) {
-            return None;
-        }
-        self.icache.block_info(pc, &self.mem)
     }
 
     /// Executes one straight-line (non-terminal) instruction without

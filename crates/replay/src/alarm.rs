@@ -186,7 +186,6 @@ pub struct AlarmReplayer<'a> {
     spec: &'a VmSpec,
     log: Arc<InputLog>,
     config: ReplayConfig,
-    shared_cache: Option<Arc<rnr_machine::SharedPageCache>>,
 }
 
 impl<'a> AlarmReplayer<'a> {
@@ -199,13 +198,13 @@ impl<'a> AlarmReplayer<'a> {
             nesting_ret_sites: nesting_sites(spec),
             ..ReplayConfig::default()
         };
-        AlarmReplayer { spec, log, config, shared_cache: None }
+        AlarmReplayer { spec, log, config }
     }
 
-    /// Shares the run-wide decoded-block cache with every replayer this
-    /// launcher spawns (wall-clock only; never affects verdicts or timing).
-    pub fn with_shared_cache(mut self, shared: Arc<rnr_machine::SharedPageCache>) -> AlarmReplayer<'a> {
-        self.shared_cache = Some(shared);
+    /// Does nothing: each alarm replay decodes into its own VM's cache.
+    /// Kept only because the frozen repository benchmark calls it; deleted
+    /// at the next change to `benchmark/`.
+    pub fn with_shared_cache(self, _shared: Arc<rnr_machine::SharedPageCache>) -> AlarmReplayer<'a> {
         self
     }
 
@@ -241,9 +240,6 @@ impl<'a> AlarmReplayer<'a> {
             &case.checkpoint,
             true,
         );
-        if let Some(shared) = &self.shared_cache {
-            replayer.attach_shared_cache(Arc::clone(shared));
-        }
         replayer.stop_after_record(case.alarm_index);
         let outcome = replayer.run()?;
         let verdict = match &case.kind {

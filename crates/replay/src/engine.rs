@@ -876,11 +876,10 @@ impl Replayer {
         }
     }
 
-    /// Attaches the run-wide shared decoded-block cache (wall-clock only;
-    /// never affects cycles, digests, or verdicts).
-    pub fn attach_shared_cache(&mut self, shared: std::sync::Arc<rnr_machine::SharedPageCache>) {
-        self.vm.attach_shared_cache(shared);
-    }
+    /// Does nothing: the replayer decodes into its own VM's cache. Kept
+    /// only because the frozen repository benchmark calls it; deleted at
+    /// the next change to `benchmark/`.
+    pub fn attach_shared_cache(&mut self, _shared: std::sync::Arc<rnr_machine::SharedPageCache>) {}
 
     fn push_span_mark(&mut self, record: Option<usize>) {
         let dirty_pages = self.vm.mem_mut().begin_epoch();

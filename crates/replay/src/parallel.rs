@@ -222,8 +222,7 @@ impl Fold {
 /// reassembles a [`ReplayOutcome`] byte-identical to a serial CR's.
 ///
 /// `expected` arms final-digest verification exactly like
-/// [`Replayer::verify_against`]; `shared` plugs every worker into the
-/// run-wide decoded-block cache.
+/// [`Replayer::verify_against`].
 ///
 /// # Errors
 ///
@@ -237,7 +236,6 @@ pub fn replay_spans(
     feed: SpanFeed,
     cfg: &ReplayConfig,
     expected: Option<Digest>,
-    shared: Option<&Arc<SharedPageCache>>,
 ) -> Result<ParallelReplayOutcome, ReplayError> {
     let (dispatch, planned, workers) = match feed {
         SpanFeed::Complete { log, seeds } => {
@@ -273,7 +271,7 @@ pub fn replay_spans(
             if let Some(job) = d.jobs.get(d.next).cloned() {
                 d.next += 1;
                 return Some(Box::new(move || {
-                    let done = run_one_span(spec, cfg, shared, &job);
+                    let done = run_one_span(spec, cfg, &job);
                     results_ref.lock().expect("span results").insert(job.index, done);
                 }) as pool::Task<'_>);
             }
@@ -304,7 +302,7 @@ pub fn replay_spans(
         (None, Some(live)) => (&live.records[..], live.stream.transport_stats()),
         (None, None) => unreachable!("the drain hands its state back before it completes"),
     };
-    assemble_spans(spec, cfg, shared, records, &jobs, results, expected, transport)
+    assemble_spans(spec, cfg, None, records, &jobs, results, expected, transport)
 }
 
 /// The job source of [`replay_spans`]'s pool, behind a mutex. A complete
@@ -435,13 +433,17 @@ pub fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> 
 /// The span's terminal replay failure after the bounded retries:
 /// [`ReplayError::Unrecoverable`] with the rewind trail when `cfg.resilient`
 /// is set, or the first raw fault when it is not.
+///
+/// `_shared` does nothing: every span worker decodes into its own VM's
+/// cache. The parameter is kept only because the frozen repository
+/// benchmark passes it; it is deleted at the next change to `benchmark/`.
 pub fn run_planned_span(
     spec: &VmSpec,
     cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
+    _shared: Option<&Arc<SharedPageCache>>,
     job: &SpanJob,
 ) -> Result<SpanDone, ReplayError> {
-    run_one_span(spec, cfg, shared, job)
+    run_one_span(spec, cfg, job)
 }
 
 /// Reassembles per-span results into a [`ReplayOutcome`] byte-identical to
@@ -452,7 +454,9 @@ pub fn run_planned_span(
 /// `results` must be in span order (index `k` = `jobs[k]`); `records` is
 /// the full record sequence the jobs were planned over, and `transport`
 /// carries whatever the feed's drain already healed (zero for a complete
-/// log).
+/// log). `_shared` does nothing: each worker decodes into its own VM's
+/// cache. The parameter is kept only because the frozen repository
+/// benchmark passes it; it is deleted at the next change to `benchmark/`.
 ///
 /// # Errors
 ///
@@ -463,7 +467,7 @@ pub fn run_planned_span(
 pub fn assemble_spans(
     spec: &VmSpec,
     cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
+    _shared: Option<&Arc<SharedPageCache>>,
     records: &[Record],
     jobs: &[SpanJob],
     results: Vec<Result<SpanDone, ReplayError>>,
@@ -490,7 +494,7 @@ pub fn assemble_spans(
 
     let runs: Vec<&SpanRun> = spans.iter().map(|s| &s.run).collect();
     let fold = fold_spans(cfg, records, &runs);
-    let (built, mat_stats) = materialize_checkpoints(spec, cfg, shared, jobs, &fold)?;
+    let (built, mat_stats) = materialize_checkpoints(spec, cfg, jobs, &fold)?;
 
     let mut block_stats = mat_stats;
     let mut attribution = CycleAttribution::new();
@@ -602,12 +606,7 @@ fn worker_cfg(cfg: &ReplayConfig) -> ReplayConfig {
     }
 }
 
-fn build_replayer(
-    spec: &VmSpec,
-    wcfg: ReplayConfig,
-    job: &SpanJob,
-    shared: Option<&Arc<SharedPageCache>>,
-) -> Replayer {
+fn build_replayer(spec: &VmSpec, wcfg: ReplayConfig, job: &SpanJob) -> Replayer {
     let source = job.source.to_source();
     let mut r = match &job.seed {
         None => Replayer::new(spec, source, wcfg),
@@ -633,9 +632,6 @@ fn build_replayer(
             Replayer::from_checkpoint(spec, source, wcfg, &cp, false)
         }
     };
-    if let Some(s) = shared {
-        r.attach_shared_cache(Arc::clone(s));
-    }
     r.skip_landing_draws(job.prior_interrupts);
     r
 }
@@ -644,12 +640,7 @@ fn build_replayer(
 /// the span *is* the rewind unit (its seed is the checkpoint), so recovery
 /// re-executes it from scratch, stepped after a block-engine suspect, and
 /// reports the same accounting a serial rewind would.
-fn run_one_span(
-    spec: &VmSpec,
-    cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
-    job: &SpanJob,
-) -> Result<SpanDone, ReplayError> {
+fn run_one_span(spec: &VmSpec, cfg: &ReplayConfig, job: &SpanJob) -> Result<SpanDone, ReplayError> {
     let mut rewinds = 0;
     let mut rewound_insns = 0;
     let mut block_fallbacks = 0;
@@ -669,7 +660,7 @@ fn run_one_span(
             wcfg.block_engine = false;
             wcfg.superblocks = false;
         }
-        let r = build_replayer(spec, wcfg, job, shared);
+        let r = build_replayer(spec, wcfg, job);
         match r.run_span(job.records_end, job.seam) {
             Ok(run) => return Ok(SpanDone { run, rewinds, rewound_insns, block_fallbacks, trail }),
             Err(err) => {
@@ -760,7 +751,6 @@ fn fold_spans(cfg: &ReplayConfig, records: &[Record], spans: &[&SpanRun]) -> Fol
 fn materialize_checkpoints(
     spec: &VmSpec,
     cfg: &ReplayConfig,
-    shared: Option<&Arc<SharedPageCache>>,
     jobs: &[SpanJob],
     fold: &Fold,
 ) -> Result<(HashMap<u64, Checkpoint>, BlockStats), ReplayError> {
@@ -772,7 +762,7 @@ fn materialize_checkpoints(
     let mut built = HashMap::new();
     let mut stats = BlockStats::default();
     for (span, ids) in by_span {
-        let mut r = build_replayer(spec, worker_cfg(cfg), &jobs[span], shared);
+        let mut r = build_replayer(spec, worker_cfg(cfg), &jobs[span]);
         // Placement ids ascend with record order, so one pass per span
         // reaches every snapshot point without restarting.
         for id in ids {

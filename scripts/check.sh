@@ -93,10 +93,9 @@ timed fault-matrix-farm cargo run --release -q -p rnr-bench --bin fault_matrix -
 # Perf gate: rerun the attack-pipeline comparison and fail if the reports
 # diverge across configurations (baseline, block engine only, optimized),
 # or if the overall speedup regresses >20% below the committed
-# BENCH_pipeline.json figure. Superblocks are held to report identity only:
-# they do not pay on this pipeline (DESIGN.md §12). Never rewrites the
-# committed file. Host-conditional gates print "gate skipped: <reason>"
-# when this box cannot exercise them.
+# BENCH_pipeline.json figure. Superblocks are held to report identity only
+# (DESIGN.md §12). Never rewrites the committed file. Host-conditional
+# gates print "gate skipped: <reason>" when this box cannot exercise them.
 timed pipeline-speed cargo run --release -q -p rnr-bench --bin pipeline_speed --offline -- --check
 
 # Fleet throughput gate: farm-vs-serial report identity always; the ≥1.3x
@@ -108,3 +107,23 @@ timed farm-speed cargo run --release -q -p rnr-bench --bin farm_speed --offline 
 # workspace member, so `cargo test --workspace` never compiles it) and run
 # its unit tests, so an API change that breaks it fails here.
 timed benchmark cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+# Benchmark smoke gate: one short traced run per workload. The traced run's
+# drift guard checks that the benchmark's own copies of the pipeline's
+# config helpers (`record_config`, `replay_config`, `ar_replay_config`,
+# `span_seed_cadence`) still reproduce each session's report, and every
+# session's verdicts are checked against its workload. The benchmark exits
+# 0 even when a session is incorrect, so the gate reads the result line.
+bench_smoke() {
+    local w last
+    for w in rop_attack compute_verify net_durable alarm_storm jit_smc fleet; do
+        echo "benchmark smoke: $w"
+        last="$(cargo run --release -q --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+            --workload "$w" --seconds 1 --trace 1 | tail -n 1)"
+        if ! grep -q '"correct":true' <<<"$last" || ! grep -Eq '"failed":0[,}]' <<<"$last"; then
+            echo "benchmark smoke: $w: incorrect or failed sessions: ${last:0:200}" >&2
+            return 1
+        fi
+    done
+}
+timed benchmark-smoke bench_smoke

@@ -326,8 +326,9 @@ fn durable_log_equivalent_across_parallel_and_superblock_corners() {
 }
 
 /// Streaming and sequential pipelines persist **byte-identical** segment
-/// stores: the sink-side and recorder-side writers frame records the same
-/// way, so the durable form is independent of how the run was driven.
+/// stores: both modes persist through the one durable-write path,
+/// `Recorder::persist_to`, so the durable form is independent of how the run
+/// was driven.
 #[test]
 fn durable_store_is_byte_identical_across_streaming_and_sequential() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-store-{}", std::process::id()));
