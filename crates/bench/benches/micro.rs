@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks: the component costs behind the design
 //! choices DESIGN.md calls out (RAS operations, BackRAS traffic, log codec,
-//! copy-on-write checkpointing, gadget scanning, record/replay throughput).
+//! copy-on-write checkpointing and state digests, gadget scanning,
+//! record/replay throughput).
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use rnr_guest::KernelBuilder;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
 use rnr_log::{InputLog, Record};
-use rnr_machine::{Memory, PAGE_SIZE};
+use rnr_machine::{GuestVm, MachineConfig, Memory, PAGE_SIZE};
 use rnr_ras::{BackRasTable, RasConfig, RasUnit, ShadowRas, ThreadId, Whitelists};
 use rnr_replay::{ReplayConfig, Replayer};
 use rnr_workloads::Workload;
@@ -92,6 +93,34 @@ fn bench_checkpoint(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+    // Verification digests fold one memoized hash per page, so a digest
+    // costs O(pages written since the last one). Each iteration rewrites
+    // pages first (the writes are timed too; they are a few percent).
+    let mut vm = GuestVm::new(MachineConfig::default(), &[]);
+    let pages = vm.mem().page_count() as u64;
+    let mut round = 0u64;
+    g.bench_function("digest_4mib_cold", |b| {
+        // Every page rewritten with distinct content: no memo survives, so
+        // this is the cost of hashing all 4 MiB.
+        b.iter(|| {
+            round += 1;
+            for page in 0..pages {
+                vm.mem_mut().write_u64(page * PAGE_SIZE as u64, round ^ (page << 32)).unwrap();
+            }
+            std::hint::black_box(vm.digest())
+        });
+    });
+    g.bench_function("digest_4mib_16_dirty", |b| {
+        // The memo is warm; 16 pages spread over memory are rewritten.
+        vm.digest();
+        b.iter(|| {
+            round += 1;
+            for page in (0..pages).step_by(pages as usize / 16) {
+                vm.mem_mut().write_u64(page * PAGE_SIZE as u64, round ^ (page << 32)).unwrap();
+            }
+            std::hint::black_box(vm.digest())
+        });
     });
     g.finish();
 }

@@ -56,7 +56,7 @@ pub use pipeline::{
     AlarmResolution, DetectionWindow, FailedCase, Pipeline, PipelineConfig, PipelineError, PipelineReport,
     RecordSummary, RecoveryReport, ReplaySummary, VerdictSummary,
 };
-pub use session::{Session, SessionError, SessionHeader};
+pub use session::{Session, SessionError, SessionHeader, SESSION_VERSION};
 
 // Re-export the crates downstream users need alongside the facade.
 pub use rnr_attacks as attacks;

@@ -28,6 +28,12 @@ use rnr_machine::Digest;
 
 const MAGIC: &[u8; 8] = b"RNRSAFE1";
 
+/// The session-file format version this build writes and the only one it
+/// loads. Version 2 stores the final digest over memoized per-page hashes
+/// (DESIGN.md §4); a version-1 file's digest would never verify, so it is
+/// rejected on load rather than reported as a diverged replay.
+pub const SESSION_VERSION: u32 = 2;
+
 /// Session-file errors.
 #[derive(Debug)]
 pub enum SessionError {
@@ -57,7 +63,7 @@ impl From<std::io::Error> for SessionError {
 /// The JSON header of a session file.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct SessionHeader {
-    /// Format version.
+    /// Format version ([`SESSION_VERSION`]).
     pub version: u32,
     /// The guest VM specification (kernel, images, boot table, devices).
     pub spec: VmSpec,
@@ -93,7 +99,7 @@ impl Session {
     pub fn from_recording(spec: VmSpec, seed: u64, ras_capacity: usize, outcome: &RecordOutcome) -> Session {
         Session {
             header: SessionHeader {
-                version: 1,
+                version: SESSION_VERSION,
                 spec,
                 mode: RecordMode::Rec,
                 seed,
@@ -132,8 +138,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, bad magic, or a log that does not match the
-    /// header's byte count.
+    /// Fails on I/O errors, bad magic, a format version other than
+    /// [`SESSION_VERSION`], or a log that does not match the header's byte
+    /// count.
     pub fn load(path: impl AsRef<Path>) -> Result<Session, SessionError> {
         let mut file = std::fs::File::open(path)?;
         let mut magic = [0u8; 8];
@@ -154,6 +161,12 @@ impl Session {
         file.read_exact(&mut header_bytes)?;
         let header: SessionHeader =
             serde_json::from_slice(&header_bytes).map_err(|e| SessionError::Malformed(e.to_string()))?;
+        if header.version != SESSION_VERSION {
+            return Err(SessionError::Malformed(format!(
+                "session format version {}, this build reads version {SESSION_VERSION}",
+                header.version
+            )));
+        }
         let mut log_bytes = Vec::new();
         file.read_to_end(&mut log_bytes)?;
         if log_bytes.len() as u64 != header.log_bytes {
@@ -208,6 +221,24 @@ mod tests {
         let path = tmpfile("magic");
         std::fs::write(&path, b"NOTASESSIONFILE").unwrap();
         assert!(matches!(Session::load(&path), Err(SessionError::Malformed(_))));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn other_format_version_rejected() {
+        let spec = Workload::Radiosity.spec(false);
+        let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 11, 50_000)).unwrap().run();
+        let mut session = Session::from_recording(spec, 11, 48, &rec);
+        assert_eq!(session.header.version, SESSION_VERSION);
+        session.header.version = 1;
+        let path = tmpfile("version");
+        session.save(&path).unwrap();
+        match Session::load(&path) {
+            Err(SessionError::Malformed(m)) => {
+                assert!(m.contains("version 1") && m.contains(&format!("version {SESSION_VERSION}")), "{m}")
+            }
+            other => panic!("a version-1 file must be rejected, got {other:?}"),
+        }
         std::fs::remove_file(path).ok();
     }
 

@@ -9,10 +9,10 @@ use rnr_isa::Reg;
 use rnr_log::{AlarmInfo, Category, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo};
 use rnr_machine::{
     CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
-    MachineConfig, SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING,
-    MMIO_NIC_RX_POP, PAGE_SIZE, PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT,
-    PORT_DISK_SECTOR, PORT_NIC_TX_ADDR, PORT_NIC_TX_CMD, PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE,
-    PORT_VRT_CMD, PORT_VRT_LEN, VRT_CMD_DECLARE, VRT_CMD_RETIRE,
+    MachineConfig, Page, SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING,
+    MMIO_NIC_RX_POP, PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR,
+    PORT_NIC_TX_ADDR, PORT_NIC_TX_CMD, PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE, PORT_VRT_CMD, PORT_VRT_LEN,
+    VRT_CMD_DECLARE, VRT_CMD_RETIRE,
 };
 use rnr_ras::{
     AttributionReport, BackRasEntry, BackRasTable, RasAttribution, RasConfig, RasCounters, ThreadId,
@@ -157,7 +157,7 @@ pub struct SpanSeed {
     pub cpu: CpuState,
     /// The guest's pages, shared by reference; replay-side writes
     /// copy-on-write, never touching the recorder's view.
-    pub mem_pages: Vec<Arc<[u8; PAGE_SIZE]>>,
+    pub mem_pages: Vec<Arc<Page>>,
     /// Disk device state, including in-flight operation bookkeeping.
     pub disk: DiskDevice,
     /// Saved per-thread BackRAS entries, with the running thread's RAS

@@ -50,8 +50,10 @@ impl Fnv1a {
     /// *different* stream than [`Fnv1a::update`] — the two must not be mixed
     /// for the same data — but far higher throughput: the per-byte (and
     /// per-word) FNV multiply chain is latency-bound, and four independent
-    /// lanes let the multiplier pipeline. That matters when hashing all of
-    /// guest memory and disk for replay verification. Lanes are seeded with
+    /// lanes let the multiplier pipeline. This is the per-page hash that
+    /// each [`Page`](crate::Page) memoizes: verification digests fold one
+    /// such hash per 4 KiB page of guest memory and disk, and rehash a page
+    /// only after it was written. Lanes are seeded with
     /// distinct constants so words are position-sensitive across lanes, and
     /// any single-bit difference still changes the digest.
     pub fn update_words(&mut self, bytes: &[u8]) {

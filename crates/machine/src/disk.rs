@@ -3,10 +3,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::mem::PAGE_SIZE;
+use crate::mem::{Page, PAGE_SIZE};
 use crate::SECTOR_SIZE;
 
-type Block = [u8; PAGE_SIZE];
+type Block = Page;
 
 /// Sector-addressed virtual disk contents.
 ///
@@ -46,7 +46,7 @@ impl BlockStore {
     /// Allocates a zeroed disk of `bytes` (rounded up to whole blocks).
     pub fn new(bytes: usize) -> BlockStore {
         let n = bytes.div_ceil(PAGE_SIZE);
-        let zero: Arc<Block> = Arc::new([0u8; PAGE_SIZE]);
+        let zero = Arc::new(Block::zeroed());
         BlockStore { blocks: vec![zero; n], dirty_epoch: vec![0; n], dirty: Vec::new(), epoch: 1 }
     }
 
@@ -107,7 +107,7 @@ impl BlockStore {
             self.dirty_epoch[block] = self.epoch;
             self.dirty.push(block);
         }
-        Arc::make_mut(&mut self.blocks[block])[off..off + SECTOR_SIZE].copy_from_slice(data);
+        Arc::make_mut(&mut self.blocks[block]).bytes_mut()[off..off + SECTOR_SIZE].copy_from_slice(data);
         Ok(())
     }
 
@@ -145,11 +145,13 @@ impl BlockStore {
     }
 
     /// FNV-1a digest of the full disk contents (combined with the VM digest
-    /// for replay verification).
+    /// for replay verification): one hash per block, in block order,
+    /// memoized in the shared [`Page`], so only blocks written since they
+    /// were last hashed are read.
     pub fn digest(&self) -> crate::Digest {
         let mut h = crate::digest::Fnv1a::new();
         for b in &self.blocks {
-            h.update_words(&b[..]);
+            h.update_u64(b.hash());
         }
         h.finish()
     }

@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 
 use rnr_isa::{Addr, Instruction};
 
-use crate::mem::{Memory, PAGE_SIZE};
+use crate::mem::{Memory, Page, PAGE_SIZE};
 
 /// Decoded slots per page (8-byte instructions).
 const SLOTS: usize = PAGE_SIZE / 8;
@@ -117,14 +117,14 @@ pub struct TracePage {
     /// Page index.
     pub index: usize,
     /// Full page contents at build time.
-    pub bytes: Arc<[u8; PAGE_SIZE]>,
+    pub bytes: Arc<Page>,
     /// Bit `s` set ⇔ some op decodes from slot `s` (bytes `8s..8s+8`).
     op_slots: [u64; SLOTS / 64],
 }
 
 impl TracePage {
     /// A page entry with no op slots marked yet.
-    pub fn new(index: usize, bytes: Arc<[u8; PAGE_SIZE]>) -> TracePage {
+    pub fn new(index: usize, bytes: Arc<Page>) -> TracePage {
         TracePage { index, bytes, op_slots: [0; SLOTS / 64] }
     }
 

@@ -49,6 +49,6 @@ pub use disk::BlockStore;
 pub use exit::{CallRetTrap, Exit, ExitControls, FaultKind, FinishIo};
 pub use icache::{BlockCache, BlockInfo, BlockStats, SharedPageCache};
 pub use jop::JopTable;
-pub use mem::{MemError, Memory, PAGE_SIZE};
+pub use mem::{MemError, Memory, Page, PAGE_SIZE};
 pub use ports::*;
 pub use vm::{GuestVm, InjectError, RunBudget};

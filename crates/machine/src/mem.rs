@@ -1,14 +1,81 @@
 //! Paged guest memory with copy-on-write sharing and dirty tracking.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rnr_isa::Addr;
 
+use crate::digest::Fnv1a;
+
 /// Guest page size in bytes (matches the paper's x86 hosts).
 pub const PAGE_SIZE: usize = 4096;
 
-type Page = [u8; PAGE_SIZE];
+/// One page of guest memory or one disk block, with its content hash
+/// memoized beside the bytes.
+///
+/// Pages live behind [`Arc`]s that seeds, checkpoints, restored replayers
+/// and the process-wide disk image all share, so a hash stored here is
+/// computed once per distinct page content and reused by every digest that
+/// folds the page (DESIGN.md §4, "Verification digest"). Reads go through
+/// [`Deref`]. There is no `DerefMut`: the only mutable access, for
+/// [`Memory`] and [`BlockStore`](crate::BlockStore) writes after
+/// `Arc::make_mut`, forgets the memo, so no write can leave a stale hash
+/// behind.
+#[derive(Debug)]
+pub struct Page {
+    bytes: [u8; PAGE_SIZE],
+    // `Fnv1a::update_words` hash of `bytes`; 0 = not computed yet. A pure
+    // function of bytes that are immutable while the page is shared, so
+    // `Relaxed` suffices: a racing reader sees 0 or the one correct value,
+    // and `Arc::make_mut`'s own acquire/release orders it against writers.
+    hash: AtomicU64,
+}
+
+impl Page {
+    /// An all-zero page.
+    pub(crate) fn zeroed() -> Page {
+        Page { bytes: [0; PAGE_SIZE], hash: AtomicU64::new(0) }
+    }
+
+    /// The page's content hash (`Fnv1a::update_words` over its bytes),
+    /// computed at most once per content. A computed hash of 0 is simply
+    /// not cached.
+    pub(crate) fn hash(&self) -> u64 {
+        let memo = self.hash.load(Ordering::Relaxed);
+        if memo != 0 {
+            return memo;
+        }
+        let mut h = Fnv1a::new();
+        h.update_words(&self.bytes);
+        let hash = h.finish().0;
+        self.hash.store(hash, Ordering::Relaxed);
+        hash
+    }
+
+    /// Mutable bytes. Forgets the memoized hash: the caller is about to
+    /// change the content.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        *self.hash.get_mut() = 0;
+        &mut self.bytes
+    }
+}
+
+impl Deref for Page {
+    type Target = [u8; PAGE_SIZE];
+
+    fn deref(&self) -> &[u8; PAGE_SIZE] {
+        &self.bytes
+    }
+}
+
+impl Clone for Page {
+    /// Copies the memo too: a clone has the same content.
+    fn clone(&self) -> Page {
+        Page { bytes: self.bytes, hash: AtomicU64::new(self.hash.load(Ordering::Relaxed)) }
+    }
+}
 
 /// Errors from guest memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +130,7 @@ impl Memory {
     /// Allocates zeroed guest memory of `bytes` (rounded up to whole pages).
     pub fn new(bytes: usize) -> Memory {
         let n = bytes.div_ceil(PAGE_SIZE);
-        let zero: Arc<Page> = Arc::new([0u8; PAGE_SIZE]);
+        let zero = Arc::new(Page::zeroed());
         // Epoch 0 means "never written"; execution starts in epoch 1.
         Memory {
             pages: vec![zero; n],
@@ -98,7 +165,7 @@ impl Memory {
         }
     }
 
-    fn page_mut(&mut self, index: usize) -> &mut Page {
+    fn page_mut(&mut self, index: usize) -> &mut [u8; PAGE_SIZE] {
         if self.dirty_epoch[index] < self.epoch {
             // First write to this page in the current epoch: with a live
             // checkpoint sharing the page, this is where the copy happens.
@@ -107,7 +174,7 @@ impl Memory {
             self.dirty.push(index);
         }
         self.versions[index] = self.versions[index].wrapping_add(1);
-        Arc::make_mut(&mut self.pages[index])
+        Arc::make_mut(&mut self.pages[index]).bytes_mut()
     }
 
     /// Monotonic write-version of a page: bumped on every mutation of the
@@ -371,6 +438,25 @@ mod tests {
         // After a restore every page belongs to the new baseline.
         assert_eq!(m.begin_epoch(), vec![0, 1, 2]);
         assert!(m.begin_epoch().is_empty());
+    }
+
+    #[test]
+    fn page_hash_is_memoized_and_forgotten_on_write() {
+        let mut m = Memory::new(PAGE_SIZE * 2);
+        m.write_u64(8, 1).unwrap();
+        let shared = Arc::clone(m.page_arc(0).unwrap());
+        assert_eq!(shared.hash.load(Ordering::Relaxed), 0, "nothing hashed yet");
+        let h = shared.hash();
+        assert_eq!(shared.hash.load(Ordering::Relaxed), h, "the hash is stored in the shared page");
+        // The page is shared, so this write copies it, memo included, and
+        // the copy forgets the memo before its bytes change.
+        m.write_u64(8, 2).unwrap();
+        let written = m.page_arc(0).unwrap();
+        assert_eq!(written.hash.load(Ordering::Relaxed), 0);
+        assert_ne!(written.hash(), h);
+        assert_eq!(shared.hash(), h, "the other holder keeps its memo");
+        let clone = (*shared).clone();
+        assert_eq!(clone.hash.load(Ordering::Relaxed), h, "a clone has the same content and memo");
     }
 
     #[test]

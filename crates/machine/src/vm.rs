@@ -323,7 +323,13 @@ impl GuestVm {
     }
 
     /// Architectural-state digest (CPU + memory; the hypervisor combines it
-    /// with its disk digest).
+    /// with its disk digest). Memory enters as one hash per page, in page
+    /// order, memoized in the shared [`Page`](crate::Page): a page already
+    /// hashed by any digest in the process — the recorder's, a seed's, a
+    /// checkpoint's — is not read again, so a digest costs O(pages written
+    /// since) rather than 4 MiB. Any differing word changes its page's hash
+    /// (each lane and fold step is a bijection), and any differing page
+    /// hash changes the digest (each FNV step is injective).
     pub fn digest(&self) -> Digest {
         let mut h = Fnv1a::new();
         for r in Reg::ALL {
@@ -334,7 +340,7 @@ impl GuestVm {
         h.update_u64(self.cpu.interrupts_enabled as u64);
         h.update_u64(self.cpu.halted as u64);
         for page in self.mem.pages() {
-            h.update_words(&page[..]);
+            h.update_u64(page.hash());
         }
         h.finish()
     }
@@ -1926,5 +1932,176 @@ mod tests {
             a.bne(Reg::R1, Reg::R2, "loop");
             a.hlt();
         });
+    }
+
+    // Memoized page hashes: the digests must equal references that hash
+    // raw bytes with no memo, after any sequence of writes, snapshots,
+    // restores, image fills and clones.
+
+    fn raw_page_hash(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update_words(bytes);
+        h.finish().0
+    }
+
+    fn reference_vm_digest(vm: &GuestVm) -> Digest {
+        let mut h = Fnv1a::new();
+        for r in Reg::ALL {
+            h.update_u64(vm.cpu.reg(r));
+        }
+        h.update_u64(vm.cpu.pc);
+        h.update_u64(vm.cpu.mode.to_bits());
+        h.update_u64(vm.cpu.interrupts_enabled as u64);
+        h.update_u64(vm.cpu.halted as u64);
+        for page in vm.mem.pages() {
+            h.update_u64(raw_page_hash(&page[..]));
+        }
+        h.finish()
+    }
+
+    fn reference_disk_digest(disk: &crate::BlockStore) -> Digest {
+        let mut h = Fnv1a::new();
+        for block in disk.snapshot_blocks() {
+            h.update_u64(raw_page_hash(&block[..]));
+        }
+        h.finish()
+    }
+
+    const MEMO_PAGES: u64 = 6;
+    const MEMO_BLOCKS: usize = 4;
+
+    #[derive(Debug, Clone)]
+    enum StateOp {
+        U8(u64, u8),
+        U64(u64, u64),
+        // Up to two pages of one byte value: crosses page boundaries.
+        Bytes(u64, usize, u8),
+        Sector(u64, u8),
+        Snapshot,
+        Restore(usize),
+        Fill(u64),
+        Clone,
+        Check,
+    }
+
+    fn state_op() -> impl proptest::Strategy<Value = StateOp> {
+        use proptest::prelude::*;
+        let span = MEMO_PAGES * crate::PAGE_SIZE as u64;
+        let sectors = (MEMO_BLOCKS * crate::BlockStore::SECTORS_PER_BLOCK) as u64;
+        prop_oneof![
+            3 => (0..span, any::<u8>()).prop_map(|(a, v)| StateOp::U8(a, v)),
+            3 => (0..span, any::<u64>()).prop_map(|(a, v)| StateOp::U64(a, v)),
+            2 => (0..span, 1..2 * crate::PAGE_SIZE, any::<u8>()).prop_map(|(a, n, v)| StateOp::Bytes(a, n, v)),
+            3 => (0..sectors, any::<u8>()).prop_map(|(s, v)| StateOp::Sector(s, v)),
+            2 => Just(StateOp::Snapshot),
+            2 => any::<usize>().prop_map(StateOp::Restore),
+            1 => (0..3u64).prop_map(StateOp::Fill),
+            1 => Just(StateOp::Clone),
+            3 => Just(StateOp::Check),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 24, ..Default::default() })]
+
+        #[test]
+        fn memoized_digests_match_unmemoized_reference(
+            ops in proptest::collection::vec(state_op(), 1..40),
+        ) {
+            let mut vm = GuestVm::new(MachineConfig::default(), &[]);
+            let mut disk = crate::BlockStore::new(MEMO_BLOCKS * crate::PAGE_SIZE);
+            let mut snaps = vec![(vm.mem().snapshot_pages(), disk.snapshot_blocks())];
+            let mut clones: Vec<(GuestVm, Digest)> = Vec::new();
+            for op in ops {
+                match op {
+                    StateOp::U8(a, v) => vm.mem_mut().write_u8(a, v).unwrap(),
+                    StateOp::U64(a, v) => vm.mem_mut().write_u64(a, v).unwrap(),
+                    StateOp::Bytes(a, n, v) => vm.mem_mut().write_bytes(a, &vec![v; n]).unwrap(),
+                    StateOp::Sector(s, v) => disk.write_sector(s, &[v; crate::SECTOR_SIZE]).unwrap(),
+                    StateOp::Snapshot => snaps.push((vm.mem().snapshot_pages(), disk.snapshot_blocks())),
+                    StateOp::Restore(i) => {
+                        let (pages, blocks) = snaps[i % snaps.len()].clone();
+                        vm.mem_mut().restore_pages(pages);
+                        disk.restore_blocks(blocks);
+                    }
+                    StateOp::Fill(seed) => disk.fill_deterministic(seed),
+                    StateOp::Clone => {
+                        let clone = vm.clone();
+                        let digest = reference_vm_digest(&clone);
+                        clones.push((clone, digest));
+                    }
+                    StateOp::Check => {
+                        proptest::prop_assert_eq!(vm.digest(), reference_vm_digest(&vm));
+                        proptest::prop_assert_eq!(disk.digest(), reference_disk_digest(&disk));
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(vm.digest(), reference_vm_digest(&vm));
+            proptest::prop_assert_eq!(disk.digest(), reference_disk_digest(&disk));
+            // A clone shares every page with the VM it was cloned from;
+            // the VM's later writes must not reach the clone's digest.
+            for (clone, at_clone) in &clones {
+                proptest::prop_assert_eq!(clone.digest(), *at_clone);
+            }
+        }
+    }
+
+    #[test]
+    fn flipping_any_sampled_bit_of_any_page_changes_the_digest() {
+        let mut vm = GuestVm::new(MachineConfig::default(), &[]);
+        for page in 0..vm.mem().page_count() as u64 {
+            vm.mem_mut().write_u64(page * crate::PAGE_SIZE as u64, page.wrapping_mul(0x9e37_79b9)).unwrap();
+        }
+        let base = vm.digest();
+        assert_eq!(base, reference_vm_digest(&vm));
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for page in 0..vm.mem().page_count() {
+            for _ in 0..2 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let bit = (x % (crate::PAGE_SIZE as u64 * 8)) as usize;
+                let addr = (page * crate::PAGE_SIZE + bit / 8) as u64;
+                let byte = vm.mem().read_u8(addr).unwrap();
+                vm.mem_mut().write_u8(addr, byte ^ (1 << (bit % 8))).unwrap();
+                assert_ne!(vm.digest(), base, "page {page} bit {bit} did not change the digest");
+                vm.mem_mut().write_u8(addr, byte).unwrap();
+                assert_eq!(vm.digest(), base, "page {page}: restoring the bit must restore the digest");
+            }
+        }
+    }
+
+    #[test]
+    fn a_write_after_another_thread_hashed_the_page_changes_only_the_writer() {
+        let mut reader = GuestVm::new(MachineConfig::default(), &[]);
+        reader.mem_mut().write_u64(0x3000, 5).unwrap();
+        let mut writer = reader.clone();
+        assert!(std::sync::Arc::ptr_eq(reader.mem().page_arc(3).unwrap(), writer.mem().page_arc(3).unwrap()));
+        let (hashed_tx, hashed_rx) = std::sync::mpsc::channel();
+        let (wrote_tx, wrote_rx) = std::sync::mpsc::channel();
+        let (reader_digests, writer_digests) = std::thread::scope(|s| {
+            let (reader, writer) = (&reader, &mut writer);
+            let reader = s.spawn(move || {
+                let before = reader.digest();
+                hashed_tx.send(()).unwrap();
+                wrote_rx.recv().unwrap();
+                (before, reader.digest())
+            });
+            let writer = s.spawn(move || {
+                // The reader has hashed every page, the shared one included.
+                hashed_rx.recv().unwrap();
+                let before = writer.digest();
+                writer.mem_mut().write_u64(0x3000, 6).unwrap();
+                let after = writer.digest();
+                wrote_tx.send(()).unwrap();
+                (before, after)
+            });
+            (reader.join().unwrap(), writer.join().unwrap())
+        });
+        assert_eq!(reader_digests.0, reader_digests.1, "the reader's digest must not see the write");
+        assert_eq!(reader_digests.1, reference_vm_digest(&reader));
+        assert_eq!(writer_digests.0, reader_digests.0);
+        assert_ne!(writer_digests.1, writer_digests.0, "the writer's digest must see its write");
+        assert_eq!(writer_digests.1, reference_vm_digest(&writer));
     }
 }

@@ -6,10 +6,8 @@ use std::sync::Arc;
 use rnr_hypervisor::DiskDevice;
 use rnr_isa::Addr;
 use rnr_log::LogCursor;
-use rnr_machine::{CpuState, PAGE_SIZE};
+use rnr_machine::{CpuState, Page};
 use rnr_ras::{BackRasTable, ThreadId};
-
-type Page = [u8; PAGE_SIZE];
 
 /// One checkpoint of the replayed VM.
 ///
