@@ -20,7 +20,9 @@ use rnr_bench::{
     Table, BENCH_PIPELINE_PATH, SEED,
 };
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{replay_spans, AlarmReplayer, ReplayConfig, Replayer, SpanFeed, VIRTUAL_HZ};
+use rnr_replay::{
+    checkpoint_groups, replay_spans, AlarmReplayer, ReplayConfig, Replayer, SpanFeed, VIRTUAL_HZ,
+};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::WorkloadParams;
 
@@ -158,9 +160,13 @@ fn phase_times(workload: rnr_workloads::Workload, insns: u64) -> PhaseTimes {
         0.0
     } else {
         let ar = AlarmReplayer::new(&spec, Arc::clone(&rec.log)).with_config(cfg);
+        let cases = &cr_out.alarm_cases;
         let t = Instant::now();
-        for case in &cr_out.alarm_cases {
-            ar.resolve(case).expect("AR resolves the case");
+        for group in checkpoint_groups(cases) {
+            let mut pass = ar.pass(&cases[group[0]].checkpoint);
+            for i in group {
+                pass.resolve_next(&cases[i]).expect("AR resolves the case");
+            }
         }
         ms(t)
     };

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{AlarmReplayer, ReplayConfig, Replayer, Verdict, VIRTUAL_HZ};
+use rnr_replay::{checkpoint_groups, AlarmReplayer, ReplayConfig, Replayer, Verdict, VIRTUAL_HZ};
 use rnr_safe::Session;
 use rnr_workloads::{Workload, WorkloadParams};
 
@@ -165,12 +165,18 @@ fn cmd_replay(args: &[String], resolve: bool) -> CliResult {
         return Ok(());
     }
 
+    // One alarm-replay pass per checkpoint resolves the cases sharing it.
     let ar = AlarmReplayer::new(&spec, log).with_config(cfg);
-    let mut verdicts = Vec::new();
-    for case in &out.alarm_cases {
-        let (verdict, _) = ar.resolve(case)?;
-        verdicts.push((case.at_insn(), verdict));
+    let cases = &out.alarm_cases;
+    let mut verdicts = vec![None; cases.len()];
+    for group in checkpoint_groups(cases) {
+        let mut pass = ar.pass(&cases[group[0]].checkpoint);
+        for i in group {
+            let (verdict, _) = pass.resolve_next(&cases[i])?;
+            verdicts[i] = Some((cases[i].at_insn(), verdict));
+        }
     }
+    let verdicts: Vec<(u64, Verdict)> = verdicts.into_iter().flatten().collect();
     let json = has_flag(args, "--json");
     for (at_insn, verdict) in &verdicts {
         match verdict {

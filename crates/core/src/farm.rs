@@ -7,7 +7,8 @@
 //! pool, the farm multiplexes **one** global bounded pool (sized from the
 //! host's cores) across all of them. Session phases are decomposed into
 //! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
-//! `ArCase` per escalated alarm — and a deterministic weighted round-robin
+//! `ArCase` per checkpoint shared by escalated alarms (one alarm-replay pass
+//! resolves that checkpoint's cases) — and a deterministic weighted round-robin
 //! scheduler drains them so an alarm-storming session cannot starve its
 //! quiet siblings. Every VM a work item builds owns its decode, block and
 //! trace caches.
@@ -39,8 +40,8 @@ use std::time::Instant;
 use rnr_hypervisor::{RecordOutcome, VmSpec};
 use rnr_log::{DurableLogConfig, TransportStats};
 use rnr_replay::{
-    assemble_spans, plan_spans, pool, run_planned_span, AlarmCase, ReplayConfig, ReplayError, ReplayOutcome,
-    SpanDone, SpanJob,
+    assemble_spans, checkpoint_groups, plan_spans, pool, run_planned_span, AlarmCase, ReplayConfig,
+    ReplayError, ReplayOutcome, SpanDone, SpanJob,
 };
 
 use crate::pipeline::{
@@ -300,6 +301,9 @@ struct ResolvePhase<'s> {
     cr_stats: rnr_machine::BlockStats,
     resolver: Arc<CaseResolver<'s>>,
     cases: Arc<Vec<AlarmCase>>,
+    /// Case indices per checkpoint: one `ArCase` item each.
+    groups: Arc<Vec<Vec<usize>>>,
+    /// Per-case result slots.
     slots: Vec<Option<Result<AlarmResolution, FailedCase>>>,
     remaining: usize,
     workers_lost: u64,
@@ -320,7 +324,7 @@ enum Executed<'s> {
     Recorded(Box<Result<RecordOutcome, FarmError>>),
     Span(usize, Box<Result<SpanDone, ReplayError>>),
     Finalized(Result<Box<FinalizeOut<'s>>, FarmError>),
-    Resolved(usize, Result<AlarmResolution, FailedCase>),
+    Resolved(Vec<(usize, Result<AlarmResolution, FailedCase>)>),
 }
 
 struct FleetState<'s> {
@@ -448,8 +452,9 @@ impl<'s> Fleet<'s> {
                 };
                 let resolver = Arc::clone(&rs.resolver);
                 let cases = Arc::clone(&rs.cases);
-                let i = item.index;
-                Box::new(move || Executed::Resolved(i, resolver.resolve(i, &cases[i])))
+                let groups = Arc::clone(&rs.groups);
+                let g = item.index;
+                Box::new(move || Executed::Resolved(resolver.resolve_group(&cases, &groups[g])))
             }
         };
         Box::new(move || {
@@ -534,7 +539,7 @@ impl<'s> Fleet<'s> {
             }
         }
         // The fault plan's worker-kill is recorded as in the pipeline; the
-        // case is resolved anyway, by whichever pool worker draws it.
+        // case is resolved anyway, by whichever pool worker draws its group.
         let workers_lost =
             u64::from(spec.config.fault_plan.kill_ar_worker_at_case.is_some_and(|k| k < cases));
         let resolver = Arc::new(CaseResolver::new(
@@ -616,8 +621,9 @@ impl<'s> Fleet<'s> {
                     self.finish(st, s, Ok(report));
                     return;
                 }
-                for i in 0..n {
-                    st.sched.enqueue(WorkItem { session: s, kind: WorkKind::ArCase, index: i });
+                let groups = Arc::new(checkpoint_groups(&cases));
+                for g in 0..groups.len() {
+                    st.sched.enqueue(WorkItem { session: s, kind: WorkKind::ArCase, index: g });
                 }
                 st.phases[s] = Phase::Resolving(Box::new(ResolvePhase {
                     rec: fin.rec,
@@ -625,17 +631,20 @@ impl<'s> Fleet<'s> {
                     cr_stats: fin.cr_stats,
                     resolver: fin.resolver,
                     cases,
+                    groups,
                     slots: (0..n).map(|_| None).collect(),
                     remaining: n,
                     workers_lost: fin.workers_lost,
                 }));
             }
-            Executed::Resolved(i, result) => {
+            Executed::Resolved(resolved) => {
                 let Phase::Resolving(rs) = &mut st.phases[s] else { return };
-                if rs.slots[i].is_none() {
-                    rs.remaining -= 1;
+                for (i, result) in resolved {
+                    if rs.slots[i].is_none() {
+                        rs.remaining -= 1;
+                    }
+                    rs.slots[i] = Some(result);
                 }
-                rs.slots[i] = Some(result);
                 if rs.remaining > 0 {
                     return;
                 }

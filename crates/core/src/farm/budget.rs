@@ -20,8 +20,9 @@ pub struct SessionBudget {
     /// [`BudgetKind::LogBytes`] before any replay work is admitted.
     pub log_bytes: Option<u64>,
     /// Maximum alarm cases the session may escalate, and simultaneously the
-    /// cap on its concurrently running alarm replayers. A session whose CR
-    /// escalates more cases than this fails with [`BudgetKind::ArSlots`].
+    /// cap on its concurrently running alarm-replay passes (one per
+    /// checkpoint its cases share). A session whose CR escalates more cases
+    /// than this fails with [`BudgetKind::ArSlots`].
     pub ar_slots: Option<usize>,
     /// Cap on the session's concurrently running CR span workers. Zero
     /// admits no replay work at all: the session fails with

@@ -24,7 +24,8 @@ pub(crate) enum WorkKind {
     CrSpan,
     /// Seam-check, fold, verify, and budget-check the finished spans.
     Finalize,
-    /// Resolve one escalated alarm case (item `index` = case index).
+    /// Resolve the escalated alarm cases that share one checkpoint on one
+    /// alarm-replay pass (item `index` = checkpoint-group index).
     ArCase,
 }
 
@@ -43,7 +44,7 @@ pub(crate) struct LaneConfig {
     pub(crate) weight: u32,
     /// Concurrent `CrSpan` items allowed in flight.
     pub(crate) span_slots: usize,
-    /// Concurrent `ArCase` items allowed in flight.
+    /// Concurrent `ArCase` items (alarm-replay passes) allowed in flight.
     pub(crate) ar_slots: usize,
 }
 

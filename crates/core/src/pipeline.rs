@@ -13,8 +13,8 @@ use rnr_log::{
 use rnr_machine::{BlockStats, CostModel};
 use rnr_ras::RasConfig;
 use rnr_replay::{
-    pool, replay_spans, AlarmCase, AlarmReplayer, ReplayConfig, ReplayError, ReplayOutcome, Replayer,
-    SpanFeed, Verdict, VIRTUAL_HZ,
+    checkpoint_groups, pool, replay_spans, AlarmCase, AlarmReplayer, ArPass, ReplayConfig, ReplayError,
+    ReplayOutcome, Replayer, SpanFeed, Verdict, VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -249,7 +249,9 @@ pub struct AlarmResolution {
     pub verdict: Verdict,
     /// Alarm-replay cycles spent resolving it.
     pub ar_cycles: u64,
-    /// Block-cache counters of the resolving alarm replayer (wall-clock
+    /// Block-cache counters of the alarm-replay pass that resolved it,
+    /// reported on the last case that pass resolved and zero on its others,
+    /// so the sum over resolutions counts every pass once (wall-clock
     /// diagnostics only).
     pub ar_block_stats: rnr_machine::BlockStats,
 }
@@ -412,12 +414,13 @@ impl Pipeline {
         // concurrent (the CR consumes the log as a live stream) or
         // sequential, with identical results.
         let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg)?;
-        // Phase 3: alarm replay for every escalated case — on a bounded,
+        // Phase 3: alarm replay for every escalated case — one pass per
+        // checkpoint resolves the cases that share it, on a bounded,
         // supervised worker pool when configured ("multiple ARs… in
         // parallel", §6). Each case is resolved under `catch_unwind` with
-        // bounded retries; a killed worker's abandoned cases are
-        // re-resolved inline. Resolution order (and therefore the report)
-        // stays deterministic.
+        // bounded retries; a killed worker's abandoned case is re-resolved
+        // inline. Results land in per-case slots, so the report stays
+        // deterministic for every pool size.
         let resolver = CaseResolver::new(
             &self.spec,
             Arc::clone(&rec.log),
@@ -425,33 +428,39 @@ impl Pipeline {
             &cfg.fault_plan,
         );
         let cases = &cr_out.alarm_cases;
+        let groups = checkpoint_groups(cases);
         let kill_at = cfg.fault_plan.kill_ar_worker_at_case.filter(|&k| k < cases.len());
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<AlarmResolution, FailedCase>>>> =
-            cases.iter().map(|_| Mutex::new(None)).collect();
-        let (resolver_ref, slots_ref) = (&resolver, &slots);
-        pool::drain(ar_worker_count(cfg, cases.len()), &|| {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            (i < cases.len()).then(|| {
+        let slots: Mutex<Vec<Option<Result<AlarmResolution, FailedCase>>>> =
+            Mutex::new(cases.iter().map(|_| None).collect());
+        let (resolver_ref, groups_ref, slots_ref) = (&resolver, &groups, &slots);
+        pool::drain(ar_worker_count(cfg, groups.len()), &|| {
+            let g = next.fetch_add(1, Ordering::Relaxed);
+            (g < groups_ref.len()).then(|| {
                 Box::new(move || {
-                    // The fault plan may kill the worker that draws this
-                    // case: the case is abandoned unresolved, and the
+                    // The fault plan may kill the worker that draws a case's
+                    // group: that case is abandoned unresolved, and the
                     // supervisor fills the hole below.
-                    if kill_at != Some(i) {
-                        *slots_ref[i].lock().expect("case slot") = Some(resolver_ref.resolve(i, &cases[i]));
+                    let group: Vec<usize> =
+                        groups_ref[g].iter().copied().filter(|&i| Some(i) != kill_at).collect();
+                    let resolved = resolver_ref.resolve_group(cases, &group);
+                    let mut slots = slots_ref.lock().expect("case slots");
+                    for (i, result) in resolved {
+                        slots[i] = Some(result);
                     }
                 }) as pool::Task<'_>
             })
         });
-        // Abandoned cases are re-resolved inline — the report never silently
-        // drops a verdict.
-        let outcomes: Vec<Result<AlarmResolution, FailedCase>> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().expect("case slot").unwrap_or_else(|| resolver.resolve(i, &cases[i]))
-            })
-            .collect();
+        // Abandoned cases are regrouped and re-resolved inline — the report
+        // never silently drops a verdict.
+        let mut slots = slots.into_inner().expect("case slots");
+        for group in &groups {
+            let holes: Vec<usize> = group.iter().copied().filter(|&i| slots[i].is_none()).collect();
+            for (i, result) in resolver.resolve_group(cases, &holes) {
+                slots[i] = Some(result);
+            }
+        }
+        let outcomes = slots.into_iter().map(|slot| slot.expect("every case resolved")).collect();
         let (retries, panics) = resolver.counters();
         let ar = ArStats { retries, panics, workers_lost: u64::from(kill_at.is_some()) };
         Ok(finish_report(self.spec.name.clone(), cfg, &rec, &cr_out, cr_block_stats, outcomes, ar))
@@ -606,12 +615,12 @@ pub(crate) fn run_recorder(recorder: Recorder) -> Result<RecordOutcome, Pipeline
     }
 }
 
-/// The supervised per-case alarm resolver shared by [`Pipeline::run`] and
-/// the replay farm: one [`AlarmReplayer`] over the finished recording, a
-/// bounded retry loop per case under `catch_unwind`, and the fault plan's
-/// AR injections (panic, transient divergence) fired on first attempts
-/// only. Thread-safe: any number of workers may call
-/// [`CaseResolver::resolve`] concurrently; retry/panic accounting is
+/// The supervised alarm resolver shared by [`Pipeline::run`] and the replay
+/// farm: one [`AlarmReplayer`] over the finished recording, one pass per
+/// checkpoint group, a bounded retry loop per case under `catch_unwind`,
+/// and the fault plan's AR injections (panic, transient divergence) fired
+/// on first attempts only. Thread-safe: any number of workers may call
+/// [`CaseResolver::resolve_group`] concurrently; retry/panic accounting is
 /// atomic.
 pub(crate) struct CaseResolver<'a> {
     ar: AlarmReplayer<'a>,
@@ -639,7 +648,80 @@ impl<'a> CaseResolver<'a> {
         }
     }
 
-    fn resolve_once(&self, i: usize, case: &AlarmCase, attempt: u32) -> Result<AlarmResolution, String> {
+    /// Resolves the cases `group` indexes — one checkpoint's cases, in log
+    /// order (see [`checkpoint_groups`]) — on one alarm-replay pass, and
+    /// returns each case index with its outcome. A case that fails (an
+    /// error or a caught panic) keeps the verdicts before it; its retry
+    /// starts a new pass from its checkpoint, which then carries on with
+    /// the rest of the group. A case that stays unresolved after every
+    /// attempt ships as a [`FailedCase`] instead of discarding the rest of
+    /// the report. Each pass's block-cache counters are reported once, on
+    /// the last case it resolved.
+    pub(crate) fn resolve_group(
+        &self,
+        cases: &[AlarmCase],
+        group: &[usize],
+    ) -> Vec<(usize, Result<AlarmResolution, FailedCase>)> {
+        let mut out: Vec<(usize, Result<AlarmResolution, FailedCase>)> = Vec::with_capacity(group.len());
+        let mut pass: Option<ArPass<'_>> = None;
+        // The `out` slot of the last case the live pass resolved.
+        let mut last: Option<usize> = None;
+        for &i in group {
+            let case = &cases[i];
+            let mut last_error = String::new();
+            let mut resolved = None;
+            for attempt in 0..MAX_CASE_ATTEMPTS {
+                if attempt > 0 {
+                    self.retries.fetch_add(1, Ordering::Relaxed);
+                }
+                match catch_unwind(AssertUnwindSafe(|| self.attempt(&mut pass, i, case, attempt))) {
+                    Ok(Ok(resolution)) => {
+                        resolved = Some(resolution);
+                        break;
+                    }
+                    Ok(Err(msg)) => last_error = msg,
+                    Err(payload) => {
+                        self.panics.fetch_add(1, Ordering::Relaxed);
+                        last_error = format!("panic: {}", panic_text(payload.as_ref()));
+                    }
+                }
+                // A failed case leaves the pass at an unknown point: the
+                // retry, or the next case, starts a new one.
+                pass = None;
+                last = None;
+            }
+            let Some(mut resolution) = resolved else {
+                out.push((
+                    i,
+                    Err(FailedCase {
+                        alarm_index: i,
+                        at_insn: case.at_insn(),
+                        attempts: MAX_CASE_ATTEMPTS,
+                        error: last_error,
+                    }),
+                ));
+                continue;
+            };
+            resolution.ar_block_stats =
+                pass.as_ref().expect("a resolved case leaves its pass live").block_stats();
+            if let Some((_, Ok(previous))) = last.and_then(|k| out.get_mut(k)) {
+                previous.ar_block_stats = BlockStats::default();
+            }
+            last = Some(out.len());
+            out.push((i, Ok(resolution)));
+        }
+        out
+    }
+
+    /// One attempt at case `i` on the live pass, starting a pass from the
+    /// case's checkpoint when none is live.
+    fn attempt<'p>(
+        &'p self,
+        pass: &mut Option<ArPass<'p>>,
+        i: usize,
+        case: &AlarmCase,
+        attempt: u32,
+    ) -> Result<AlarmResolution, String> {
         // Injections fire on the first attempt only: a retry of the
         // same case models the transient fault having cleared.
         if attempt == 0 && self.panic_case == Some(i) {
@@ -648,41 +730,16 @@ impl<'a> CaseResolver<'a> {
         if attempt == 0 && self.divergence_case == Some(i) {
             return Err("injected transient alarm-replay divergence (fault plan)".to_string());
         }
-        let (verdict, ar_out) = self.ar.resolve(case).map_err(|e| e.to_string())?;
+        let live = pass.get_or_insert_with(|| self.ar.pass(&case.checkpoint));
+        let (verdict, ar_cycles) = live.resolve_next(case).map_err(|e| e.to_string())?;
         Ok(AlarmResolution {
             at_insn: case.at_insn(),
             at_cycle: case.at_cycle(),
             cr_cycle: case.cr_cycle,
             summary: summarize(&verdict),
             verdict,
-            ar_cycles: ar_out.cycles,
-            ar_block_stats: ar_out.vm().block_stats(),
-        })
-    }
-
-    /// Resolves case `i` with bounded retries; a case that stays
-    /// unresolved ships as a [`FailedCase`] instead of discarding the rest
-    /// of the report.
-    pub(crate) fn resolve(&self, i: usize, case: &AlarmCase) -> Result<AlarmResolution, FailedCase> {
-        let mut last_error = String::new();
-        for attempt in 0..MAX_CASE_ATTEMPTS {
-            if attempt > 0 {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            match catch_unwind(AssertUnwindSafe(|| self.resolve_once(i, case, attempt))) {
-                Ok(Ok(resolution)) => return Ok(resolution),
-                Ok(Err(msg)) => last_error = msg,
-                Err(payload) => {
-                    self.panics.fetch_add(1, Ordering::Relaxed);
-                    last_error = format!("panic: {}", panic_text(payload.as_ref()));
-                }
-            }
-        }
-        Err(FailedCase {
-            alarm_index: i,
-            at_insn: case.at_insn(),
-            attempts: MAX_CASE_ATTEMPTS,
-            error: last_error,
+            ar_cycles,
+            ar_block_stats: BlockStats::default(),
         })
     }
 
@@ -777,9 +834,9 @@ fn span_seed_cadence(cfg: &PipelineConfig) -> u64 {
 
 /// Pool size for the alarm-replay phase: 1 unless parallel alarm replay is
 /// on, else the configured size (0 = the host's available parallelism),
-/// never more than there are cases.
-fn ar_worker_count(cfg: &PipelineConfig, cases: usize) -> usize {
-    if !cfg.parallel_alarm_replay || cases <= 1 {
+/// never more than there are checkpoint groups.
+fn ar_worker_count(cfg: &PipelineConfig, groups: usize) -> usize {
+    if !cfg.parallel_alarm_replay || groups <= 1 {
         return 1;
     }
     let configured = if cfg.ar_workers == 0 {
@@ -787,7 +844,7 @@ fn ar_worker_count(cfg: &PipelineConfig, cases: usize) -> usize {
     } else {
         cfg.ar_workers
     };
-    configured.clamp(1, cases)
+    configured.clamp(1, groups)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -900,6 +957,41 @@ mod tests {
         assert!(window.checkpoints_needed >= 2);
         // The recorded run escalated privilege (continue policy)...
         assert_eq!(report.record.priv_flag, 0x1337);
+    }
+
+    /// A pass's block counters land once, on the last case it resolved, so
+    /// `PipelineReport::block_stats` sums every alarm-replay VM once — also
+    /// when a mid-pass failure restarts the pass.
+    #[test]
+    fn each_pass_reports_its_block_counters_once() {
+        let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
+        let cfg = PipelineConfig {
+            duration_insns: 900_000,
+            checkpoint_interval_secs: Some(0.125),
+            ..PipelineConfig::default()
+        };
+        let replay_cfg = replay_config(&cfg);
+        let rec = Recorder::new(&spec, record_config(&cfg, None)).unwrap().run();
+        let cases = Replayer::new(&spec, Arc::clone(&rec.log), replay_cfg.clone()).run().unwrap().alarm_cases;
+        let group: Vec<usize> = (0..cases.len()).collect();
+        assert_eq!(checkpoint_groups(&cases), vec![group.clone()], "the attack's cases share one checkpoint");
+        let ar_cfg = ar_replay_config(&replay_cfg);
+        let builds = |plan: FaultPlan| -> Vec<u64> {
+            let resolver = CaseResolver::new(&spec, Arc::clone(&rec.log), ar_cfg.clone(), &plan);
+            let out = resolver.resolve_group(&cases, &group);
+            assert_eq!(out.iter().map(|(i, _)| *i).collect::<Vec<_>>(), group);
+            out.into_iter().map(|(_, r)| r.expect("the case resolves").ar_block_stats.builds).collect()
+        };
+        let ar = AlarmReplayer::new(&spec, Arc::clone(&rec.log)).with_config(ar_cfg.clone());
+        let mut whole = ar.pass(&cases[0].checkpoint);
+        for case in &cases {
+            whole.resolve_next(case).unwrap();
+        }
+        assert_eq!(builds(FaultPlan::default()), vec![0, 0, whole.block_stats().builds]);
+        // A panic at case 1 ends the first pass after case 0; the retry's
+        // pass resolves cases 1 and 2.
+        let restarted = builds(FaultPlan { ar_panic_case: Some(1), ..FaultPlan::default() });
+        assert!(restarted[0] > 0 && restarted[1] == 0 && restarted[2] > 0, "{restarted:?}");
     }
 
     #[test]

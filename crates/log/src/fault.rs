@@ -200,7 +200,10 @@ fn flip_one_bit(frame: &Bytes, mix: u64) -> Bytes {
 
 /// The seeded fault matrix: one recoverable scenario per fault class, plus
 /// the unrecoverable poisoned-retained-store case. Shared by the CI gate
-/// binary and the integration tests so both exercise the same plans.
+/// binary and the integration tests so both exercise the same plans. Each
+/// alarm-replay fault fires twice: at case 0, where a pass starts, and in
+/// the middle of a pass (`*-mid-pass`), where the retry must start a new
+/// pass from the failed case's checkpoint and carry on with the rest.
 pub fn fault_scenarios(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     let transport = |kind, seq| FaultPlan {
         seed,
@@ -224,6 +227,15 @@ pub fn fault_scenarios(seed: u64) -> Vec<(&'static str, FaultPlan)> {
             FaultPlan { seed, block_divergence_at_insn: Some(180_000), ..FaultPlan::default() },
         ),
         ("ar-worker-killed", FaultPlan { seed, kill_ar_worker_at_case: Some(0), ..FaultPlan::default() }),
+        ("ar-worker-panic-mid-pass", FaultPlan { seed, ar_panic_case: Some(1), ..FaultPlan::default() }),
+        (
+            "ar-transient-divergence-mid-pass",
+            FaultPlan { seed, ar_divergence_case: Some(2), ..FaultPlan::default() },
+        ),
+        (
+            "ar-worker-killed-mid-pass",
+            FaultPlan { seed, kill_ar_worker_at_case: Some(1), ..FaultPlan::default() },
+        ),
     ]
 }
 

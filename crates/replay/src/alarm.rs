@@ -2,18 +2,19 @@
 //! characterized ROP attack (§4.6.2, §6), or — for the VRT detector family
 //! (DESIGN.md §15) — a characterized memory-safety violation.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rnr_guest::layout;
 use rnr_hypervisor::{Introspector, VmSpec};
 use rnr_isa::{disasm, Addr, Opcode};
-use rnr_log::{AlarmInfo, InputLog, VrtAlarmInfo};
-use rnr_machine::CallRetTrap;
+use rnr_log::{AlarmInfo, InputLog, Record, VrtAlarmInfo};
+use rnr_machine::{BlockStats, CallRetTrap, GuestVm};
 use rnr_ras::ThreadId;
 use rnr_vrt::{coverage, VrtKind};
 
-use crate::engine::ShadowEventKind;
-use crate::{AlarmCase, CaseKind, ReplayConfig, ReplayError, ReplayOutcome, Replayer};
+use crate::engine::{ShadowEvent, ShadowEventKind};
+use crate::{AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, Replayer};
 
 /// Why an alarm was *not* an attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,29 +225,35 @@ impl<'a> AlarmReplayer<'a> {
         self
     }
 
-    /// Resolves one alarm case: replays from its checkpoint to the alarm
-    /// marker and classifies the violation — a RAS misprediction through the
-    /// software shadow RAS, a VRT memory-safety alarm against the guest's
-    /// precise allocation state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates replay divergence/fault errors.
-    pub fn resolve(&self, case: &AlarmCase) -> Result<(Verdict, ReplayOutcome), ReplayError> {
-        let mut replayer = Replayer::from_checkpoint(
+    /// An alarm-replay pass from `checkpoint` (§4.6.2, Fig. 9): one
+    /// replayer, trapping every call and return to model the software RAS,
+    /// that resolves the cases sharing this checkpoint in log order through
+    /// [`ArPass::resolve_next`].
+    pub fn pass(&self, checkpoint: &Checkpoint) -> ArPass<'_> {
+        let replayer = Replayer::from_checkpoint(
             self.spec,
             Arc::clone(&self.log),
             self.config.clone(),
-            &case.checkpoint,
+            checkpoint,
             true,
         );
-        replayer.stop_after_record(case.alarm_index);
-        let outcome = replayer.run()?;
-        let verdict = match &case.kind {
-            CaseKind::Ras(info) => self.classify(info, &outcome),
-            CaseKind::Vrt(info) => self.classify_vrt(info, &outcome),
-        };
-        Ok((verdict, outcome))
+        ArPass { ar: self, replayer }
+    }
+
+    /// Resolves one alarm case on its own pass: replays from its checkpoint
+    /// to the alarm marker and classifies the violation — a RAS
+    /// misprediction through the software shadow RAS, a VRT memory-safety
+    /// alarm against the guest's precise allocation state. Returns the
+    /// verdict and the virtual cycles replayed from the checkpoint to the
+    /// alarm (the per-alarm cost of Fig. 9 and the §8.4 window).
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay divergence/fault errors, and rejects a case whose
+    /// `alarm_index` does not name its alarm record (see
+    /// [`ArPass::resolve_next`]).
+    pub fn resolve(&self, case: &AlarmCase) -> Result<(Verdict, u64), ReplayError> {
+        self.pass(&case.checkpoint).resolve_next(case)
     }
 
     /// Classifies a VRT memory-safety alarm by pure geometry against the
@@ -256,9 +263,8 @@ impl<'a> AlarmReplayer<'a> {
     /// ended. The hardware's noisy rules (capacity eviction, coarse granule
     /// rounding, stale frame windows) are each refuted — or confirmed — from
     /// that precise state.
-    fn classify_vrt(&self, alarm: &VrtAlarmInfo, outcome: &ReplayOutcome) -> Verdict {
+    fn classify_vrt(&self, alarm: &VrtAlarmInfo, vm: &GuestVm) -> Verdict {
         let params = self.config.vrt.clone().unwrap_or_default();
-        let vm = &outcome.vm;
         let addr = alarm.addr;
         match alarm.kind {
             VrtKind::Heap => {
@@ -291,14 +297,14 @@ impl<'a> AlarmReplayer<'a> {
                     };
                     return Verdict::FalsePositive(fp);
                 }
-                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, outcome, nearest)))
+                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, vm, nearest)))
             }
             VrtKind::Stack => {
                 let sp = vm.cpu().sp();
                 if addr < sp {
                     // Below the live stack at the alarm point: the store
                     // went through a pointer into a dead frame.
-                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, outcome, None)))
+                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, vm, None)))
                 } else {
                     Verdict::FalsePositive(FalsePositiveKind::StaleFrame)
                 }
@@ -306,13 +312,7 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn build_mem_report(
-        &self,
-        alarm: &VrtAlarmInfo,
-        outcome: &ReplayOutcome,
-        region: Option<(Addr, u64)>,
-    ) -> MemReport {
-        let vm = &outcome.vm;
+    fn build_mem_report(&self, alarm: &VrtAlarmInfo, vm: &GuestVm, region: Option<(Addr, u64)>) -> MemReport {
         let intro = Introspector::new(&self.spec.kernel);
         MemReport {
             tid: alarm.tid,
@@ -327,12 +327,9 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn classify(&self, alarm: &AlarmInfo, outcome: &ReplayOutcome) -> Verdict {
-        let event = outcome
-            .shadow_events
-            .iter()
-            .rev()
-            .find(|e| e.at_insn == alarm.at_insn && e.ret_pc == alarm.mispredict.ret_pc);
+    fn classify(&self, alarm: &AlarmInfo, vm: &GuestVm, events: &[ShadowEvent]) -> Verdict {
+        let event =
+            events.iter().rev().find(|e| e.at_insn == alarm.at_insn && e.ret_pc == alarm.mispredict.ret_pc);
         match event.map(|e| e.kind) {
             // The software RAS predicted this return correctly: bounded-
             // hardware artifact.
@@ -344,16 +341,15 @@ impl<'a> AlarmReplayer<'a> {
                 Verdict::FalsePositive(FalsePositiveKind::ImperfectNesting { unwound_frames: frames })
             }
             Some(ShadowEventKind::UnderflowUnexplained) | Some(ShadowEventKind::WhitelistViolation) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, outcome, None)))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, None)))
             }
             Some(ShadowEventKind::MismatchUnexplained { predicted }) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, outcome, Some(predicted))))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, Some(predicted))))
             }
         }
     }
 
-    fn build_report(&self, alarm: &AlarmInfo, outcome: &ReplayOutcome, predicted: Option<Addr>) -> RopReport {
-        let vm = &outcome.vm;
+    fn build_report(&self, alarm: &AlarmInfo, vm: &GuestVm, predicted: Option<Addr>) -> RopReport {
         let intro = Introspector::new(&self.spec.kernel);
         let image = self.spec.kernel.image();
         let sp = vm.cpu().sp();
@@ -398,6 +394,86 @@ impl<'a> AlarmReplayer<'a> {
         }
         Some(lines.join("; "))
     }
+}
+
+/// One alarm-replay pass: a replayer started from one checkpoint that
+/// resolves the cases sharing it in log order. It stops at each alarm
+/// record, classifies the alarm there, and continues. A replay stopped after
+/// a record and then resumed is the same replay, so each verdict and each
+/// cycle count equals what [`AlarmReplayer::resolve`] gives for that case
+/// alone; the host just stops re-executing the shared prefix.
+#[derive(Debug)]
+pub struct ArPass<'a> {
+    ar: &'a AlarmReplayer<'a>,
+    replayer: Replayer,
+}
+
+impl ArPass<'_> {
+    /// Replays on to `case`'s alarm record and classifies it. Returns the
+    /// verdict and the virtual cycles replayed from the pass's checkpoint to
+    /// the alarm. Cases must come in ascending `alarm_index`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay divergence/fault errors. Returns
+    /// [`ReplayError::Divergence`] when `alarm_index` lies before the pass's
+    /// position, when the log ends before it, or when the record there is
+    /// not the case's alarm (an `Alarm` for a RAS case, a `VrtAlarm` for a
+    /// VRT case, at the case's instruction count) — classifying whatever
+    /// state such a record leaves would be a silent wrong verdict.
+    pub fn resolve_next(&mut self, case: &AlarmCase) -> Result<(Verdict, u64), ReplayError> {
+        let index = case.alarm_index;
+        if index < self.replayer.position() {
+            let at = self.replayer.position();
+            return Err(
+                self.misaligned(case, format!("record {index} lies before the pass (at record {at})"))
+            );
+        }
+        let names_alarm = match (self.ar.log.records().get(index), &case.kind) {
+            (Some(Record::Alarm(info)), CaseKind::Ras(_)) => info.at_insn == case.at_insn(),
+            (Some(Record::VrtAlarm(info)), CaseKind::Vrt(_)) => info.at_insn == case.at_insn(),
+            _ => false,
+        };
+        if !names_alarm {
+            return Err(self.misaligned(case, format!("record {index} is not the case's alarm")));
+        }
+        self.replayer.drive_to_record(index)?;
+        if self.replayer.position() != index + 1 {
+            return Err(self.misaligned(case, format!("the log ended before record {index}")));
+        }
+        let vm = self.replayer.vm();
+        let verdict = match &case.kind {
+            CaseKind::Ras(info) => self.ar.classify(info, vm, self.replayer.shadow_events()),
+            CaseKind::Vrt(info) => self.ar.classify_vrt(info, vm),
+        };
+        Ok((verdict, self.replayer.cycles_replayed()))
+    }
+
+    /// Block-cache counters of the pass's VM so far (wall-clock diagnostics).
+    pub fn block_stats(&self) -> BlockStats {
+        self.replayer.block_stats()
+    }
+
+    fn misaligned(&self, case: &AlarmCase, detail: String) -> ReplayError {
+        ReplayError::Divergence {
+            at_insn: self.replayer.vm().retired(),
+            detail: format!("alarm case at instruction {}: {detail}", case.at_insn()),
+        }
+    }
+}
+
+/// Groups alarm cases for alarm-replay passes: indices into `cases` (in log
+/// order, as the CR emits them), one group per checkpoint id, groups in
+/// checkpoint order. Cases with different checkpoints never share a group:
+/// a pass from an earlier checkpoint seeds its shadow RAS earlier, which can
+/// change a verdict (a hardware-capacity dismissal against an underflow,
+/// say).
+pub fn checkpoint_groups(cases: &[AlarmCase]) -> Vec<Vec<usize>> {
+    let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, case) in cases.iter().enumerate() {
+        groups.entry(case.checkpoint.id).or_default().push(i);
+    }
+    groups.into_values().collect()
 }
 
 /// Finds the return instructions of known non-local-unwind routines in the

@@ -363,11 +363,9 @@ pub struct ReplayOutcome {
     pub console: Vec<u8>,
     /// What fault recovery did during this run (all zeros when clean).
     pub recovery: ReplayRecovery,
-    /// Shadow-RAS anomalies (alarm replay only).
-    pub(crate) shadow_events: Vec<ShadowEvent>,
     /// PC-sample histogram (`pc -> samples`), when profiling was enabled.
     pub profile: std::collections::HashMap<Addr, u64>,
-    /// The VM at the stop point (alarm forensics reads its memory).
+    /// The VM at the stop point.
     pub(crate) vm: GuestVm,
 }
 
@@ -810,17 +808,39 @@ impl Replayer {
     }
 
     /// Drives until the record at `index` has been consumed, without
-    /// finishing — the parallel fold's checkpoint-materialization pass calls
-    /// this repeatedly with ascending indices.
+    /// finishing — the parallel fold's checkpoint-materialization pass and
+    /// each alarm-replay pass call this repeatedly with ascending indices.
+    /// Stops early, with `Ok`, at the log's `End` marker.
     pub(crate) fn drive_to_record(&mut self, index: usize) -> Result<(), ReplayError> {
         self.stop_after_record = Some(index);
         self.drive()
     }
 
     /// Decoded-block statistics of this replayer's VM (wall-clock
-    /// diagnostics for the parallel orchestrator).
+    /// diagnostics for the parallel orchestrator and alarm-replay passes).
     pub(crate) fn block_stats(&self) -> rnr_machine::BlockStats {
         self.vm.block_stats()
+    }
+
+    /// The VM at the current stop point (alarm forensics reads its state).
+    pub(crate) fn vm(&self) -> &GuestVm {
+        &self.vm
+    }
+
+    /// Shadow-RAS anomalies observed so far (alarm replay only).
+    pub(crate) fn shadow_events(&self) -> &[ShadowEvent] {
+        &self.shadow_events
+    }
+
+    /// Index of the next log record to consume.
+    pub(crate) fn position(&self) -> usize {
+        self.cursor.index()
+    }
+
+    /// Virtual cycles replayed since the engine's start point — what
+    /// [`ReplayOutcome::cycles`] reports when the run finishes here.
+    pub(crate) fn cycles_replayed(&self) -> u64 {
+        self.vm.cycles() - self.start_cycles
     }
 
     /// Advances the landing RNG past `draws` asynchronous-event landings, so
@@ -899,7 +919,7 @@ impl Replayer {
         let mut recovery = std::mem::take(&mut self.recovery);
         recovery.transport = self.source.transport_stats();
         ReplayOutcome {
-            cycles: self.vm.cycles() - self.start_cycles,
+            cycles: self.cycles_replayed(),
             retired: self.vm.retired(),
             final_digest,
             verified: self.expected_digest.map(|d| d == final_digest),
@@ -913,7 +933,6 @@ impl Replayer {
             callret_traps: self.callret_traps,
             console: std::mem::take(&mut self.console),
             recovery,
-            shadow_events: std::mem::take(&mut self.shadow_events),
             profile: std::mem::take(&mut self.profile),
             vm: self.vm,
         }

@@ -23,7 +23,9 @@
 //!   checkpoint schedule, and alarm bookkeeping byte-identically, so
 //!   `parallel_spans` is a wall-clock-only knob.
 //! * [`AlarmReplayer`] — launched from the checkpoint preceding an
-//!   unresolved alarm of *either detector family* ([`CaseKind`]). For RAS
+//!   unresolved alarm of *either detector family* ([`CaseKind`]). One
+//!   [`ArPass`] per checkpoint resolves every case that shares it
+//!   ([`checkpoint_groups`]), stopping at each alarm in log order. For RAS
 //!   cases it traps every call/return, models the unbounded multithreaded
 //!   software RAS (`rnr_ras::ShadowRas`), and resolves the alarm into a
 //!   [`Verdict`]: a classified false positive or a [`RopReport`] with the
@@ -44,8 +46,8 @@ mod engine;
 mod parallel;
 pub mod pool;
 
-pub use alarm::{resolve_jop, JopVerdict};
-pub use alarm::{AlarmReplayer, FalsePositiveKind, GadgetUse, MemReport, RopReport, Verdict};
+pub use alarm::{checkpoint_groups, resolve_jop, JopVerdict};
+pub use alarm::{AlarmReplayer, ArPass, FalsePositiveKind, GadgetUse, MemReport, RopReport, Verdict};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,

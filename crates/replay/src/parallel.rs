@@ -546,7 +546,6 @@ pub fn assemble_spans(
         callret_traps,
         console,
         recovery,
-        shadow_events: Vec::new(),
         profile: HashMap::new(),
         vm: last.run.outcome.vm,
     };

@@ -41,14 +41,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every re-run is deterministic, so the verdict is stable.
     let ar = AlarmReplayer::new(&spec, Arc::clone(&log)).with_config(cfg);
     for pass in 1..=3 {
-        let (verdict, ar_out) = ar.resolve(case)?;
+        let (verdict, ar_cycles) = ar.resolve(case)?;
         let label = match &verdict {
             Verdict::RopAttack(r) => format!("ROP in {:?}", r.vulnerable_symbol),
             Verdict::FalsePositive(k) => format!("false positive: {k:?}"),
             Verdict::HeapOverflow(r) => format!("heap overflow at {:#x}", r.addr),
             Verdict::UseAfterReturn(r) => format!("use-after-return at {:#x}", r.addr),
         };
-        println!("  analysis pass {pass}: {label} ({} replayed cycles)", ar_out.cycles);
+        println!("  analysis pass {pass}: {label} ({ar_cycles} replayed cycles)");
     }
 
     // Deeper history: resolve the same alarm from an older checkpoint

@@ -65,12 +65,21 @@ fn empty_fault_plan_reports_no_recovery_activity() {
 fn every_recoverable_scenario_heals_to_an_identical_report() {
     let reference = attack_run(FaultPlan::default()).expect("fault-free pipeline completes");
     let reference_json = reference.to_json();
+    let mut ar_counters = std::collections::HashMap::new();
     for (name, plan) in fault_scenarios(SEED) {
         let report = attack_run(plan).unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
         assert!(report.replay.verified, "{name}: final digest must still verify");
         assert_eq!(report.to_json(), reference_json, "{name}: recovered report must be byte-identical");
         assert!(report.recovery.any(), "{name}: the fault must leave a trace in the recovery block");
         assert!(report.recovery.failed_cases.is_empty(), "{name}: no alarm case may stay unresolved");
+        let r = &report.recovery;
+        ar_counters.insert(name, (r.ar_case_retries, r.ar_panics_caught, r.ar_workers_lost));
+    }
+    // An alarm-replay fault in the middle of a pass (the attack's cases
+    // share one checkpoint) heals with the same accounting as one at case 0.
+    for name in ["ar-worker-panic", "ar-transient-divergence", "ar-worker-killed"] {
+        let mid = format!("{name}-mid-pass");
+        assert_eq!(ar_counters[mid.as_str()], ar_counters[name], "{mid}: AR recovery counters");
     }
 }
 
