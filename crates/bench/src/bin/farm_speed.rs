@@ -10,9 +10,12 @@
 //!
 //! With `--check`, runs a reduced comparison and gates:
 //! * per-session report identity between farm and serial runs (always);
-//! * fleet speedup ≥ 1.3x over serial on hosts with 4+ cores — on smaller
-//!   hosts that gate prints `gate skipped: <reason>` instead, since a
-//!   1-core pool cannot demonstrate cross-session parallelism.
+//! * fleet speedup ≥ 1.3x over serial on hosts with 4+ cores. Smaller
+//!   hosts print `gate skipped: <reason>` instead: on 1 core the pool has
+//!   one worker, which runs the serial pass's work one item at a time, so
+//!   there is no parallelism to gate; on 2–3 cores the speedup read
+//!   0.86–1.60x from run to run on a shared 2-vCPU host, too wide a spread
+//!   for a floor that must not flake.
 
 use std::time::Instant;
 
@@ -81,6 +84,7 @@ fn farm_pass(farm: &Farm, sessions: &[SessionSpec]) -> (Vec<String>, Vec<f64>, u
 struct FarmBench {
     sessions: usize,
     workers: usize,
+    /// Serial and farm times of the pair whose ratio is `speedup`.
     serial_ms: f64,
     farm_ms: f64,
     /// Estimator's pick over per-pair serial/farm ratios (load swings hit
@@ -100,9 +104,7 @@ fn fleet_comparison(estimator: Estimator) -> FarmBench {
     let sessions = fleet_sessions();
     let workers = cores();
     let farm = Farm::new(FarmConfig { workers, ..FarmConfig::default() });
-    let mut serial_times = Vec::new();
-    let mut farm_times = Vec::new();
-    let mut ratios = Vec::new();
+    let mut pairs = Vec::new();
     let mut last = None;
     for _ in 0..estimator.repeats() {
         let (serial_jsons, serial_ms) = serial_pass(&sessions);
@@ -111,23 +113,20 @@ fn fleet_comparison(estimator: Estimator) -> FarmBench {
             let context = format!("farm session `{}`", sessions[i].name);
             assert_reports_identical(&context, serial, farm);
         }
-        serial_times.push(serial_ms);
-        farm_times.push(farm_ms);
-        ratios.push(serial_ms / farm_ms);
+        pairs.push((serial_ms, farm_ms));
         last = Some((latencies, retired));
     }
-    serial_times.sort_by(f64::total_cmp);
-    farm_times.sort_by(f64::total_cmp);
-    ratios.sort_by(f64::total_cmp);
+    let ratio = |&(serial_ms, farm_ms): &(f64, f64)| serial_ms / farm_ms;
+    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let (serial_ms, farm_ms) = pairs[estimator.index(pairs.len())];
     let (mut latencies, retired) = last.expect("at least one repeat");
     latencies.sort_by(f64::total_cmp);
-    let farm_ms = estimator.pick(&farm_times);
     FarmBench {
         sessions: sessions.len(),
         workers,
-        serial_ms: estimator.pick(&serial_times),
+        serial_ms,
         farm_ms,
-        speedup: estimator.pick(&ratios),
+        speedup: serial_ms / farm_ms,
         sessions_per_sec: sessions.len() as f64 / (farm_ms / 1e3),
         aggregate_insns_per_sec: retired as f64 / (farm_ms / 1e3),
         latency_p50_ms: percentile(&latencies, 50.0),
@@ -137,12 +136,11 @@ fn fleet_comparison(estimator: Estimator) -> FarmBench {
 }
 
 /// `--check`: CI gate. Identity is asserted inside the comparison on every
-/// pair; the speedup floor only applies on hosts that can actually
-/// demonstrate cross-session parallelism.
+/// pair; the speedup floor only applies on hosts with 4+ cores.
 fn check() {
     let bench = fleet_comparison(Estimator::Median(3));
     println!(
-        "check: reports_identical={} fleet speedup {:.2}x (farm {:.0} ms vs serial {:.0} ms, {} workers)",
+        "check: reports_identical={} fleet speedup {:.2}x (median pair: farm {:.0} ms vs serial {:.0} ms, {} workers)",
         bench.reports_identical, bench.speedup, bench.farm_ms, bench.serial_ms, bench.workers
     );
     let n = cores();
@@ -156,9 +154,12 @@ fn check() {
         }
         println!("check: fleet speedup {:.2}x >= 1.3x floor", bench.speedup);
     } else {
-        println!(
-            "check: gate skipped: fleet speedup floor ({n} core(s) < 4; a shared pool this small cannot demonstrate cross-session parallelism)"
-        );
+        let why = if n == 1 {
+            "1 core: a one-worker pool runs the serial pass's work one item at a time, so there is no parallelism to gate"
+        } else {
+            "2-3 cores: on a shared 2-vCPU host the speedup read 0.86-1.60x from run to run, too wide for a floor"
+        };
+        println!("check: gate skipped: fleet speedup floor ({why})");
     }
 }
 

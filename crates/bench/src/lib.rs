@@ -230,16 +230,21 @@ impl Estimator {
         }
     }
 
+    /// Where the estimate sits in an ascending-sorted sample of `n`.
+    pub fn index(self, n: usize) -> usize {
+        match self {
+            Estimator::Best(_) => 0,
+            Estimator::Median(_) => n / 2,
+        }
+    }
+
     /// The estimate over an ascending-sorted sample.
     ///
     /// # Panics
     ///
     /// Panics on an empty sample.
     pub fn pick(self, sorted: &[f64]) -> f64 {
-        match self {
-            Estimator::Best(_) => sorted[0],
-            Estimator::Median(_) => sorted[sorted.len() / 2],
-        }
+        sorted[self.index(sorted.len())]
     }
 }
 
@@ -351,6 +356,7 @@ mod tests {
         let sorted = [1.0, 2.0, 9.0];
         assert_eq!(Estimator::Best(3).pick(&sorted), 1.0);
         assert_eq!(Estimator::Median(3).pick(&sorted), 2.0);
+        assert_eq!(Estimator::Median(4).index(4), 2);
         assert_eq!(Estimator::Median(3).repeats(), 3);
     }
 

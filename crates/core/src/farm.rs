@@ -231,7 +231,7 @@ impl Farm {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             w => w,
         };
-        let fleet = Fleet::new(sessions, &self.config, started);
+        let fleet = Fleet::new(sessions, &self.config, workers, started);
         pool::drain(workers, &|| fleet.next_task());
         let state = fleet.state.into_inner().expect("fleet lock");
         let outcomes = state
@@ -254,12 +254,18 @@ impl Farm {
     }
 }
 
-/// Farm span cadence: ~16 spans per session so the pool always has CR work
-/// to interleave, floored so tiny sessions don't drown in restore overhead.
-/// Wall-clock only — seed capture is pure reads and span count never
-/// reaches a report.
-fn farm_span_cadence(cfg: &PipelineConfig) -> u64 {
-    (cfg.duration_insns / 16).max(15_000)
+/// Farm span cadence, one per fleet: no span is longer than half a
+/// worker's share of the fleet's instructions, `Σ duration_insns / (2 ×
+/// workers)`, floored at 15k so tiny fleets don't drown in restore
+/// overhead. Graham's list-scheduling bound (makespan ≤ W/P + longest
+/// item) then keeps the fleet's CR within 1.5× of a perfect split, and a
+/// session is cut only where whole sessions cannot balance the pool by
+/// themselves. Wall-clock only — seed capture is pure reads and span
+/// count never reaches a report.
+fn farm_span_cadence(sessions: &[SessionSpec], workers: usize) -> u64 {
+    let total = sessions.iter().fold(0u64, |sum, s| sum.saturating_add(s.config.duration_insns));
+    let halves = u64::try_from(workers.max(1)).unwrap_or(u64::MAX).saturating_mul(2);
+    (total / halves).max(15_000)
 }
 
 /// Per-session configuration derived once at admission.
@@ -267,7 +273,6 @@ struct SessionPlan {
     replay_cfg: ReplayConfig,
     ar_cfg: ReplayConfig,
     durable: Option<DurableLogConfig>,
-    cadence: u64,
 }
 
 /// Where one session is in its record → replay → finalize → resolve life
@@ -340,13 +345,16 @@ struct FleetState<'s> {
 struct Fleet<'s> {
     sessions: &'s [SessionSpec],
     plans: Vec<SessionPlan>,
+    /// The fleet's span cadence (`farm_span_cadence`), shared by every
+    /// session.
+    cadence: u64,
     state: Mutex<FleetState<'s>>,
     cvar: Condvar,
     started: Instant,
 }
 
 impl<'s> Fleet<'s> {
-    fn new(sessions: &'s [SessionSpec], config: &FarmConfig, started: Instant) -> Fleet<'s> {
+    fn new(sessions: &'s [SessionSpec], config: &FarmConfig, workers: usize, started: Instant) -> Fleet<'s> {
         let plans = sessions
             .iter()
             .enumerate()
@@ -359,7 +367,7 @@ impl<'s> Fleet<'s> {
                         .as_ref()
                         .map(|root| DurableLogConfig::new(root.join(format!("session-{s}"))))
                 });
-                SessionPlan { replay_cfg, ar_cfg, durable, cadence: farm_span_cadence(&spec.config) }
+                SessionPlan { replay_cfg, ar_cfg, durable }
             })
             .collect();
         let lanes = sessions
@@ -377,6 +385,7 @@ impl<'s> Fleet<'s> {
         Fleet {
             sessions,
             plans,
+            cadence: farm_span_cadence(sessions, workers),
             state: Mutex::new(FleetState {
                 phases: (0..sessions.len()).map(|_| Phase::Recording).collect(),
                 sched,
@@ -481,7 +490,7 @@ impl<'s> Fleet<'s> {
     /// check.
     fn record_session(&self, s: usize) -> Result<RecordOutcome, FarmError> {
         let spec = &self.sessions[s];
-        let rc = record_config(&spec.config, Some(self.plans[s].cadence));
+        let rc = record_config(&spec.config, Some(self.cadence));
         let recorder = recorder_for(&spec.vm, rc, self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
         let rec = run_recorder(recorder)?;
         if let Some(max) = spec.budget.log_bytes {
@@ -707,6 +716,81 @@ mod tests {
 
     fn serial_json(workload: Workload, config: &PipelineConfig) -> String {
         Pipeline::new(workload.spec(false), config.clone()).run().unwrap().to_json()
+    }
+
+    /// Spans a session of `insns` is cut into at `cadence`, ignoring how
+    /// far past each multiple of the cadence the recorder's seed lands.
+    fn spans(insns: u64, cadence: u64) -> u64 {
+        insns.div_ceil(cadence)
+    }
+
+    fn fleet_of(lengths: &[u64]) -> Vec<SessionSpec> {
+        lengths.iter().map(|&insns| quick("s", Workload::Make, insns)).collect()
+    }
+
+    #[test]
+    fn benchmark_fleet_replays_each_session_as_one_span() {
+        let mut lengths = vec![900_000];
+        lengths.extend([600_000; 7]);
+        let cadence = farm_span_cadence(&fleet_of(&lengths), 2);
+        assert_eq!(cadence, 1_275_000);
+        assert!(lengths.iter().all(|&insns| spans(insns, cadence) == 1));
+    }
+
+    #[test]
+    fn lone_session_is_cut_to_half_a_worker_share() {
+        let cadence = farm_span_cadence(&fleet_of(&[2_500_000]), 2);
+        assert_eq!(cadence, 625_000);
+        assert_eq!(spans(2_500_000, cadence), 4);
+    }
+
+    #[test]
+    fn only_the_session_too_long_to_balance_is_cut() {
+        let cadence = farm_span_cadence(&fleet_of(&[10_000_000, 100_000]), 2);
+        assert!(spans(10_000_000, cadence) >= 4, "cadence {cadence}");
+        assert_eq!(spans(100_000, cadence), 1, "cadence {cadence}");
+    }
+
+    #[test]
+    fn cadence_is_floored_and_never_zero() {
+        assert_eq!(farm_span_cadence(&fleet_of(&[10_000, 10_000]), 2), 15_000);
+        assert_eq!(farm_span_cadence(&[], 1), 15_000);
+        for workers in [0, 1, 64] {
+            let cadence = farm_span_cadence(&fleet_of(&[900_000, 600_000]), workers);
+            assert!(cadence >= 15_000, "workers={workers}: cadence {cadence}");
+        }
+        assert_eq!(farm_span_cadence(&fleet_of(&[900_000, 600_000]), 1), 750_000);
+        assert_eq!(farm_span_cadence(&fleet_of(&[u64::MAX, u64::MAX]), 1), u64::MAX / 2);
+    }
+
+    /// Spans the farm replays each session of `sessions` as on `workers`:
+    /// one more than the seeds its `Record` item captures.
+    fn recorded_spans(sessions: &[SessionSpec], workers: usize) -> Vec<usize> {
+        let fleet = Fleet::new(sessions, &FarmConfig::default(), workers, Instant::now());
+        (0..sessions.len()).map(|s| fleet.record_session(s).unwrap().span_seeds.len() + 1).collect()
+    }
+
+    /// The fleets of `tests/pipeline_equivalence.rs` must keep running both
+    /// one-span and multi-span sessions; a rule change that drops either
+    /// shape fails here first.
+    #[test]
+    fn equivalence_fleets_cover_one_and_multi_span_sessions() {
+        let pair = [quick("jit", Workload::Jit, 200_000), quick("mysql", Workload::Mysql, 200_000)];
+        assert_eq!(recorded_spans(&pair, 1), [1, 1]);
+        let three = recorded_spans(&pair, 3);
+        assert!(three.iter().all(|&n| n > 1), "{three:?}");
+        let (attack, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
+        let attack_cfg = PipelineConfig {
+            duration_insns: 900_000,
+            checkpoint_interval_secs: Some(0.125),
+            ..PipelineConfig::default()
+        };
+        let storm = [
+            SessionSpec::new("attack", attack, attack_cfg),
+            quick("jit", Workload::Jit, 250_000),
+            quick("make", Workload::Make, 250_000),
+        ];
+        assert_eq!(recorded_spans(&storm, 2), [3, 1, 1]);
     }
 
     #[test]

@@ -246,11 +246,9 @@ impl TraceGuards {
 }
 
 /// Packed block metadata: low 10 bits = length in instructions (1..=512),
-/// bit 10 = ends in a terminal (non-straight-line) instruction, bit 11 =
-/// contains a store-class instruction (needs self-modification checks).
+/// bit 10 = ends in a terminal (non-straight-line) instruction.
 const META_LEN_MASK: u16 = 0x03ff;
 const META_TERMINAL: u16 = 0x0400;
-const META_STORE: u16 = 0x0800;
 
 /// Shape of a cached basic block starting at some slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,18 +259,12 @@ pub struct BlockInfo {
     /// transfer, privileged/IO, or interrupt-flag write). False for blocks
     /// truncated by a page boundary or undecodable bytes.
     pub has_terminal: bool,
-    /// True when any instruction in the block can write guest memory
-    /// (St/St8/Push) — the executor re-checks the page version after those
-    /// to catch code that modifies its own block.
-    pub has_store: bool,
 }
 
 impl BlockInfo {
     fn pack(self) -> u16 {
         debug_assert!(self.len >= 1 && (self.len as usize) <= SLOTS);
-        (self.len & META_LEN_MASK)
-            | if self.has_terminal { META_TERMINAL } else { 0 }
-            | if self.has_store { META_STORE } else { 0 }
+        (self.len & META_LEN_MASK) | if self.has_terminal { META_TERMINAL } else { 0 }
     }
 
     fn unpack(meta: u16) -> Option<BlockInfo> {
@@ -280,7 +272,7 @@ impl BlockInfo {
         if len == 0 {
             return None;
         }
-        Some(BlockInfo { len, has_terminal: meta & META_TERMINAL != 0, has_store: meta & META_STORE != 0 })
+        Some(BlockInfo { len, has_terminal: meta & META_TERMINAL != 0 })
     }
 }
 
@@ -773,7 +765,7 @@ mod tests {
         let mut mem = Memory::new(PAGE_SIZE);
         let mut cache = BlockCache::new();
         let block = [insn(1), insn(2), insn(3)];
-        let info = BlockInfo { len: 3, has_terminal: true, has_store: false };
+        let info = BlockInfo { len: 3, has_terminal: true };
         assert_eq!(cache.block_info(0x10, &mem), None);
         cache.insert_block(0x10, &block, info, &mem);
         assert_eq!(cache.block_info(0x10, &mem), Some(info));
@@ -791,7 +783,7 @@ mod tests {
     fn stale_page_reset_counts_a_flush() {
         let mut mem = Memory::new(PAGE_SIZE);
         let mut cache = BlockCache::new();
-        let info = BlockInfo { len: 1, has_terminal: false, has_store: false };
+        let info = BlockInfo { len: 1, has_terminal: false };
         cache.insert_block(0x0, &[insn(1)], info, &mem);
         mem.write_u8(0x100, 1).unwrap();
         cache.insert_block(0x0, &[insn(2)], info, &mem);
@@ -802,8 +794,8 @@ mod tests {
     #[test]
     fn meta_packing_round_trips() {
         for len in [1u16, 2, 511, 512] {
-            for (t, s) in [(false, false), (true, false), (false, true), (true, true)] {
-                let info = BlockInfo { len, has_terminal: t, has_store: s };
+            for has_terminal in [false, true] {
+                let info = BlockInfo { len, has_terminal };
                 assert_eq!(BlockInfo::unpack(info.pack()), Some(info));
             }
         }

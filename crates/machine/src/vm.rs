@@ -885,7 +885,6 @@ impl GuestVm {
     fn build_block(&mut self, pc: Addr) -> Option<BlockInfo> {
         let mut insns: Vec<Instruction> = Vec::with_capacity(16);
         let mut has_terminal = false;
-        let mut has_store = false;
         let mut cur = pc;
         loop {
             let mut fetch = [0u8; 8];
@@ -898,7 +897,6 @@ impl GuestVm {
                 has_terminal = true;
                 break;
             }
-            has_store |= matches!(insn.op, Opcode::St | Opcode::St8 | Opcode::Push);
             cur += 8;
             if (cur as usize).is_multiple_of(crate::mem::PAGE_SIZE) {
                 break;
@@ -908,7 +906,7 @@ impl GuestVm {
         if len == 0 {
             return None;
         }
-        let info = BlockInfo { len, has_terminal, has_store };
+        let info = BlockInfo { len, has_terminal };
         self.icache.insert_block(pc, &insns, info, &self.mem);
         Some(info)
     }

@@ -372,6 +372,12 @@ fn durable_store_is_byte_identical_across_streaming_and_sequential() {
 /// (superblocks × farm-owned durable store × pool size), each session's
 /// report out of the shared-pool fleet is byte-identical to its own serial
 /// [`Pipeline`] run.
+///
+/// The pool sizes cover both span shapes under the farm's cadence (no span
+/// longer than `Σ duration_insns / (2 × workers)`): at `workers: 1` the
+/// two 200k sessions replay as one span each; at `workers: 3` the cadence
+/// is 66,666 and Mysql replays as 3 spans, Jit as 2 (the recorder cuts only
+/// at a quiescent point, and Jit's first one past the cadence comes late).
 #[test]
 fn replay_farm_matches_serial_across_corner_matrix() {
     use rnr_safe::{Farm, FarmConfig, SessionSpec};
@@ -426,6 +432,10 @@ fn replay_farm_matches_serial_across_corner_matrix() {
 /// run beside it. The weighted round-robin scheduler keeps the siblings'
 /// work flowing, and every report — the attack's verdicts and detection
 /// window included — is byte-identical to its serial reference.
+///
+/// On 2 workers the fleet's cadence is 350k, so the 900k attack replays as
+/// 3 spans (its checkpoints come from span materialization) while the two
+/// 250k siblings replay as one span each.
 #[test]
 fn replay_farm_alarm_storm_does_not_disturb_siblings() {
     use rnr_safe::{Farm, FarmConfig, SessionSpec};
