@@ -6,7 +6,9 @@ use std::sync::Arc;
 
 use rnr_guest::layout;
 use rnr_isa::Reg;
-use rnr_log::{AlarmInfo, Category, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo};
+use rnr_log::{
+    AlarmInfo, Category, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo, MAX_FRAME_AGE_INSNS,
+};
 use rnr_machine::{
     CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
     MachineConfig, Page, SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING,
@@ -285,6 +287,12 @@ pub struct Recorder {
     // before the sink flushes its last frame.
     durable: Option<DurableWriter>,
     sink: Option<LogSink>,
+    /// Retired instructions when the oldest record of the pending frame was
+    /// emitted; `None` once that frame is cut, and always without a
+    /// durable writer or sink. A full batch closes inside `push` and leaves
+    /// it stale until the next record opens a frame; an age cut meanwhile
+    /// flushes nothing.
+    frame_opened_at: Option<u64>,
     attribution: CycleAttribution,
     intro: Introspector,
     current_tid: ThreadId,
@@ -392,6 +400,7 @@ impl Recorder {
             log: InputLog::new(),
             sink: None,
             durable: None,
+            frame_opened_at: None,
             attribution: CycleAttribution::new(),
             intro,
             current_tid: ThreadId(1),
@@ -419,18 +428,20 @@ impl Recorder {
         })
     }
 
-    /// Attaches a live sink: every record is published to it as soon as it is
-    /// appended to the recorder's own log, so a concurrent checkpointing
-    /// replayer can consume the stream while recording is still in progress.
+    /// Attaches a live sink: every record is pushed to it as it is appended
+    /// to the recorder's own log, and sent in frames cut by the recorder's
+    /// framing rule (full batch, span seed, frame age), so a concurrent
+    /// checkpointing replayer can consume the stream while recording is
+    /// still in progress.
     pub fn stream_to(&mut self, sink: LogSink) {
         self.sink = Some(sink);
     }
 
     /// Attaches a durable segment-store writer (DESIGN.md §13): every record
-    /// is persisted as it is appended — before it reaches a live sink — and
-    /// the store is sealed when recording finishes. Resilience only; the
-    /// log, cycles, and digests are byte-for-byte identical with or without
-    /// it.
+    /// is framed for the store as it is appended — before it reaches a live
+    /// sink — and the writer seals a segment every `frames_per_segment`
+    /// frames and when recording finishes. Resilience only; the log, cycles,
+    /// and digests are byte-for-byte identical with or without it.
     pub fn persist_to(&mut self, writer: DurableWriter) {
         self.durable = Some(writer);
     }
@@ -448,18 +459,44 @@ impl Recorder {
     /// the next change to `benchmark/`.
     pub fn attach_shared_cache(&mut self, _shared: Arc<SharedPageCache>) {}
 
-    /// Appends a record to the log, persisting it and mirroring it to the
-    /// live sink if either is attached. Disk comes first, so a frame is
-    /// sealed before it is sent and damage on the wire can be refetched
-    /// from disk.
+    /// Appends a record to the log and to the pending frame of the durable
+    /// writer and of the live sink, if either is attached; a record that
+    /// opens a frame starts the frame's age. Disk comes first, but a closed
+    /// frame reaches disk only when its segment is sealed (every
+    /// `frames_per_segment` frames, and at the end), so most frames are sent
+    /// before they are on disk, and a refetch of an unsealed frame falls
+    /// back to the sink's retained copy.
     fn emit(&mut self, rec: Record) {
         if let Some(writer) = self.durable.as_mut() {
+            if writer.pending_records() == 0 {
+                self.frame_opened_at = Some(self.vm.retired());
+            }
             writer.push(&rec);
         }
         if let Some(sink) = self.sink.as_mut() {
+            if sink.pending_records() == 0 {
+                self.frame_opened_at = Some(self.vm.retired());
+            }
             sink.push(rec.clone());
         }
         self.log.push(rec);
+    }
+
+    /// Closes the pending frame of the durable writer and of the live sink
+    /// together, disk first, so disk and wire sequence numbers stay equal.
+    /// Besides the full batch that `push` closes on its own, this is the
+    /// framing rule: a frame is cut right after a span seed, so every seed's
+    /// `at_record` is a frame boundary, and at the first loop top once its
+    /// oldest record is [`MAX_FRAME_AGE_INSNS`] old, so the CR trails a
+    /// sparse log instead of waiting for the recording to end.
+    fn cut_frame(&mut self) {
+        if let Some(writer) = self.durable.as_mut() {
+            writer.flush();
+        }
+        if let Some(sink) = self.sink.as_mut() {
+            sink.flush();
+        }
+        self.frame_opened_at = None;
     }
 
     /// Runs to the instruction budget and returns the outcome.
@@ -486,6 +523,9 @@ impl Recorder {
             if self.vm.retired() >= until || self.fault.is_some() || self.stalled {
                 break;
             }
+            if self.frame_opened_at.is_some_and(|at| self.vm.retired() - at >= MAX_FRAME_AGE_INSNS) {
+                self.cut_frame();
+            }
             let deadline = self.next_event_cycle();
             let exit = self
                 .vm
@@ -510,9 +550,9 @@ impl Recorder {
         if self.config.mode.is_recording() {
             self.emit(Record::End { at_insn: self.vm.retired(), at_cycle: self.vm.cycles() });
         }
-        // Seal the last partial frame before the sink sends it, as `emit`
-        // does for full frames: a refetch of the tail must find it on disk
-        // (with any planned damage already applied).
+        // Seal the store before the sink sends its last frame: a refetch of
+        // the tail must find it on disk (with any planned damage already
+        // applied). Earlier frames are on disk only once their segment is.
         if let Some(writer) = self.durable.take() {
             writer.finish();
         }
@@ -588,6 +628,7 @@ impl Recorder {
             let _ = tx.send(seed.clone());
         }
         self.span_seeds.push(seed);
+        self.cut_frame();
     }
 
     fn next_event_cycle(&self) -> u64 {

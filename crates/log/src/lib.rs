@@ -67,6 +67,6 @@ pub use store::{
 };
 pub use stream::{
     log_channel, log_channel_with, LogSink, LogStream, TransportStats, BACKOFF_BASE_VCYCLES, DEFAULT_BATCH,
-    MAX_REFETCH_RETRIES,
+    MAX_FRAME_AGE_INSNS, MAX_REFETCH_RETRIES,
 };
 pub use writer::{InputLog, LogWriter};

@@ -41,8 +41,10 @@ pub const DEFAULT_FRAMES_PER_SEGMENT: usize = 8;
 
 /// Configuration of the durable log store (the `durable_log` knob).
 /// Segment bodies are always RLE-compressed where that shrinks them, and
-/// frames always hold [`DEFAULT_BATCH`] records — the transport batch — so a
-/// frame's on-disk sequence number is its wire sequence number.
+/// frames hold at most [`DEFAULT_BATCH`] records: the recorder closes the
+/// writer's frame and the live sink's together (full batch, span seed,
+/// frame age), so a frame's on-disk sequence number is its wire sequence
+/// number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableLogConfig {
     /// Directory holding the segment files (created if absent).
@@ -125,17 +127,30 @@ impl DurableWriter {
         self.add_frame(records.to_vec());
     }
 
-    /// Appends one record, batching into frames of [`DEFAULT_BATCH`]
-    /// records — the recorder's feed. The resulting frames are
+    /// Appends one record, batching into frames of at most
+    /// [`DEFAULT_BATCH`] records — the recorder's feed. A frame closes when
+    /// it is full or at [`DurableWriter::flush`], which the recorder calls
+    /// right after a span seed and once the frame's oldest record is
+    /// [`crate::MAX_FRAME_AGE_INSNS`] instructions old, and it closes the
+    /// live sink's frame at the same points. The resulting frames are
     /// byte-identical to the ones a streaming sink sends and retains.
     pub fn push(&mut self, record: &Record) {
         self.batch.push(record.clone());
         if self.batch.len() >= DEFAULT_BATCH {
-            self.flush_batch();
+            self.flush();
         }
     }
 
-    fn flush_batch(&mut self) {
+    /// Records pushed but not yet closed into a frame.
+    pub fn pending_records(&self) -> usize {
+        self.batch.len()
+    }
+
+    /// Closes the partial batch, if any, into a frame. The frame reaches
+    /// disk with its segment's seal, every
+    /// [`DurableLogConfig::frames_per_segment`] frames or at
+    /// [`DurableWriter::finish`].
+    pub fn flush(&mut self) {
         if !self.batch.is_empty() {
             let frame = std::mem::replace(&mut self.batch, Vec::with_capacity(DEFAULT_BATCH));
             self.add_frame(frame);
@@ -152,7 +167,7 @@ impl DurableWriter {
     /// Flushes any partial batch, seals the remainder, and reports what was
     /// persisted. (Dropping the writer does the same, swallowing errors.)
     pub fn finish(mut self) -> DiskWriteStats {
-        self.flush_batch();
+        self.flush();
         self.seal();
         self.stats
     }
@@ -219,7 +234,7 @@ impl DurableWriter {
 
 impl Drop for DurableWriter {
     fn drop(&mut self) {
-        self.flush_batch();
+        self.flush();
         self.seal();
     }
 }

@@ -8,7 +8,11 @@
 //! on another thread, blocking only when it has caught up with the recording.
 //!
 //! Records travel in batches to keep the synchronization cost per record
-//! negligible. Because the paper's deployment puts recording and replay on
+//! negligible. The recorder closes a batch when it holds [`DEFAULT_BATCH`]
+//! records, right after a span seed, and once its oldest record is
+//! [`MAX_FRAME_AGE_INSNS`] guest instructions old, so a sparse log reaches
+//! the consumer while the recording runs instead of in one batch at its
+//! end. Because the paper's deployment puts recording and replay on
 //! **separate machines** (§4), each batch crosses the channel as a
 //! checksummed, sequence-numbered frame ([`crate::encode_frame`]): the
 //! stream verifies every frame, so corruption, truncation, reordering,
@@ -28,6 +32,13 @@ use crate::{decode_frame, encode_frame, CodecError, FaultInjector, FaultPlan, In
 
 /// Default number of records per transport batch.
 pub const DEFAULT_BATCH: usize = 64;
+
+/// Guest instructions after which the recorder closes a partial batch.
+/// The recorder checks the age only at the top of its run loop, so a
+/// record reaches the consumer less than this many instructions plus one
+/// recorder slice after it was logged. Sparse guests leave the loop about
+/// once per timer tick.
+pub const MAX_FRAME_AGE_INSNS: u64 = 50_000;
 
 /// Maximum re-request attempts for one damaged frame.
 pub const MAX_REFETCH_RETRIES: u32 = 4;
@@ -131,6 +142,11 @@ impl LogSink {
         if self.batch.len() >= self.batch_size {
             self.flush();
         }
+    }
+
+    /// Records published but not yet framed and sent.
+    pub fn pending_records(&self) -> usize {
+        self.batch.len()
     }
 
     /// Frames and sends any batched records immediately.

@@ -49,7 +49,9 @@ timed clippy cargo clippy --workspace --all-targets --offline -- -D warnings
 # bad code-block language, ambiguous reference — lands on main.
 timed doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-timed tests cargo test --workspace -q --offline
+# `--no-fail-fast` runs every test target even after one fails, so a red
+# gate lists every failure instead of hiding the targets after the first.
+timed tests cargo test --workspace -q --offline --no-fail-fast
 
 # Examples gate: the four walkthroughs assert their own outcomes (a benign
 # run verifies clean, the §6 attack is convicted, the JOP/DOS detectors

@@ -335,26 +335,19 @@ fn durable_store_reopens_and_restores_after_every_damage_kind() {
         Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 250_000)).expect("recorder");
     recorder.persist_to(DurableWriter::create(durable_cfg(&master.0), &FaultPlan::default()).expect("store"));
     let rec = recorder.run();
-    let total_frames = {
-        let store = DurableStore::open(&master.0).expect("pristine store opens");
-        assert!(store.scan().clean(), "pristine store must scan clean: {:?}", store.scan());
-        let restored = store
-            .restore_with(store.frame_count(), |_| None)
-            .expect("pristine store restores without fallback");
-        assert_eq!(restored.records(), rec.log.records(), "restored log must equal the recording");
-        store.frame_count()
-    };
+    let pristine = DurableStore::open(&master.0).expect("pristine store opens");
+    assert!(pristine.scan().clean(), "pristine store must scan clean: {:?}", pristine.scan());
+    let restored = pristine
+        .restore_with(pristine.frame_count(), |_| None)
+        .expect("pristine store restores without fallback");
+    assert_eq!(restored.records(), rec.log.records(), "restored log must equal the recording");
+    let total_frames = pristine.frame_count();
     assert!(total_frames >= 2, "need at least two segments to damage");
 
-    // The in-memory fallback: frame `seq` is the recording's records
-    // re-chunked exactly as the writer framed them (one frame per segment,
-    // DEFAULT_BATCH records per frame).
-    let fallback = |seq: u64| {
-        let batch = rnr_log::DEFAULT_BATCH;
-        let records = rec.log.records();
-        let start = seq as usize * batch;
-        (start < records.len()).then(|| records[start..(start + batch).min(records.len())].to_vec())
-    };
+    // The in-memory fallback: frame `seq` exactly as the writer framed it
+    // (frame boundaries follow the recorder's cut points, not a fixed
+    // record count), served from the pristine store.
+    let fallback = |seq: u64| pristine.frame(seq).map(<[rnr_log::Record]>::to_vec);
 
     for kind in [
         DiskFaultKind::BitRot,

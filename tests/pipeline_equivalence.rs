@@ -327,43 +327,52 @@ fn durable_log_equivalent_across_parallel_and_superblock_corners() {
 
 /// Streaming and sequential pipelines persist **byte-identical** segment
 /// stores: both modes persist through the one durable-write path,
-/// `Recorder::persist_to`, so the durable form is independent of how the run
-/// was driven.
+/// `Recorder::persist_to`, and cut frames at the same points, so the durable
+/// form is independent of how the run was driven. Mysql's dense log fills
+/// whole batches; Jit's sparse log, recorded with span seeds, is cut only
+/// at the seeds and by frame age.
 #[test]
 fn durable_store_is_byte_identical_across_streaming_and_sequential() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let run = |streaming: bool, dir: std::path::PathBuf| {
-        let cfg = PipelineConfig {
-            duration_insns: 250_000,
-            streaming,
-            durable_log: Some(rnr_log::DurableLogConfig::new(dir)),
-            ..PipelineConfig::default()
+    for (workload, duration_insns, parallel_spans) in
+        [(Workload::Mysql, 250_000, 0), (Workload::Jit, 1_200_000, 2)]
+    {
+        let run = |streaming: bool, dir: std::path::PathBuf| {
+            let cfg = PipelineConfig {
+                duration_insns,
+                streaming,
+                parallel_spans,
+                durable_log: Some(rnr_log::DurableLogConfig::new(dir)),
+                ..PipelineConfig::default()
+            };
+            Pipeline::new(workload.spec(false), cfg).run().unwrap()
         };
-        Pipeline::new(Workload::Mysql.spec(false), cfg).run().unwrap()
-    };
-    let streamed = run(true, scratch.join("streaming"));
-    let sequential = run(false, scratch.join("sequential"));
-    assert_eq!(streamed.to_json(), sequential.to_json());
+        let label = workload.label();
+        let (streaming_dir, sequential_dir) =
+            (scratch.join(format!("{label}-streaming")), scratch.join(format!("{label}-sequential")));
+        let streamed = run(true, streaming_dir.clone());
+        let sequential = run(false, sequential_dir.clone());
+        assert_eq!(streamed.to_json(), sequential.to_json(), "{label}");
 
-    let mut names: Vec<String> = std::fs::read_dir(scratch.join("streaming"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert!(!names.is_empty(), "the streaming run must have sealed segments");
-    let mut other: Vec<String> = std::fs::read_dir(scratch.join("sequential"))
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    other.sort();
-    assert_eq!(names, other, "same segment files either way");
-    for name in &names {
-        assert_eq!(
-            std::fs::read(scratch.join("streaming").join(name)).unwrap(),
-            std::fs::read(scratch.join("sequential").join(name)).unwrap(),
-            "{name}: segment bytes differ between streaming and sequential persistence"
-        );
+        let list = |dir: &std::path::Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let names = list(&streaming_dir);
+        assert!(!names.is_empty(), "{label}: the streaming run must have sealed segments");
+        assert_eq!(names, list(&sequential_dir), "{label}: same segment files either way");
+        for name in &names {
+            assert_eq!(
+                std::fs::read(streaming_dir.join(name)).unwrap(),
+                std::fs::read(sequential_dir.join(name)).unwrap(),
+                "{label} {name}: segment bytes differ between streaming and sequential persistence"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
