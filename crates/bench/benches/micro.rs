@@ -8,7 +8,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rnr_guest::KernelBuilder;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_log::{InputLog, Record};
+use rnr_log::{decode_frame, encode_frame, InputLog, Record};
 use rnr_machine::{GuestVm, MachineConfig, Memory, PAGE_SIZE};
 use rnr_ras::{BackRasTable, RasConfig, RasUnit, ShadowRas, ThreadId, Whitelists};
 use rnr_replay::{ReplayConfig, Replayer};
@@ -62,11 +62,11 @@ fn bench_log(c: &mut Criterion) {
         .collect();
     g.throughput(Throughput::Bytes(sample.total_bytes()));
     g.bench_function("encode_1000_records", |b| {
-        b.iter(|| std::hint::black_box(sample.to_bytes()));
+        b.iter(|| std::hint::black_box(encode_frame(0, sample.records())));
     });
-    let bytes = sample.to_bytes();
+    let frame = encode_frame(0, sample.records());
     g.bench_function("decode_1000_records", |b| {
-        b.iter(|| std::hint::black_box(InputLog::from_bytes(bytes.clone()).unwrap()));
+        b.iter(|| std::hint::black_box(decode_frame(&frame).unwrap()));
     });
     g.finish();
 }

@@ -55,8 +55,9 @@ struct AttackComparison {
 
 /// On-disk density of the attack recording: the log's size per retired
 /// guest instruction in its two durable forms — framed-in-memory (the
-/// transport/retained-store representation: checksummed frames) and compact
-/// (the durable segment store's varint/delta + RLE encoding, DESIGN.md §13).
+/// transport/retained-store representation: checksummed frames) and the
+/// durable segment store (the same wire codec per record, plus RLE,
+/// DESIGN.md §13).
 #[derive(Debug, serde::Serialize)]
 struct LogDensity {
     records: usize,
@@ -69,41 +70,42 @@ struct LogDensity {
     compaction_ratio: f64,
 }
 
-/// Measures [`LogDensity`] on an attack recording, asserting the compact
-/// form decodes back to the exact records it encoded.
+/// Measures [`LogDensity`] on the frames the optimized attack pipeline
+/// really cuts (full batch, span seed, frame age): it records with a
+/// durable store attached, and both forms are read back from that store.
 fn log_density(insns: u64) -> LogDensity {
-    use rnr_log::{decode_segment, encode_frame, encode_segment, Segment, DEFAULT_BATCH};
+    use rnr_log::{encode_frame, DurableLogConfig, DurableStore, SEGMENT_EXT};
     let (spec, _plan) =
         rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).expect("attack mounts");
-    let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, SEED, insns))
-        .expect("record mode matches kernel")
-        .run();
-    assert!(rec.fault.is_none(), "guest fault {:?}", rec.fault);
-    let records = rec.log.records();
-    let frames: Vec<Vec<rnr_log::Record>> =
-        records.chunks(DEFAULT_BATCH).map(<[rnr_log::Record]>::to_vec).collect();
-    let framed_bytes: u64 =
-        frames.iter().enumerate().map(|(seq, f)| encode_frame(seq as u64, f).len() as u64).sum();
-    let compact_bytes: u64 = frames
-        .chunks(rnr_log::DEFAULT_FRAMES_PER_SEGMENT)
-        .enumerate()
-        .map(|(i, group)| {
-            let segment = Segment {
-                first_seq: (i * rnr_log::DEFAULT_FRAMES_PER_SEGMENT) as u64,
-                frames: group.to_vec(),
-            };
-            let bytes = encode_segment(&segment, true);
-            assert_eq!(decode_segment(&bytes).expect("segment decodes"), segment, "lossless compact form");
-            bytes.len() as u64
-        })
+    let dir = std::env::temp_dir().join(format!("rnr-log-density-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PipelineConfig {
+        seed: SEED,
+        duration_insns: insns,
+        durable_log: Some(DurableLogConfig::new(&dir)),
+        ..attack_configs().1
+    };
+    let report = Pipeline::new(spec, cfg).run().expect("attack pipeline completes");
+    let store = DurableStore::open(&dir).expect("durable store opens");
+    assert!(store.scan().clean(), "fault-free store reopened unclean: {:?}", store.scan());
+    let framed_bytes: u64 = (0..store.frame_count())
+        .map(|seq| encode_frame(seq, store.frame(seq).expect("every frame sealed")).len() as u64)
         .sum();
+    let compact_bytes: u64 = std::fs::read_dir(&dir)
+        .expect("store directory lists")
+        .map(|e| e.expect("store entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == SEGMENT_EXT))
+        .map(|p| std::fs::metadata(p).expect("segment file").len())
+        .sum();
+    let _ = std::fs::remove_dir_all(&dir);
+    let retired = report.record.retired;
     LogDensity {
-        records: records.len(),
-        retired_insns: rec.retired,
+        records: store.scan().records_indexed as usize,
+        retired_insns: retired,
         framed_bytes,
         compact_bytes,
-        framed_bytes_per_insn: framed_bytes as f64 / rec.retired as f64,
-        compact_bytes_per_insn: compact_bytes as f64 / rec.retired as f64,
+        framed_bytes_per_insn: framed_bytes as f64 / retired as f64,
+        compact_bytes_per_insn: compact_bytes as f64 / retired as f64,
         compaction_ratio: framed_bytes as f64 / compact_bytes as f64,
     }
 }
@@ -496,7 +498,7 @@ fn main() {
         "1.00x".into(),
     ]);
     t.row(vec![
-        "compact segments (varint/delta + RLE)".into(),
+        "segments (wire codec + RLE)".into(),
         density.compact_bytes.to_string(),
         format!("{:.4}", density.compact_bytes_per_insn),
         format!("{:.2}x smaller", density.compaction_ratio),

@@ -8,31 +8,35 @@
 //! final-state digest — so an execution recorded today can be audited,
 //! re-replayed, and alarm-resolved at any later time, on any machine.
 //!
-//! ## Format
+//! ## Format (version 3)
 //!
 //! ```text
-//! magic "RNRSAFE1" | u64 header_len | header (JSON) | raw input log bytes
+//! magic "RNRSAFE1" | u64 header_len | header (JSON) | one log segment
 //! ```
 //!
-//! The header is JSON for inspectability (`rnr info` pretty-prints it); the
-//! log uses its exact binary codec.
+//! The header is JSON for inspectability (`rnr info` pretty-prints it). The
+//! log is one segment of the durable store's format ([`rnr_log::Segment`])
+//! holding the whole log as its single frame, so a saved log passes the
+//! same length and CRC32 checks and the same record parser as a stored or
+//! streamed one: bit rot is a load error, not a replay verdict.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
 use rnr_hypervisor::{RecordMode, RecordOutcome, VmSpec};
-use rnr_log::InputLog;
+use rnr_log::{decode_segment, encode_segment, InputLog, Record, Segment, SegmentError};
 use rnr_machine::Digest;
 
 const MAGIC: &[u8; 8] = b"RNRSAFE1";
 
 /// The session-file format version this build writes and the only one it
-/// loads. Version 2 stores the final digest over memoized per-page hashes
-/// (DESIGN.md §4); a version-1 file's digest would never verify, so it is
-/// rejected on load rather than reported as a diverged replay.
-pub const SESSION_VERSION: u32 = 2;
+/// loads. Version 2 stored the final digest over memoized per-page hashes
+/// (DESIGN.md §4); version 3 stores the log as one CRC32-protected segment
+/// instead of raw codec bytes. Older files are rejected on load, naming both
+/// versions, rather than misread or reported as a diverged replay.
+pub const SESSION_VERSION: u32 = 3;
 
 /// Session-file errors.
 #[derive(Debug)]
@@ -41,6 +45,8 @@ pub enum SessionError {
     Io(std::io::Error),
     /// The file is not a session file or is corrupt.
     Malformed(String),
+    /// The log segment failed its length, checksum, version or record check.
+    Log(SegmentError),
 }
 
 impl fmt::Display for SessionError {
@@ -48,6 +54,7 @@ impl fmt::Display for SessionError {
         match self {
             SessionError::Io(e) => write!(f, "session I/O error: {e}"),
             SessionError::Malformed(m) => write!(f, "malformed session file: {m}"),
+            SessionError::Log(e) => write!(f, "session log: {e}"),
         }
     }
 }
@@ -81,7 +88,8 @@ pub struct SessionHeader {
     pub alarms: usize,
     /// Final architectural digest (replay verification target).
     pub final_digest: u64,
-    /// Log size in bytes (must match the trailing payload).
+    /// Log size in bytes, as [`InputLog::total_bytes`] accounts it (must
+    /// match the decoded log).
     pub log_bytes: u64,
 }
 
@@ -123,14 +131,23 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors.
+    /// Fails on I/O errors, or when the log is too large for one segment,
+    /// whose length fields are 32-bit.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SessionError> {
+        // The frame index adds at most 5 bytes (one u32 varint) to the records.
+        if self.log.total_bytes() + 5 > u64::from(u32::MAX) {
+            return Err(SessionError::Malformed(format!(
+                "a {}-byte log exceeds one segment's 4 GiB",
+                self.log.total_bytes()
+            )));
+        }
         let header = serde_json::to_vec(&self.header).map_err(|e| SessionError::Malformed(e.to_string()))?;
+        let segment = Segment { first_seq: 0, frames: vec![self.log.records().to_vec()] };
         let mut file = std::fs::File::create(path)?;
         file.write_all(MAGIC)?;
         file.write_all(&(header.len() as u64).to_le_bytes())?;
         file.write_all(&header)?;
-        file.write_all(&self.log.to_bytes())?;
+        file.write_all(&encode_segment(&segment, true))?;
         Ok(())
     }
 
@@ -138,46 +155,45 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors, bad magic, a format version other than
-    /// [`SESSION_VERSION`], or a log that does not match the header's byte
-    /// count.
+    /// Fails on I/O errors, bad magic, a header length beyond the file, a
+    /// format version other than [`SESSION_VERSION`], a log segment that
+    /// fails its checks ([`SessionError::Log`]), or a log that does not
+    /// match the header's byte count.
     pub fn load(path: impl AsRef<Path>) -> Result<Session, SessionError> {
-        let mut file = std::fs::File::open(path)?;
-        let mut magic = [0u8; 8];
-        file.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(SessionError::Malformed("bad magic".to_string()));
+        let bytes = std::fs::read(path)?;
+        let rest =
+            bytes.strip_prefix(MAGIC).ok_or_else(|| SessionError::Malformed("bad magic".to_string()))?;
+        let (len, rest) = rest
+            .split_first_chunk::<8>()
+            .ok_or_else(|| SessionError::Malformed("no header length".into()))?;
+        let header_len = u64::from_le_bytes(*len);
+        if header_len > rest.len() as u64 {
+            return Err(SessionError::Malformed(format!(
+                "header length {header_len} exceeds the {} bytes left in the file",
+                rest.len()
+            )));
         }
-        let mut len = [0u8; 8];
-        file.read_exact(&mut len)?;
-        let header_len = u64::from_le_bytes(len);
-        // The header is JSON metadata plus the embedded images; anything
-        // beyond this bound is a corrupt or hostile file, not a session.
-        const MAX_HEADER: u64 = 256 << 20;
-        if header_len > MAX_HEADER {
-            return Err(SessionError::Malformed(format!("header length {header_len} exceeds {MAX_HEADER}")));
-        }
-        let mut header_bytes = vec![0u8; header_len as usize];
-        file.read_exact(&mut header_bytes)?;
+        let (header_bytes, segment) = rest.split_at(header_len as usize);
         let header: SessionHeader =
-            serde_json::from_slice(&header_bytes).map_err(|e| SessionError::Malformed(e.to_string()))?;
+            serde_json::from_slice(header_bytes).map_err(|e| SessionError::Malformed(e.to_string()))?;
         if header.version != SESSION_VERSION {
             return Err(SessionError::Malformed(format!(
                 "session format version {}, this build reads version {SESSION_VERSION}",
                 header.version
             )));
         }
-        let mut log_bytes = Vec::new();
-        file.read_to_end(&mut log_bytes)?;
-        if log_bytes.len() as u64 != header.log_bytes {
+        let frames = decode_segment(segment).map_err(SessionError::Log)?.frames;
+        let [records]: [Vec<Record>; 1] = frames.try_into().map_err(|frames: Vec<_>| {
+            SessionError::Malformed(format!("log segment holds {} frames, not one", frames.len()))
+        })?;
+        let log: InputLog = records.into_iter().collect();
+        if log.total_bytes() != header.log_bytes {
             return Err(SessionError::Malformed(format!(
-                "log payload is {} bytes, header says {}",
-                log_bytes.len(),
+                "log is {} bytes, header says {}",
+                log.total_bytes(),
                 header.log_bytes
             )));
         }
-        let log = InputLog::from_bytes(log_bytes.into())
-            .map_err(|e| SessionError::Malformed(format!("log decode: {e}")))?;
         Ok(Session { header, log: Arc::new(log) })
     }
 }
@@ -194,6 +210,24 @@ mod tests {
         p
     }
 
+    /// A short session of `workload`, saved to `path`; returns the file's
+    /// bytes and the offset of its log segment.
+    fn saved_session(path: &Path, workload: Workload, insns: u64) -> (Vec<u8>, usize) {
+        let spec = workload.spec(false);
+        let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 11, insns)).unwrap().run();
+        Session::from_recording(spec, 11, 48, &rec).save(path).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let header_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        (bytes, 16 + header_len)
+    }
+
+    fn replay_verdict(session: Session) -> Option<bool> {
+        let mut r =
+            rnr_replay::Replayer::new(&session.header.spec, session.log, rnr_replay::ReplayConfig::default());
+        r.verify_against(Digest(session.header.final_digest));
+        r.run().unwrap().verified
+    }
+
     #[test]
     fn save_load_round_trip_and_replay() {
         let spec = Workload::Radiosity.spec(false);
@@ -203,16 +237,13 @@ mod tests {
         session.save(&path).unwrap();
 
         let loaded = Session::load(&path).unwrap();
+        assert_eq!(loaded.header.version, 3);
         assert_eq!(loaded.header.retired, rec.retired);
         assert_eq!(loaded.log.records(), rec.log.records());
         assert_eq!(loaded.expected_digest(), rec.final_digest);
 
         // A replay built purely from the file verifies.
-        let mut r =
-            rnr_replay::Replayer::new(&loaded.header.spec, loaded.log, rnr_replay::ReplayConfig::default());
-        r.verify_against(rnr_machine::Digest(loaded.header.final_digest));
-        let out = r.run().unwrap();
-        assert_eq!(out.verified, Some(true));
+        assert_eq!(replay_verdict(loaded), Some(true));
         std::fs::remove_file(path).ok();
     }
 
@@ -230,28 +261,89 @@ mod tests {
         let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 11, 50_000)).unwrap().run();
         let mut session = Session::from_recording(spec, 11, 48, &rec);
         assert_eq!(session.header.version, SESSION_VERSION);
-        session.header.version = 1;
         let path = tmpfile("version");
-        session.save(&path).unwrap();
-        match Session::load(&path) {
-            Err(SessionError::Malformed(m)) => {
-                assert!(m.contains("version 1") && m.contains(&format!("version {SESSION_VERSION}")), "{m}")
+        for old in [1, 2] {
+            session.header.version = old;
+            session.save(&path).unwrap();
+            match Session::load(&path) {
+                Err(SessionError::Malformed(m)) => assert!(
+                    m.contains(&format!("version {old}"))
+                        && m.contains(&format!("version {SESSION_VERSION}")),
+                    "{m}"
+                ),
+                other => panic!("a version-{old} file must be rejected, got {other:?}"),
             }
-            other => panic!("a version-1 file must be rejected, got {other:?}"),
         }
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn truncated_payload_rejected() {
-        let spec = Workload::Radiosity.spec(false);
-        let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 11, 50_000)).unwrap().run();
-        let session = Session::from_recording(spec, 11, 48, &rec);
         let path = tmpfile("trunc");
-        session.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let (bytes, _) = saved_session(&path, Workload::Radiosity, 50_000);
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(matches!(Session::load(&path), Err(SessionError::Malformed(_))));
+        assert!(matches!(Session::load(&path), Err(SessionError::Log(SegmentError::Length { .. }))));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn header_length_beyond_the_file_is_rejected_before_allocating() {
+        let path = tmpfile("header-len");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        bytes.extend_from_slice(b"{}");
+        std::fs::write(&path, &bytes).unwrap();
+        match Session::load(&path) {
+            Err(SessionError::Malformed(m)) => assert!(m.contains("exceeds the 2 bytes left"), "{m}"),
+            other => panic!("a header longer than the file must be malformed, got {other:?}"),
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Bit rot anywhere in a saved log is a load error. Every byte the CRC
+    /// covers fails the checksum; the magic and the length prefix, checked
+    /// before it, fail as a foreign or torn segment.
+    #[test]
+    fn every_log_byte_flip_fails_the_load() {
+        let path = tmpfile("bitrot");
+        let (bytes, segment) = saved_session(&path, Workload::Radiosity, 80_000);
+        assert!(Session::load(&path).is_ok());
+        for at in segment..bytes.len() {
+            let mut rotten = bytes.clone();
+            rotten[at] ^= 0x01;
+            std::fs::write(&path, &rotten).unwrap();
+            let err = Session::load(&path).expect_err("a flipped log byte must not load");
+            match (at - segment, err) {
+                (0..4, SessionError::Log(SegmentError::BadMagic)) => {}
+                (26..30, SessionError::Log(SegmentError::Length { .. })) => {}
+                (_, SessionError::Log(SegmentError::Checksum)) => {}
+                (off, other) => {
+                    panic!("flip at segment byte {off}: expected the checksum error, got {other:?}")
+                }
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Tampering that re-seals the segment passes every load check and is
+    /// caught by replay: one changed `PioIn` value (a disk status read)
+    /// diverges the guest.
+    #[test]
+    fn resealed_tampered_log_replays_unverified() {
+        let path = tmpfile("tamper");
+        let (bytes, at) = saved_session(&path, Workload::Fileio, 100_000);
+        let mut segment = decode_segment(&bytes[at..]).unwrap();
+        let value = segment.frames[0]
+            .iter_mut()
+            .find_map(|r| match r {
+                Record::PioIn { value, .. } => Some(value),
+                _ => None,
+            })
+            .expect("the recording reads a port");
+        *value ^= 0xff;
+        let tampered = [&bytes[..at], &encode_segment(&segment, true)[..]].concat();
+        std::fs::write(&path, tampered).unwrap();
+        assert_eq!(replay_verdict(Session::load(&path).unwrap()), Some(false));
         std::fs::remove_file(path).ok();
     }
 }

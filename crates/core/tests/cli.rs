@@ -1,5 +1,6 @@
 //! End-to-end tests of the `rnr` binary: record a session file, inspect it,
-//! replay it, and refuse a file written in another format version.
+//! replay it, and refuse a file written in another format version or one
+//! whose log has rotted.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -57,20 +58,38 @@ fn replay_refuses_another_format_version() {
     record(p);
 
     // The JSON header follows the 8-byte magic and the 8-byte header length,
-    // and opens with the version field; rewrite it in place as version 1.
+    // and opens with the version field; rewrite it in place as version 2.
     let mut bytes = std::fs::read(&path).unwrap();
     let field = format!("{{\"version\":{SESSION_VERSION},");
     assert!(bytes[16..].starts_with(field.as_bytes()), "header opens with {field}");
     let digit = 16 + field.len() - 2;
-    bytes[digit] = b'1';
+    bytes[digit] = b'2';
     std::fs::write(&path, &bytes).unwrap();
 
     let replay = rnr(&["replay", p]);
     let stderr = text(&replay.stderr);
-    assert!(!replay.status.success(), "a version-1 file must not replay");
+    assert!(!replay.status.success(), "a version-2 file must not replay");
     assert!(
-        stderr.contains("version 1") && stderr.contains(&format!("version {SESSION_VERSION}")),
+        stderr.contains("version 2") && stderr.contains(&format!("version {SESSION_VERSION}")),
         "{stderr}"
     );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn replay_refuses_a_bit_rotted_log() {
+    let path = tmpfile("bitrot");
+    let p = path.to_str().expect("utf-8 temp path");
+    record(p);
+
+    // The log segment ends the file; flip one bit of its last record.
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let replay = rnr(&["replay", p]);
+    let stderr = text(&replay.stderr);
+    assert!(!replay.status.success(), "a rotten log must not replay: {}", text(&replay.stdout));
+    assert!(stderr.contains("checksum"), "{stderr}");
     std::fs::remove_file(path).ok();
 }

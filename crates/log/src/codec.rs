@@ -1,4 +1,5 @@
-//! Compact binary codec for log records.
+//! The record codec: the one encoding of log records on the wire, in the
+//! durable segment store and in session files.
 //!
 //! The paper reports *uncompressed* log generation rates (Figure 6(a):
 //! "We do not compress the data"), so sizes here are exact wire sizes of a
@@ -6,14 +7,13 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rnr_ras::{Mispredict, MispredictKind, ThreadId};
 use rnr_vrt::VrtKind;
 
 use crate::{AlarmInfo, DmaSource, Record, VrtAlarmInfo};
 
-/// Errors from decoding log bytes ([`crate::InputLog::from_bytes`]) or
-/// transport frames ([`crate::decode_frame`]).
+/// Errors from decoding transport frames ([`crate::decode_frame`]) or the
+/// records inside a frame or segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Input ended inside a record.
@@ -59,16 +59,16 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub(crate) const TAG_RDTSC: u8 = 1;
-pub(crate) const TAG_PIO_IN: u8 = 2;
-pub(crate) const TAG_MMIO_READ: u8 = 3;
-pub(crate) const TAG_INTERRUPT: u8 = 4;
-pub(crate) const TAG_DMA: u8 = 5;
-pub(crate) const TAG_EVICT: u8 = 6;
-pub(crate) const TAG_ALARM: u8 = 7;
-pub(crate) const TAG_END: u8 = 8;
-pub(crate) const TAG_JOP_ALARM: u8 = 9;
-pub(crate) const TAG_VRT_ALARM: u8 = 10;
+const TAG_RDTSC: u8 = 1;
+const TAG_PIO_IN: u8 = 2;
+const TAG_MMIO_READ: u8 = 3;
+const TAG_INTERRUPT: u8 = 4;
+const TAG_DMA: u8 = 5;
+const TAG_EVICT: u8 = 6;
+const TAG_ALARM: u8 = 7;
+const TAG_END: u8 = 8;
+const TAG_JOP_ALARM: u8 = 9;
+const TAG_VRT_ALARM: u8 = 10;
 
 /// Exact encoded size of `record` in bytes.
 pub fn encoded_len(record: &Record) -> u64 {
@@ -88,97 +88,111 @@ pub fn encoded_len(record: &Record) -> u64 {
     }
 }
 
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Appends the binary form of `record` to `buf`.
-pub fn encode(record: &Record, buf: &mut BytesMut) {
+pub fn encode(record: &Record, buf: &mut Vec<u8>) {
     match record {
         Record::Rdtsc { value } => {
-            buf.put_u8(TAG_RDTSC);
-            buf.put_u64_le(*value);
+            buf.push(TAG_RDTSC);
+            put_u64(buf, *value);
         }
         Record::PioIn { port, value } => {
-            buf.put_u8(TAG_PIO_IN);
-            buf.put_u16_le(*port);
-            buf.put_u64_le(*value);
+            buf.push(TAG_PIO_IN);
+            buf.extend_from_slice(&port.to_le_bytes());
+            put_u64(buf, *value);
         }
         Record::MmioRead { addr, value } => {
-            buf.put_u8(TAG_MMIO_READ);
-            buf.put_u64_le(*addr);
-            buf.put_u64_le(*value);
+            buf.push(TAG_MMIO_READ);
+            put_u64(buf, *addr);
+            put_u64(buf, *value);
         }
         Record::Interrupt { irq, at_insn } => {
-            buf.put_u8(TAG_INTERRUPT);
-            buf.put_u8(*irq);
-            buf.put_u64_le(*at_insn);
+            buf.push(TAG_INTERRUPT);
+            buf.push(*irq);
+            put_u64(buf, *at_insn);
         }
         Record::Dma { source, addr, data, at_insn } => {
-            buf.put_u8(TAG_DMA);
-            buf.put_u8(match source {
+            buf.push(TAG_DMA);
+            buf.push(match source {
                 DmaSource::Disk => 0,
                 DmaSource::Nic => 1,
             });
-            buf.put_u64_le(*addr);
-            buf.put_u32_le(data.len() as u32);
-            buf.put_slice(data);
-            buf.put_u64_le(*at_insn);
+            put_u64(buf, *addr);
+            buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            buf.extend_from_slice(data);
+            put_u64(buf, *at_insn);
         }
         Record::Evict { tid, addr } => {
-            buf.put_u8(TAG_EVICT);
-            buf.put_u64_le(tid.0);
-            buf.put_u64_le(*addr);
+            buf.push(TAG_EVICT);
+            put_u64(buf, tid.0);
+            put_u64(buf, *addr);
         }
         Record::Alarm(a) => {
-            buf.put_u8(TAG_ALARM);
-            buf.put_u64_le(a.tid.0);
-            buf.put_u64_le(a.mispredict.ret_pc);
-            match a.mispredict.predicted {
-                Some(p) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(p);
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(0);
-                }
-            }
-            buf.put_u64_le(a.mispredict.actual);
-            buf.put_u8(match a.mispredict.kind {
+            buf.push(TAG_ALARM);
+            put_u64(buf, a.tid.0);
+            put_u64(buf, a.mispredict.ret_pc);
+            buf.push(u8::from(a.mispredict.predicted.is_some()));
+            put_u64(buf, a.mispredict.predicted.unwrap_or(0));
+            put_u64(buf, a.mispredict.actual);
+            buf.push(match a.mispredict.kind {
                 MispredictKind::Underflow => 0,
                 MispredictKind::TargetMismatch => 1,
                 MispredictKind::WhitelistViolation => 2,
             });
-            buf.put_u64_le(a.at_insn);
-            buf.put_u64_le(a.at_cycle);
+            put_u64(buf, a.at_insn);
+            put_u64(buf, a.at_cycle);
         }
         Record::End { at_insn, at_cycle } => {
-            buf.put_u8(TAG_END);
-            buf.put_u64_le(*at_insn);
-            buf.put_u64_le(*at_cycle);
+            buf.push(TAG_END);
+            put_u64(buf, *at_insn);
+            put_u64(buf, *at_cycle);
         }
         Record::JopAlarm { tid, branch_pc, target, at_insn, at_cycle } => {
-            buf.put_u8(TAG_JOP_ALARM);
-            buf.put_u64_le(tid.0);
-            buf.put_u64_le(*branch_pc);
-            buf.put_u64_le(*target);
-            buf.put_u64_le(*at_insn);
-            buf.put_u64_le(*at_cycle);
+            buf.push(TAG_JOP_ALARM);
+            put_u64(buf, tid.0);
+            put_u64(buf, *branch_pc);
+            put_u64(buf, *target);
+            put_u64(buf, *at_insn);
+            put_u64(buf, *at_cycle);
         }
         Record::VrtAlarm(a) => {
-            buf.put_u8(TAG_VRT_ALARM);
-            buf.put_u64_le(a.tid.0);
-            buf.put_u8(a.kind.as_u8());
-            buf.put_u64_le(a.addr);
-            buf.put_u64_le(a.at_insn);
-            buf.put_u64_le(a.at_cycle);
+            buf.push(TAG_VRT_ALARM);
+            put_u64(buf, a.tid.0);
+            buf.push(a.kind.as_u8());
+            put_u64(buf, a.addr);
+            put_u64(buf, a.at_insn);
+            put_u64(buf, a.at_cycle);
         }
     }
 }
 
-fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
+/// Splits the next `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    if buf.len() < n {
+        return Err(CodecError::Truncated);
     }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    Ok(take(buf, 1)?[0])
+}
+
+fn get_u16(buf: &mut &[u8]) -> Result<u16, CodecError> {
+    Ok(u16::from_le_bytes(take(buf, 2)?.try_into().expect("2 bytes")))
+}
+
+fn get_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
+    Ok(u32::from_le_bytes(take(buf, 4)?.try_into().expect("4 bytes")))
+}
+
+fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    Ok(u64::from_le_bytes(take(buf, 8)?.try_into().expect("8 bytes")))
 }
 
 /// Decodes one record from the front of `buf`, advancing it.
@@ -186,56 +200,36 @@ fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
 /// # Errors
 ///
 /// Returns a [`CodecError`] on truncated input or unknown discriminants.
-pub fn decode(buf: &mut Bytes) -> Result<Record, CodecError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_RDTSC => {
-            need(buf, 8)?;
-            Record::Rdtsc { value: buf.get_u64_le() }
-        }
-        TAG_PIO_IN => {
-            need(buf, 10)?;
-            Record::PioIn { port: buf.get_u16_le(), value: buf.get_u64_le() }
-        }
-        TAG_MMIO_READ => {
-            need(buf, 16)?;
-            Record::MmioRead { addr: buf.get_u64_le(), value: buf.get_u64_le() }
-        }
-        TAG_INTERRUPT => {
-            need(buf, 9)?;
-            Record::Interrupt { irq: buf.get_u8(), at_insn: buf.get_u64_le() }
-        }
+pub fn decode(buf: &mut &[u8]) -> Result<Record, CodecError> {
+    Ok(match get_u8(buf)? {
+        TAG_RDTSC => Record::Rdtsc { value: get_u64(buf)? },
+        TAG_PIO_IN => Record::PioIn { port: get_u16(buf)?, value: get_u64(buf)? },
+        TAG_MMIO_READ => Record::MmioRead { addr: get_u64(buf)?, value: get_u64(buf)? },
+        TAG_INTERRUPT => Record::Interrupt { irq: get_u8(buf)?, at_insn: get_u64(buf)? },
         TAG_DMA => {
-            need(buf, 13)?;
-            let source = match buf.get_u8() {
+            let source = match get_u8(buf)? {
                 0 => DmaSource::Disk,
                 1 => DmaSource::Nic,
                 v => return Err(CodecError::BadField("dma source", v)),
             };
-            let addr = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            need(buf, len + 8)?;
-            let data = buf.split_to(len).to_vec();
-            Record::Dma { source, addr, data, at_insn: buf.get_u64_le() }
+            let addr = get_u64(buf)?;
+            let len = get_u32(buf)? as usize;
+            let data = take(buf, len)?.to_vec();
+            Record::Dma { source, addr, data, at_insn: get_u64(buf)? }
         }
-        TAG_EVICT => {
-            need(buf, 16)?;
-            Record::Evict { tid: ThreadId(buf.get_u64_le()), addr: buf.get_u64_le() }
-        }
+        TAG_EVICT => Record::Evict { tid: ThreadId(get_u64(buf)?), addr: get_u64(buf)? },
         TAG_ALARM => {
-            need(buf, 8 + 8 + 9 + 8 + 1 + 8 + 8)?;
-            let tid = ThreadId(buf.get_u64_le());
-            let ret_pc = buf.get_u64_le();
-            let has_pred = buf.get_u8();
-            let pred_val = buf.get_u64_le();
+            let tid = ThreadId(get_u64(buf)?);
+            let ret_pc = get_u64(buf)?;
+            let has_pred = get_u8(buf)?;
+            let pred_val = get_u64(buf)?;
             let predicted = match has_pred {
                 0 => None,
                 1 => Some(pred_val),
                 v => return Err(CodecError::BadField("prediction presence", v)),
             };
-            let actual = buf.get_u64_le();
-            let kind = match buf.get_u8() {
+            let actual = get_u64(buf)?;
+            let kind = match get_u8(buf)? {
                 0 => MispredictKind::Underflow,
                 1 => MispredictKind::TargetMismatch,
                 2 => MispredictKind::WhitelistViolation,
@@ -244,35 +238,28 @@ pub fn decode(buf: &mut Bytes) -> Result<Record, CodecError> {
             Record::Alarm(AlarmInfo {
                 tid,
                 mispredict: Mispredict { ret_pc, predicted, actual, kind },
-                at_insn: buf.get_u64_le(),
-                at_cycle: buf.get_u64_le(),
+                at_insn: get_u64(buf)?,
+                at_cycle: get_u64(buf)?,
             })
         }
-        TAG_END => {
-            need(buf, 16)?;
-            Record::End { at_insn: buf.get_u64_le(), at_cycle: buf.get_u64_le() }
-        }
-        TAG_JOP_ALARM => {
-            need(buf, 40)?;
-            Record::JopAlarm {
-                tid: ThreadId(buf.get_u64_le()),
-                branch_pc: buf.get_u64_le(),
-                target: buf.get_u64_le(),
-                at_insn: buf.get_u64_le(),
-                at_cycle: buf.get_u64_le(),
-            }
-        }
+        TAG_END => Record::End { at_insn: get_u64(buf)?, at_cycle: get_u64(buf)? },
+        TAG_JOP_ALARM => Record::JopAlarm {
+            tid: ThreadId(get_u64(buf)?),
+            branch_pc: get_u64(buf)?,
+            target: get_u64(buf)?,
+            at_insn: get_u64(buf)?,
+            at_cycle: get_u64(buf)?,
+        },
         TAG_VRT_ALARM => {
-            need(buf, 33)?;
-            let tid = ThreadId(buf.get_u64_le());
-            let raw_kind = buf.get_u8();
+            let tid = ThreadId(get_u64(buf)?);
+            let raw_kind = get_u8(buf)?;
             let kind = VrtKind::from_u8(raw_kind).ok_or(CodecError::BadField("vrt kind", raw_kind))?;
             Record::VrtAlarm(VrtAlarmInfo {
                 tid,
                 kind,
-                addr: buf.get_u64_le(),
-                at_insn: buf.get_u64_le(),
-                at_cycle: buf.get_u64_le(),
+                addr: get_u64(buf)?,
+                at_insn: get_u64(buf)?,
+                at_cycle: get_u64(buf)?,
             })
         }
         other => return Err(CodecError::BadTag(other)),
@@ -284,13 +271,13 @@ mod tests {
     use super::*;
 
     fn round_trip(r: Record) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode(&r, &mut buf);
         assert_eq!(buf.len() as u64, encoded_len(&r), "encoded_len mismatch for {r:?}");
-        let mut bytes = buf.freeze();
-        let back = decode(&mut bytes).unwrap();
+        let mut rest = &buf[..];
+        let back = decode(&mut rest).unwrap();
         assert_eq!(back, r);
-        assert!(!bytes.has_remaining());
+        assert!(rest.is_empty());
     }
 
     #[test]
@@ -350,21 +337,21 @@ mod tests {
 
     #[test]
     fn truncated_input_errors() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode(&Record::Rdtsc { value: 1 }, &mut buf);
-        let mut short = buf.freeze().slice(0..4);
+        let mut short = &buf[..4];
         assert_eq!(decode(&mut short), Err(CodecError::Truncated));
     }
 
     #[test]
     fn bad_tag_errors() {
-        let mut bytes = Bytes::from_static(&[0xff]);
+        let mut bytes: &[u8] = &[0xff];
         assert_eq!(decode(&mut bytes), Err(CodecError::BadTag(0xff)));
     }
 
     #[test]
     fn empty_input_errors() {
-        let mut bytes = Bytes::new();
+        let mut bytes: &[u8] = &[];
         assert_eq!(decode(&mut bytes), Err(CodecError::Truncated));
     }
 }

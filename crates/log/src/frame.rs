@@ -14,7 +14,7 @@
 //! could mis-parse into a different, still-valid record sequence. Sequence
 //! numbers let the consumer detect drops, duplicates, and reordering.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 use crate::{codec, CodecError, Record};
 
@@ -42,30 +42,37 @@ const fn build_crc_table() -> [u32; 256] {
 
 /// CRC32 (IEEE) of `bytes`. Table-driven, byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
+    !crc32_update(u32::MAX, bytes)
+}
+
+/// CRC32 (IEEE) of the concatenation of `parts`, without concatenating them.
+pub(crate) fn crc32_of(parts: &[&[u8]]) -> u32 {
+    !parts.iter().fold(u32::MAX, |crc, part| crc32_update(crc, part))
+}
+
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xff) as usize];
     }
-    !crc
+    crc
 }
 
 /// Encodes one batch of records as a checksummed frame carrying `seq`.
 pub fn encode_frame(seq: u64, records: &[Record]) -> Bytes {
-    let mut payload = BytesMut::new();
+    // Written once, into a buffer sized from the records' exact
+    // `encoded_len`; the header's length and CRC are filled in last.
+    let payload_len: u64 = records.iter().map(Record::encoded_len).sum();
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload_len as usize);
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame.extend_from_slice(&[0; 8]);
     for r in records {
-        codec::encode(r, &mut payload);
+        codec::encode(r, &mut frame);
     }
-    let mut covered = BytesMut::with_capacity(12 + payload.len());
-    covered.put_u64_le(seq);
-    covered.put_u32_le(payload.len() as u32);
-    covered.put_slice(&payload);
-    let crc = crc32(&covered);
-    let mut frame = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    frame.put_u64_le(seq);
-    frame.put_u32_le(payload.len() as u32);
-    frame.put_u32_le(crc);
-    frame.put_slice(&payload);
-    frame.freeze()
+    let len = (frame.len() - FRAME_HEADER) as u32;
+    frame[8..12].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32_of(&[&frame[..12], &frame[FRAME_HEADER..]]);
+    frame[12..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+    Bytes::from(frame)
 }
 
 /// Decodes and verifies one frame, returning its sequence number and records.
@@ -91,16 +98,12 @@ pub fn decode_frame(frame: &Bytes) -> Result<(u64, Vec<Record>), CodecError> {
     if buf.remaining() < len {
         return Err(CodecError::FrameTruncated { seq });
     }
-    let mut covered = BytesMut::with_capacity(12 + len);
-    covered.put_u64_le(seq);
-    covered.put_u32_le(len as u32);
-    covered.put_slice(&buf[..len]);
-    if crc32(&covered) != crc {
+    if crc32_of(&[&frame[..12], &buf[..len]]) != crc {
         return Err(CodecError::FrameChecksum { seq });
     }
-    let mut payload = buf.slice(0..len);
+    let mut payload = &buf[..len];
     let mut records = Vec::new();
-    while payload.has_remaining() {
+    while !payload.is_empty() {
         records.push(codec::decode(&mut payload)?);
     }
     Ok((seq, records))

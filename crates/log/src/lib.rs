@@ -10,9 +10,14 @@
 //!   (external interrupts, DMA payloads from the disk and NIC), the RAS
 //!   *evict* records of §4.5, the ROP *alarm* markers, and the end-of-log
 //!   marker.
-//! * [`InputLog`] / [`LogWriter`] — an append-only log with exact binary
-//!   size accounting per [`Category`] (regenerates the log-rate data of
-//!   Figure 6(a) and the overhead attribution of Figure 5(b)).
+//! * [`InputLog`] — an append-only log with exact binary size accounting
+//!   per [`Category`] (regenerates the log-rate data of Figure 6(a) and the
+//!   overhead attribution of Figure 5(b)).
+//! * the record codec — one fixed-width, uncompressed binary encoding per
+//!   record (Figure 6(a): "We do not compress the data"), whose exact size
+//!   is [`Record::encoded_len`]. It is the only record encoding: transport
+//!   frames, durable segments and session files all carry it behind a
+//!   CRC32, so one parser reads every log byte that comes from outside.
 //! * [`LogCursor`] — the replayers' read position; checkpoints store a
 //!   cursor as their `InputLogPtr` (Figure 4).
 //! * [`log_channel`] / [`LogSink`] / [`LogStream`] / [`LogSource`] — the
@@ -26,13 +31,12 @@
 //!   against sealed segments, plus replay and AR-supervisor injection
 //!   points) so every failure scenario is reproducible from `(seed, plan)`.
 //! * [`DurableWriter`] / [`DurableStore`] — the durable segmented log
-//!   store: frames sealed into versioned, CRC32-protected, varint/delta-
-//!   compact [`Segment`] files (atomic write-temp + fsync + rename), a
-//!   crash-recovery scan that truncates torn tails and quarantines damaged
-//!   segments, and a disk-first refetch path for the CR's
-//!   rewind-and-refetch recovery.
-//! * a compact binary codec ([`InputLog::to_bytes`] /
-//!   [`InputLog::from_bytes`]) so log sizes are measured, not estimated.
+//!   store: frames sealed into versioned, CRC32-protected [`Segment`] files
+//!   (the record codec plus RLE; atomic write-temp + fsync + rename), a
+//!   crash-recovery scan that truncates torn tails, quarantines damaged
+//!   segments and refuses a store of another format version, and a
+//!   disk-first refetch path for the CR's rewind-and-refetch recovery.
+//!   Session files store their log as one such segment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,8 +61,8 @@ pub use fault::{
 pub use frame::{crc32, decode_frame, encode_frame, FRAME_HEADER};
 pub use record::{AlarmInfo, Category, DmaSource, Record, VrtAlarmInfo};
 pub use segment::{
-    decode_segment, encode_segment, get_varint, put_varint, segment_from_json, segment_to_json, unzigzag,
-    zigzag, Segment, SegmentError, FORMAT_VERSION, SEGMENT_HEADER, SEGMENT_MAGIC,
+    decode_segment, encode_segment, get_varint, put_varint, Segment, SegmentError, FORMAT_VERSION,
+    SEGMENT_HEADER, SEGMENT_MAGIC,
 };
 pub use source::LogSource;
 pub use store::{
@@ -69,4 +73,4 @@ pub use stream::{
     log_channel, log_channel_with, LogSink, LogStream, TransportStats, BACKOFF_BASE_VCYCLES, DEFAULT_BATCH,
     MAX_FRAME_AGE_INSNS, MAX_REFETCH_RETRIES,
 };
-pub use writer::{InputLog, LogWriter};
+pub use writer::InputLog;

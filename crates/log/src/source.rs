@@ -86,16 +86,6 @@ impl LogSource {
             LogSource::Streaming(stream) => stream.transport_stats(),
         }
     }
-
-    /// Records known so far (all of them for a complete source) — does not
-    /// block.
-    pub fn len_so_far(&mut self) -> usize {
-        match self {
-            LogSource::Complete(log) => log.len(),
-            LogSource::Streaming(stream) => stream.received().len(),
-            LogSource::Span { records, base } => *base + records.len(),
-        }
-    }
 }
 
 impl From<Arc<InputLog>> for LogSource {
@@ -129,7 +119,6 @@ mod tests {
         assert_eq!(src.get(0), Some(&Record::Rdtsc { value: 1 }));
         assert!(matches!(src.get(1), Some(Record::End { .. })));
         assert_eq!(src.get(2), None);
-        assert_eq!(src.len_so_far(), 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The durable segmented log store: crash-consistent persistence for the
 //! framed record stream.
 //!
-//! The recorder's retained frame store (PR 3) lives in memory; an always-on
+//! The recorder's retained frame store lives in memory; an always-on
 //! deployment must keep the evidence on disk. [`DurableWriter`] groups
 //! transport frames into [`crate::Segment`]s and seals each one
-//! **atomically**: the compact bytes are written to a `.tmp` sibling,
+//! **atomically**: the segment bytes are written to a `.tmp` sibling,
 //! fsynced, renamed into place, and the directory itself is fsynced — a
 //! crash at any point leaves either the previous state or the complete new
 //! segment, never a half-visible one.
@@ -14,24 +14,23 @@
 //! are removed, a torn tail segment is truncated away, CRC-failed or
 //! structurally damaged segments are **quarantined** (renamed to `*.bad`,
 //! preserving the evidence), and the frame index is rebuilt from whatever
-//! survived — with every gap reported so a higher layer can refetch it.
+//! survived — with every gap reported so a higher layer can refetch it. A
+//! segment written by another format version is not damage: `open` refuses
+//! the store and leaves every file in place.
 //!
 //! [`durable_fetch`] is the live refetch path: when the CR's
 //! rewind-and-refetch ([`crate::LogStream::recover`]) needs a damaged span,
 //! it reads the covering segment straight from disk, quarantining at-rest
-//! damage it discovers on contact, and regenerates the transport frame
-//! byte-identically (frame encoding is deterministic), falling back to the
-//! in-memory retained store only when the disk copy is unusable.
+//! damage it discovers on contact, and falls back to the in-memory retained
+//! store only when the disk copy is unusable.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
-
-use crate::segment::{decode_segment, encode_segment, Segment};
-use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record, DEFAULT_BATCH};
+use crate::segment::{decode_segment, encode_segment, Segment, SegmentError};
+use crate::{splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record, DEFAULT_BATCH};
 
 /// File extension of a sealed segment.
 pub const SEGMENT_EXT: &str = "rnrseg";
@@ -325,11 +324,13 @@ impl DurableStore {
     ///
     /// # Errors
     ///
-    /// Propagates directory-read failures; damage inside segment files is
-    /// never an error — it is healed or quarantined and reported in the
-    /// [`RecoveryScan`].
+    /// Propagates directory-read failures, and refuses
+    /// ([`io::ErrorKind::InvalidData`], naming both versions) a store holding
+    /// a CRC-valid segment of another format version, before touching any
+    /// file. Damage inside segment files is never an error — it is healed or
+    /// quarantined and reported in the [`RecoveryScan`].
     pub fn open(dir: &Path) -> io::Result<DurableStore> {
-        let mut scan = RecoveryScan::default();
+        let mut tmp_files = Vec::new();
         let mut segment_files = Vec::new();
         for entry in fs::read_dir(dir)? {
             let path = entry?.path();
@@ -338,22 +339,38 @@ impl DurableStore {
                 None => continue,
             };
             if name.ends_with(".tmp") {
-                // An interrupted finalization: the rename never happened, so
-                // no reader ever saw this data. Discard it.
-                let _ = fs::remove_file(&path);
-                scan.tmp_removed += 1;
+                tmp_files.push(path);
             } else if name.ends_with(&format!(".{SEGMENT_EXT}")) {
                 segment_files.push((name, path));
             }
         }
         segment_files.sort();
 
+        // Decode everything before changing anything: a store written by
+        // another build must be refused whole, not healed into nothing.
+        let mut decoded = Vec::with_capacity(segment_files.len());
+        for (name, path) in &segment_files {
+            decoded.push(match fs::read(path) {
+                Ok(bytes) => match decode_segment(&bytes) {
+                    Err(e @ SegmentError::Version(_)) => {
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {e}")));
+                    }
+                    other => other.map_err(|e| e.to_string()),
+                },
+                Err(e) => Err(e.to_string()),
+            });
+        }
+
+        let mut scan = RecoveryScan::default();
+        for path in tmp_files {
+            // An interrupted finalization: the rename never happened, so
+            // no reader ever saw this data. Discard it.
+            let _ = fs::remove_file(&path);
+            scan.tmp_removed += 1;
+        }
         let mut frames = BTreeMap::new();
         let last = segment_files.len().saturating_sub(1);
-        for (i, (name, path)) in segment_files.iter().enumerate() {
-            let decoded = fs::read(path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| decode_segment(&bytes).map_err(|e| e.to_string()));
+        for (i, ((name, path), decoded)) in segment_files.iter().zip(decoded).enumerate() {
             match decoded {
                 Ok(segment) => {
                     scan.segments_ok += 1;
@@ -364,12 +381,11 @@ impl DurableStore {
                         frames.entry(seq).or_insert(frame);
                     }
                 }
-                Err(reason) if i == last => {
+                Err(_) if i == last => {
                     // A damaged *tail* is the signature of a torn final
                     // write: truncate it away — nothing after it exists.
                     let _ = fs::remove_file(path);
                     scan.torn_tails_truncated += 1;
-                    let _ = reason;
                 }
                 Err(reason) => {
                     // Mid-store damage (bit rot, short read): quarantine the
@@ -381,18 +397,15 @@ impl DurableStore {
         }
 
         // Rebuild the gap map: everything between 0 and the highest
-        // surviving frame that is not indexed must be refetched.
-        let mut gap_start = None;
-        let max = frames.keys().next_back().copied().map_or(0, |m| m + 1);
-        for seq in 0..max {
-            match (frames.contains_key(&seq), gap_start) {
-                (false, None) => gap_start = Some(seq),
-                (true, Some(start)) => {
-                    scan.missing_spans.push((start, seq));
-                    gap_start = None;
-                }
-                _ => {}
+        // surviving frame that is not indexed must be refetched. Walk the
+        // index, not the sequence range: a segment's `first_seq` comes from
+        // disk and may be huge.
+        let mut next = 0;
+        for &seq in frames.keys() {
+            if seq > next {
+                scan.missing_spans.push((next, seq));
             }
+            next = seq + 1;
         }
         Ok(DurableStore { frames, scan })
     }
@@ -405,14 +418,6 @@ impl DurableStore {
     /// The records of frame `seq`, if it survived.
     pub fn frame(&self, seq: u64) -> Option<&[Record]> {
         self.frames.get(&seq).map(Vec::as_slice)
-    }
-
-    /// Frame `seq` re-encoded as a transport frame — byte-identical to what
-    /// the sink originally sent (frame encoding is deterministic), so the
-    /// refetch path can treat disk and the in-memory retained store
-    /// interchangeably.
-    pub fn frame_bytes(&self, seq: u64) -> Option<Bytes> {
-        self.frames.get(&seq).map(|records| encode_frame(seq, records))
     }
 
     /// Number of frames indexed.
@@ -453,8 +458,10 @@ fn quarantine_path(path: &Path) -> PathBuf {
 
 /// The live refetch path: reads the segment covering `seq` straight from
 /// `dir` and returns its records, or `None` when no usable on-disk copy
-/// exists (not yet sealed, missing, or damaged). Damaged segments found on
-/// contact are quarantined immediately — the store self-heals as it is read.
+/// exists (not yet sealed, missing, damaged, or of another format version).
+/// Damaged segments found on contact are quarantined immediately — the
+/// store self-heals as it is read — while another version's segments are
+/// skipped and left in place.
 pub fn durable_fetch(dir: &Path, seq: u64) -> Option<Vec<Record>> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir)
         .ok()?
@@ -473,6 +480,7 @@ pub fn durable_fetch(dir: &Path, seq: u64) -> Option<Vec<Record>> {
                     return Some(segment.frames.into_iter().nth(idx).expect("covers() checked index"));
                 }
             }
+            Err(SegmentError::Version(_)) => {}
             Err(_) => {
                 let _ = fs::rename(&path, quarantine_path(&path));
             }
@@ -484,7 +492,7 @@ pub fn durable_fetch(dir: &Path, seq: u64) -> Option<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_frame, DiskFault};
+    use crate::DiskFault;
 
     /// Unique per-test scratch dir, removed on drop (success or panic) so
     /// `cargo test` leaves no strays behind.
@@ -530,9 +538,6 @@ mod tests {
         assert_eq!(store.frame_count(), 5);
         for seq in 0..5u64 {
             assert_eq!(store.frame(seq).unwrap(), &records(3, seq * 100)[..]);
-            // The regenerated transport frame decodes back identically.
-            let bytes = store.frame_bytes(seq).unwrap();
-            assert_eq!(decode_frame(&bytes).unwrap(), (seq, records(3, seq * 100)));
         }
         assert_eq!(store.scan().missing_spans, Vec::new());
     }
@@ -632,6 +637,18 @@ mod tests {
         assert!(fs::read_dir(&tmp.0)
             .unwrap()
             .all(|e| { !e.unwrap().file_name().to_string_lossy().ends_with(".tmp") }));
+    }
+
+    #[test]
+    fn far_sequence_numbers_open_without_walking_the_gap() {
+        // A CRC-valid segment may claim any `first_seq`; the scan reports
+        // the gap below it instead of stepping through 2^62 numbers.
+        let tmp = TempDir::new("far-seq");
+        let far = Segment { first_seq: 1 << 62, frames: vec![records(1, 0)] };
+        fs::write(tmp.0.join(segment_file_name(0)), encode_segment(&far, true)).unwrap();
+        let store = DurableStore::open(&tmp.0).unwrap();
+        assert_eq!(store.frame(1 << 62).unwrap(), &records(1, 0)[..]);
+        assert_eq!(store.scan().missing_spans, vec![(0, 1 << 62)]);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! The append-only input log and its writer.
+//! The append-only input log.
 
 use std::collections::HashMap;
 
-use bytes::{Bytes, BytesMut};
-
-use crate::{codec, Category, CodecError, LogCursor, Record};
+use crate::{Category, LogCursor, Record};
 
 /// A complete (or growing) input log.
 ///
@@ -62,28 +60,6 @@ impl InputLog {
         LogCursor::new(0)
     }
 
-    /// Serializes the whole log to its binary form.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.total_bytes as usize);
-        for r in &self.records {
-            codec::encode(r, &mut buf);
-        }
-        buf.freeze()
-    }
-
-    /// Parses a log from its binary form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CodecError`] on malformed input.
-    pub fn from_bytes(mut bytes: Bytes) -> Result<InputLog, CodecError> {
-        let mut log = InputLog::new();
-        while !bytes.is_empty() {
-            log.push(codec::decode(&mut bytes)?);
-        }
-        Ok(log)
-    }
-
     /// The alarms contained in the log, with their record indices.
     pub fn alarms(&self) -> impl Iterator<Item = (usize, &crate::AlarmInfo)> {
         self.records.iter().enumerate().filter_map(|(i, r)| match r {
@@ -119,38 +95,6 @@ impl Extend<Record> for InputLog {
     }
 }
 
-/// Write-side handle used by the recording hypervisor.
-///
-/// Currently a thin wrapper over [`InputLog`]; it exists so the recorder's
-/// dependency is explicit and so write-side policies (flush thresholds,
-/// back-pressure as discussed in §8.3.1) have a home.
-#[derive(Debug, Default)]
-pub struct LogWriter {
-    log: InputLog,
-}
-
-impl LogWriter {
-    /// A writer with an empty log.
-    pub fn new() -> LogWriter {
-        LogWriter::default()
-    }
-
-    /// Appends a record.
-    pub fn push(&mut self, record: Record) {
-        self.log.push(record);
-    }
-
-    /// Read access to the log written so far.
-    pub fn log(&self) -> &InputLog {
-        &self.log
-    }
-
-    /// Finishes writing and returns the log.
-    pub fn into_log(self) -> InputLog {
-        self.log
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,9 +118,9 @@ mod tests {
         log.push(Record::Dma { source: DmaSource::Nic, addr: 16, data: vec![9; 100], at_insn: 5 });
         log.push(Record::Interrupt { irq: 2, at_insn: 6 });
         log.push(Record::End { at_insn: 7, at_cycle: 8 });
-        let bytes = log.to_bytes();
-        assert_eq!(bytes.len() as u64, log.total_bytes());
-        let back = InputLog::from_bytes(bytes).unwrap();
+        let frame = crate::encode_frame(0, log.records());
+        assert_eq!((frame.len() - crate::FRAME_HEADER) as u64, log.total_bytes());
+        let back: InputLog = crate::decode_frame(&frame).unwrap().1.into_iter().collect();
         assert_eq!(back.records(), log.records());
         assert_eq!(back.total_bytes(), log.total_bytes());
         assert_eq!(back.bytes_for(Category::Network), log.bytes_for(Category::Network));
@@ -211,14 +155,5 @@ mod tests {
         let log: InputLog =
             vec![Record::Rdtsc { value: 1 }, Record::Rdtsc { value: 2 }].into_iter().collect();
         assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn writer_into_log() {
-        let mut w = LogWriter::new();
-        w.push(Record::Rdtsc { value: 7 });
-        assert_eq!(w.log().len(), 1);
-        let log = w.into_log();
-        assert_eq!(log.records()[0], Record::Rdtsc { value: 7 });
     }
 }

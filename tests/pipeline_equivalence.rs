@@ -25,8 +25,8 @@ fn streamed_log_is_byte_identical() {
     let streamed = recorder.run();
     let side_channel = consumer.join().unwrap();
 
-    assert_eq!(plain.log.to_bytes(), streamed.log.to_bytes());
-    assert_eq!(side_channel.to_bytes(), streamed.log.to_bytes());
+    assert_eq!(plain.log.records(), streamed.log.records());
+    assert_eq!(side_channel.records(), streamed.log.records());
     assert_eq!(plain.final_digest, streamed.final_digest);
 }
 
