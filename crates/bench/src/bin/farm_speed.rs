@@ -36,7 +36,7 @@ fn fleet_sessions() -> Vec<SessionSpec> {
         SessionSpec::new(name, workload.spec(false), config)
     };
     vec![
-        SessionSpec::new("attack", attack_spec(), attack_session_config(0, FaultPlan::default())),
+        SessionSpec::new("attack", attack_spec(), attack_session_config(FaultPlan::default())),
         quiet("mysql", Workload::Mysql, 600_000),
         quiet("make", Workload::Make, 500_000),
         quiet("jit", Workload::Jit, 400_000),

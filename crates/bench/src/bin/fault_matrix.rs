@@ -15,9 +15,14 @@
 //! Exits nonzero on any violation. Wired into `scripts/check.sh`.
 //!
 //! With `--parallel`, the whole matrix reruns with checkpoint-partitioned
-//! span replay active (`parallel_spans = 2`): every scenario must heal to a
-//! report byte-identical to a *clean run of the same configuration* — which
-//! is itself byte-identical to the serial report.
+//! span replay of the finished recording (`streaming: false`,
+//! `parallel_spans = 2`; a streaming pipeline's CR is always serial). Every
+//! replay and AR scenario must heal under spans to a report byte-identical
+//! to a *clean run of the same configuration* — which is itself
+//! byte-identical to the serial report. A plan that needs the wire
+//! (`FaultPlan::wants_transport_injection`: the transport, durable and
+//! unrecoverable scenarios) has nothing to act on there, so, as in the
+//! `--farm` matrix, its run must be clean and byte-identical.
 //!
 //! A final pair of sections reruns the two adversarial guests: the
 //! self-modifying JIT workload — the superblock trace engine's hardest
@@ -53,8 +58,33 @@ use rnr_workloads::Workload;
 /// The attack pipeline under one fault plan — same workload and knobs as
 /// the pipeline equivalence tests, so the fault-free reference exercises
 /// alarms, escalation, and a confirmed ROP verdict.
-fn run_with(plan: FaultPlan, parallel_spans: usize) -> Result<PipelineReport, PipelineError> {
-    Pipeline::new(attack_spec(), attack_session_config(parallel_spans, plan)).run()
+fn run_with(plan: FaultPlan, parallel: bool) -> Result<PipelineReport, PipelineError> {
+    Pipeline::new(attack_spec(), with_spans(attack_session_config(plan), parallel)).run()
+}
+
+/// `cfg` as the `--parallel` matrix runs it: recorded to completion, then
+/// verified by span replay on two workers. Unchanged otherwise.
+fn with_spans(cfg: PipelineConfig, parallel: bool) -> PipelineConfig {
+    if parallel {
+        PipelineConfig { streaming: false, parallel_spans: 2, ..cfg }
+    } else {
+        cfg
+    }
+}
+
+/// Checks a `--parallel` run whose plan needs the wire: span replay reads
+/// the finished recording, so the plan must leave the report byte-identical
+/// to `reference_json` and the recovery block quiet. Returns the failure
+/// count (0 or 1).
+fn check_inert(name: &str, report: &PipelineReport, reference_json: &str) -> u32 {
+    let (identical, quiet) = (report.to_json() == reference_json, !report.recovery.any());
+    if identical && quiet {
+        println!("ok   {name}: inert (span replay reads the finished recording; no wire)");
+        0
+    } else {
+        println!("FAIL {name}: wire plan under span replay: identical={identical} quiet={quiet}");
+        1
+    }
 }
 
 fn main() {
@@ -70,11 +100,15 @@ fn main() {
         println!("fault matrix (farm) passed");
         return;
     }
-    let parallel_spans = if std::env::args().any(|a| a == "--parallel") { 2 } else { 0 };
-    let run_with = |plan| run_with(plan, parallel_spans);
+    let parallel = std::env::args().any(|a| a == "--parallel");
+    let run_with = |plan| run_with(plan, parallel);
     println!(
         "fault matrix: {}",
-        if parallel_spans > 0 { "parallel span replay (2 workers)" } else { "serial replay" }
+        if parallel {
+            "span replay of the finished recording (2 workers)"
+        } else {
+            "serial streaming replay"
+        }
     );
     let mut failures = 0u32;
 
@@ -97,6 +131,7 @@ fn main() {
     }
 
     for (name, plan) in fault_scenarios(SEED) {
+        let needs_wire = parallel && plan.wants_transport_injection();
         match catch_unwind(AssertUnwindSafe(|| run_with(plan))) {
             Err(_) => {
                 println!("FAIL {name}: panicked (recoverable scenarios must heal)");
@@ -106,6 +141,7 @@ fn main() {
                 println!("FAIL {name}: pipeline error: {e}");
                 failures += 1;
             }
+            Ok(Ok(report)) if needs_wire => failures += check_inert(name, &report, &reference_json),
             Ok(Ok(report)) => {
                 let mut bad = Vec::new();
                 if report.to_json() != reference_json {
@@ -145,11 +181,12 @@ fn main() {
             println!("FAIL {name}: panicked (must fail with a structured error)");
             failures += 1;
         }
+        Ok(Ok(report)) if parallel => failures += check_inert(name, &report, &reference_json),
         Ok(Ok(_)) => {
             println!("FAIL {name}: unexpectedly succeeded");
             failures += 1;
         }
-        Ok(Err(PipelineError::Replay(ReplayError::Unrecoverable { fault, trail }))) => {
+        Ok(Err(PipelineError::Replay(ReplayError::Unrecoverable { fault, trail }))) if !parallel => {
             println!("ok   {name}: unrecoverable after {} rewind(s): {fault}", trail.len());
         }
         Ok(Err(e)) => {
@@ -158,9 +195,9 @@ fn main() {
         }
     }
 
-    failures += durable_section(parallel_spans, &reference_json);
-    failures += jit_section(parallel_spans);
-    failures += vrt_section(parallel_spans);
+    failures += durable_section(parallel, &reference_json);
+    failures += jit_section(parallel);
+    failures += vrt_section(parallel);
 
     if failures > 0 {
         eprintln!("fault matrix FAILED: {failures} scenario(s)");
@@ -177,19 +214,26 @@ fn main() {
 /// segment, short read, failed fsync — each paired with a dropped transport
 /// frame that forces a refetch) must heal back to the very same report,
 /// falling back to the in-memory retained store when the disk copy is
-/// damaged. Each scenario uses its own temp dir, removed on success.
-fn durable_section(parallel_spans: usize, reference_json: &str) -> u32 {
+/// damaged. Under `--parallel` no refetch happens (span replay reads the
+/// finished recording), so every disk scenario must be inert. Each scenario
+/// uses its own temp dir, removed on success.
+fn durable_section(parallel: bool, reference_json: &str) -> u32 {
     let mut failures = 0u32;
     let run_durable = |tag: &str, plan: FaultPlan| {
-        let dir = std::env::temp_dir()
-            .join(format!("rnr-fault-matrix-{tag}-p{parallel_spans}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "rnr-fault-matrix-{tag}-p{}-{}",
+            u8::from(parallel),
+            std::process::id()
+        ));
         let mut durable = DurableLogConfig::new(dir.clone());
         // One frame per segment: segment indices equal frame sequence
         // numbers, so the plan's `DiskFault { segment: 2 }` damages exactly
         // the frame the transport drops.
         durable.frames_per_segment = 1;
-        let cfg =
-            PipelineConfig { durable_log: Some(durable), ..attack_session_config(parallel_spans, plan) };
+        let cfg = PipelineConfig {
+            durable_log: Some(durable),
+            ..with_spans(attack_session_config(plan), parallel)
+        };
         let result = Pipeline::new(attack_spec(), cfg).run();
         (dir, result)
     };
@@ -224,6 +268,13 @@ fn durable_section(parallel_spans: usize, reference_json: &str) -> u32 {
             Ok((_dir, Err(e))) => {
                 println!("FAIL {name}: pipeline error: {e}");
                 failures += 1;
+            }
+            Ok((dir, Ok(report))) if parallel => {
+                let failed = check_inert(name, &report, reference_json);
+                if failed == 0 {
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+                failures += failed;
             }
             Ok((dir, Ok(report))) => {
                 let t = &report.recovery.transport;
@@ -272,7 +323,7 @@ fn durable_section(parallel_spans: usize, reference_json: &str) -> u32 {
 fn farm_matrix() -> u32 {
     let mut failures = 0u32;
     let attack_reference =
-        run_with(FaultPlan::default(), 0).expect("serial clean attack pipeline completes").to_json();
+        run_with(FaultPlan::default(), false).expect("serial clean attack pipeline completes").to_json();
     let quiet_cfg = PipelineConfig { duration_insns: 300_000, ..PipelineConfig::default() };
     let quiet_reference = Pipeline::new(Workload::Make.spec(false), quiet_cfg.clone())
         .run()
@@ -280,7 +331,7 @@ fn farm_matrix() -> u32 {
         .to_json();
     let fleet = |plan: FaultPlan| {
         vec![
-            SessionSpec::new("attack", attack_spec(), attack_session_config(0, plan)),
+            SessionSpec::new("attack", attack_spec(), attack_session_config(plan)),
             SessionSpec::new("quiet", Workload::Make.spec(false), quiet_cfg.clone()),
         ]
     };
@@ -404,17 +455,16 @@ fn farm_matrix() -> u32 {
 /// be invisible in the report (on vs off byte-identical), actually engage
 /// (trace dispatches observed despite the code churn), and heal a corrupted
 /// transport batch back to the clean report.
-fn jit_section(parallel_spans: usize) -> u32 {
+fn jit_section(parallel: bool) -> u32 {
     let run = |superblocks: bool, plan: FaultPlan| {
         let cfg = PipelineConfig {
             duration_insns: 400_000,
             checkpoint_interval_secs: Some(0.125),
-            parallel_spans,
             superblocks,
             fault_plan: plan,
             ..PipelineConfig::default()
         };
-        Pipeline::new(Workload::Jit.spec(false), cfg).run()
+        Pipeline::new(Workload::Jit.spec(false), with_spans(cfg, parallel)).run()
     };
     let traced = match run(true, FaultPlan::default()) {
         Ok(r) => r,
@@ -456,6 +506,7 @@ fn jit_section(parallel_spans: usize) -> u32 {
         ..FaultPlan::default()
     };
     match run(true, corrupt) {
+        Ok(healed) if parallel => failures += check_inert("jit-corrupt-batch", &healed, &traced.to_json()),
         Ok(healed) if healed.to_json() == traced.to_json() && healed.recovery.any() => {
             println!(
                 "ok   jit: {} trace hit(s), superblocks report-invisible, corrupt batch healed \
@@ -484,20 +535,19 @@ fn jit_section(parallel_spans: usize) -> u32 {
 /// negatives and dismiss the churn workload's false positives, stay
 /// byte-identical with superblocks off, and heal a corrupted transport
 /// batch back to the clean report — conviction included.
-fn vrt_section(parallel_spans: usize) -> u32 {
+fn vrt_section(parallel: bool) -> u32 {
     use rnr_safe::VerdictSummary;
     let run = |superblocks: bool, plan: FaultPlan| {
         let (spec, _attack) = rnr_attacks::mount_heap_overflow(&rnr_workloads::WorkloadParams::default(), 40);
         let cfg = PipelineConfig {
             duration_insns: 600_000,
             checkpoint_interval_secs: Some(0.125),
-            parallel_spans,
             superblocks,
             vrt: Some(rnr_safe::vrt::VrtParams::default()),
             fault_plan: plan,
             ..PipelineConfig::default()
         };
-        Pipeline::new(spec, cfg).run()
+        Pipeline::new(spec, with_spans(cfg, parallel)).run()
     };
     let clean = match run(true, FaultPlan::default()) {
         Ok(r) => r,
@@ -552,6 +602,7 @@ fn vrt_section(parallel_spans: usize) -> u32 {
         ..FaultPlan::default()
     };
     match run(true, corrupt) {
+        Ok(healed) if parallel => failures += check_inert("vrt-corrupt-batch", &healed, &clean.to_json()),
         Ok(healed) if healed.to_json() == clean.to_json() && healed.recovery.any() => {
             println!(
                 "ok   vrt: {convicted} heap-overflow conviction(s), {dismissed} FP(s) dismissed, \

@@ -16,13 +16,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rnr_bench::{
-    assert_reports_identical, auto_spans, cores, emit, ms, run_insns, set_json_key, take_json_key, Estimator,
-    Table, BENCH_PIPELINE_PATH, SEED,
+    assert_reports_identical, cores, emit, ms, run_insns, set_json_key, take_json_key, Estimator, Table,
+    BENCH_PIPELINE_PATH, SEED,
 };
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{
-    checkpoint_groups, replay_spans, AlarmReplayer, ReplayConfig, Replayer, SpanFeed, VIRTUAL_HZ,
-};
+use rnr_replay::{checkpoint_groups, replay_spans, AlarmReplayer, ReplayConfig, Replayer, VIRTUAL_HZ};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::WorkloadParams;
 
@@ -71,8 +69,8 @@ struct LogDensity {
 }
 
 /// Measures [`LogDensity`] on the frames the optimized attack pipeline
-/// really cuts (full batch, span seed, frame age): it records with a
-/// durable store attached, and both forms are read back from that store.
+/// really cuts (full batch, frame age): it records with a durable store
+/// attached, and both forms are read back from that store.
 fn log_density(insns: u64) -> LogDensity {
     use rnr_log::{encode_frame, DurableLogConfig, DurableStore, SEGMENT_EXT};
     let (spec, _plan) =
@@ -110,15 +108,21 @@ fn log_density(insns: u64) -> LogDensity {
     }
 }
 
+/// Span-worker counts of the CR sweep (`0` = the serial engine).
+const CR_SWEEP: [usize; 5] = [0, 1, 2, 4, 8];
+
 /// The host the numbers were measured on: core count and the thread-pool
-/// sizes derived from it. Wall-clock figures are meaningless without this
-/// context — a single-core runner and an 8-core workstation produce wildly
-/// different (but equally deterministic) reports.
+/// sizes the measurements use. Wall-clock figures are meaningless without
+/// this context — a single-core runner and an 8-core workstation produce
+/// wildly different (but equally deterministic) reports.
 #[derive(Debug, serde::Serialize)]
 struct HostContext {
     cores: usize,
     ar_workers: usize,
-    cr_span_workers: usize,
+    /// The span-worker counts `cr_parallel` sweeps. The attack comparison
+    /// uses no span workers: its optimized pipeline streams, so its CR is
+    /// serial, and its baseline replays serially.
+    cr_span_workers: Vec<usize>,
 }
 
 #[derive(Debug, serde::Serialize)]
@@ -227,7 +231,6 @@ fn attack_configs() -> (PipelineConfig, PipelineConfig) {
     let optimized = PipelineConfig {
         duration_insns: 5_000_000,
         checkpoint_interval_secs: Some(0.05),
-        parallel_spans: auto_spans(cores()),
         ..PipelineConfig::default()
     };
     let baseline = PipelineConfig {
@@ -236,7 +239,6 @@ fn attack_configs() -> (PipelineConfig, PipelineConfig) {
         block_engine: false,
         parallel_alarm_replay: false,
         ar_workers: 1,
-        parallel_spans: 0,
         ..optimized.clone()
     };
     (baseline, optimized)
@@ -331,8 +333,7 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
                 (out.cycles, out.checkpoints_taken)
             } else {
                 let pcfg = ReplayConfig { parallel_spans: workers, ..cfg.clone() };
-                let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-                let out = replay_spans(&spec, feed, &pcfg, Some(rec.final_digest))
+                let out = replay_spans(&spec, &rec.log, &rec.span_seeds, &pcfg, Some(rec.final_digest))
                     .expect("parallel CR replays")
                     .outcome;
                 assert_eq!(out.verified, Some(true), "{workers}-worker digest mismatch");
@@ -443,7 +444,7 @@ fn main() {
     // band silently tightens.
     let (attack, block_cache) = attack_comparison(Estimator::Median(11));
 
-    let cr_parallel = cr_sweep(&[0, 1, 2, 4, 8], Estimator::Best(3));
+    let cr_parallel = cr_sweep(&CR_SWEEP, Estimator::Best(3));
     let mut t = Table::new(&["span workers", "CR ms", "vs serial"]);
     for row in &cr_parallel {
         t.row(vec![
@@ -505,7 +506,7 @@ fn main() {
     ]);
     emit("Input-log density: framed vs durable segment store", &t);
 
-    let host = HostContext { cores: cores(), ar_workers: cores(), cr_span_workers: auto_spans(cores()) };
+    let host = HostContext { cores: cores(), ar_workers: cores(), cr_span_workers: CR_SWEEP.to_vec() };
     let doc = Doc {
         insns_per_workload: insns,
         host,

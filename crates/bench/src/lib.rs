@@ -180,17 +180,6 @@ pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// CR span workers the optimized configurations use on this host: one per
-/// core up to 8; serial on a single core, where worker threads only add
-/// scheduling overhead.
-pub fn auto_spans(cores: usize) -> usize {
-    if cores >= 2 {
-        cores.min(8)
-    } else {
-        0
-    }
-}
-
 /// Milliseconds elapsed since `t`.
 pub fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
@@ -264,11 +253,10 @@ pub fn attack_spec() -> VmSpec {
 /// harness, and the equivalence tests: 900k instructions at the RepChk0.125
 /// interval — long enough to exercise alarms, escalation, and a confirmed
 /// ROP verdict.
-pub fn attack_session_config(parallel_spans: usize, plan: FaultPlan) -> PipelineConfig {
+pub fn attack_session_config(plan: FaultPlan) -> PipelineConfig {
     PipelineConfig {
         duration_insns: 900_000,
         checkpoint_interval_secs: Some(0.125),
-        parallel_spans,
         fault_plan: plan,
         ..PipelineConfig::default()
     }
@@ -377,12 +365,5 @@ mod tests {
     #[should_panic(expected = "first differing line 2")]
     fn differing_reports_point_at_the_line() {
         assert_reports_identical("t", "{\n1\n}", "{\n2\n}");
-    }
-
-    #[test]
-    fn auto_spans_serial_on_one_core() {
-        assert_eq!(auto_spans(1), 0);
-        assert_eq!(auto_spans(4), 4);
-        assert_eq!(auto_spans(32), 8);
     }
 }

@@ -16,7 +16,8 @@
 //! * The **checkpointing replayer** (`rnr-replay`) re-executes the log
 //!   deterministically (verified bit-exact), takes incremental
 //!   copy-on-write checkpoints, and discards underflow alarms that match
-//!   evict records — serially, or partitioned across checkpoint spans
+//!   evict records — serially while it trails a streaming recording, or,
+//!   over a finished recording, partitioned across checkpoint spans
 //!   (`parallel_spans`), with the same byte-identical report either way.
 //! * Each surviving alarm is handed to an **alarm replayer**, which traps
 //!   every call/return, models an unbounded software RAS (or replays the

@@ -14,7 +14,7 @@ use rnr_machine::{BlockStats, CostModel};
 use rnr_ras::RasConfig;
 use rnr_replay::{
     checkpoint_groups, pool, replay_spans, AlarmCase, AlarmReplayer, ArPass, ReplayConfig, ReplayError,
-    ReplayOutcome, Replayer, SpanFeed, Verdict, VIRTUAL_HZ,
+    ReplayOutcome, Replayer, Verdict, VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -49,8 +49,12 @@ pub struct PipelineConfig {
     pub ar_workers: usize,
     /// Run the CR concurrently with the recorder, consuming the input log
     /// as a live stream (the paper's deployment: recording and replay
-    /// proceed in parallel on separate machines, §4). `false` records to
-    /// completion first — the result is identical either way.
+    /// proceed in parallel on separate machines, §4). The streaming CR is
+    /// serial whatever `parallel_spans` says: it trails the recording at
+    /// about recording speed, so span workers could only win back the few
+    /// ms it ends after the recording, and measured slower end to end
+    /// (DESIGN.md §11). `false` records to completion first — the result is
+    /// identical either way.
     pub streaming: bool,
     /// Use the predecoded instruction cache in the recorder and all
     /// replayers (wall-clock optimization; virtual cycles, digests, and
@@ -64,10 +68,12 @@ pub struct PipelineConfig {
     /// replayers (wall-clock optimization; virtual cycles, digests, and
     /// verdicts are identical either way). Requires `block_engine`.
     pub superblocks: bool,
-    /// Partition verification replay across this many span workers along
-    /// the recorder's seed stream (DESIGN.md §11). `0` replays serially.
-    /// Wall-clock only: the report, logs, virtual cycles, digests, and
-    /// recovery accounting are byte-identical for every worker count.
+    /// Partition verification replay of the finished recording across this
+    /// many span workers along the recorder's span seeds (DESIGN.md §11).
+    /// Applies only with `streaming` off, the one mode in which the pipeline
+    /// arms seed capture; `0` replays serially. Wall-clock only: the report,
+    /// logs, virtual cycles and digests are byte-identical for every worker
+    /// count.
     pub parallel_spans: usize,
     /// Deterministic fault injections (transport damage, injected
     /// divergences, AR panics/kills). Empty by default; with an empty plan
@@ -408,7 +414,8 @@ impl Pipeline {
     /// failed final-state verification.
     pub fn run(&self) -> Result<PipelineReport, PipelineError> {
         let cfg = &self.config;
-        let rc = record_config(cfg, (cfg.parallel_spans > 0).then(|| span_seed_cadence(cfg)));
+        let spans = !cfg.streaming && cfg.parallel_spans > 0;
+        let rc = record_config(cfg, spans.then(|| span_seed_cadence(cfg)));
         let replay_cfg = replay_config(cfg);
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
@@ -469,14 +476,15 @@ impl Pipeline {
     /// Phases 1 + 2: the monitored recording and the checkpointing replay.
     ///
     /// Streaming, the recorder publishes each record to a live stream as it
-    /// is logged and the CR consumes the stream on this thread, trailing the
-    /// recording (§4: recording and replay proceed in parallel); otherwise
-    /// the CR replays the finished log. Either way the CR is serial or span-
-    /// parallel per `parallel_spans`, and its final digest is checked
-    /// against the recording's once both are done. A recorder panic takes
-    /// precedence over a guest fault, and both over whatever truncated-log
-    /// error they induced in the CR. Returns the recording, the CR outcome,
-    /// and the CR phase's block-cache counters (summed across span workers).
+    /// is logged and the serial CR consumes the stream on this thread,
+    /// trailing the recording (§4: recording and replay proceed in
+    /// parallel); otherwise the CR replays the finished log, span-parallel
+    /// when `parallel_spans` asks for workers. Either way its final digest is
+    /// checked against the recording's once both are done. A recorder panic
+    /// takes precedence over a guest fault, and both over whatever
+    /// truncated-log error they induced in the CR. Returns the recording, the
+    /// CR outcome, and the CR phase's block-cache counters (summed across
+    /// span workers).
     fn record_and_replay(
         &self,
         rc: RecordConfig,
@@ -487,23 +495,20 @@ impl Pipeline {
         let (rec, cr_result) = if cfg.streaming {
             let (sink, stream) = log_channel_with(DEFAULT_BATCH, &cfg.fault_plan);
             recorder.stream_to(sink);
-            let (seed_tx, seed_rx) = std::sync::mpsc::channel();
-            if replay_cfg.parallel_spans > 0 {
-                // Span workers launch as soon as both sides of a boundary
-                // have been observed.
-                recorder.seed_to(seed_tx);
-            }
-            let feed = SpanFeed::Streaming { stream: Box::new(stream), seed_rx };
             let (rec, cr_result) = std::thread::scope(|scope| {
                 let handle = scope.spawn(move || run_recorder(recorder));
-                let cr_result = replay_cr(&self.spec, feed, replay_cfg);
+                let cr_result = serial_cr(&self.spec, LogSource::from(stream), replay_cfg);
                 (handle.join().expect("recorder panics are caught in-thread"), cr_result)
             });
             (rec?, cr_result)
         } else {
             let rec = run_recorder(recorder)?;
-            let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-            let cr_result = replay_cr(&self.spec, feed, replay_cfg);
+            let cr_result = if replay_cfg.parallel_spans > 0 {
+                replay_spans(&self.spec, &rec.log, &rec.span_seeds, replay_cfg, None)
+                    .map(|par| (par.outcome, par.block_stats))
+            } else {
+                serial_cr(&self.spec, LogSource::Complete(Arc::clone(&rec.log)), replay_cfg)
+            };
             (rec, cr_result)
         };
         let (mut cr_out, cr_stats) = cr_result?;
@@ -515,30 +520,21 @@ impl Pipeline {
     }
 }
 
-/// The checkpointing replay over `feed`: span-parallel when the config asks
-/// for span workers, else the serial engine. Returns the outcome and the
-/// phase's block-cache counters.
-fn replay_cr(
+/// The serial checkpointing replay over `source`. Returns the outcome and
+/// its block-cache counters.
+fn serial_cr(
     spec: &VmSpec,
-    feed: SpanFeed,
+    source: LogSource,
     replay_cfg: &ReplayConfig,
 ) -> Result<(ReplayOutcome, BlockStats), ReplayError> {
-    if replay_cfg.parallel_spans > 0 {
-        let par = replay_spans(spec, feed, replay_cfg, None)?;
-        return Ok((par.outcome, par.block_stats));
-    }
-    let source = match feed {
-        SpanFeed::Complete { log, .. } => LogSource::Complete(log),
-        SpanFeed::Streaming { stream, .. } => LogSource::Streaming(stream),
-    };
     let out = Replayer::new(spec, source, replay_cfg.clone()).run()?;
     let stats = out.vm().block_stats();
     Ok((out, stats))
 }
 
 /// The recorder configuration a [`PipelineConfig`] implies. `span_cadence`
-/// arms seed capture for parallel replay; seed capture is pure reads, so
-/// the recording is byte-identical whether or not it is set.
+/// arms seed capture for span replay; seed capture is pure reads, so the
+/// recording is byte-identical whether or not it is set.
 pub(crate) fn record_config(cfg: &PipelineConfig, span_cadence: Option<u64>) -> RecordConfig {
     let mut rc = RecordConfig::new(RecordMode::Rec, cfg.seed, cfg.duration_insns);
     rc.ras_capacity = cfg.ras_capacity;

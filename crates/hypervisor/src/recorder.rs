@@ -106,8 +106,9 @@ pub struct RecordConfig {
     /// Capture a [`SpanSeed`] roughly every this many retired instructions,
     /// cutting the log into spans a parallel checkpointing replayer can
     /// verify concurrently. Capture is pure reads plus `Arc` clones of the
-    /// copy-on-write pages, so the log, cycles, and digests are byte-for-byte
-    /// identical with seeding on or off. `None` disables capture.
+    /// copy-on-write pages, so the log, its transport frames, cycles, and
+    /// digests are byte-for-byte identical with seeding on or off. `None`
+    /// disables capture.
     pub span_seed_every_insns: Option<u64>,
     /// Arm the Variable Record Table memory-safety detector (DESIGN.md §15)
     /// with these parameters. `None` leaves the recorded VM unarmed; replay
@@ -316,7 +317,6 @@ pub struct Recorder {
     disk_ops: Vec<crate::devices::DiskOp>,
     switch_trace: Vec<u64>,
     span_seeds: Vec<SpanSeed>,
-    seed_tx: Option<std::sync::mpsc::Sender<SpanSeed>>,
     next_seed_at: u64,
 }
 
@@ -422,7 +422,6 @@ impl Recorder {
             disk_ops: Vec::new(),
             switch_trace: Vec::new(),
             span_seeds: Vec::new(),
-            seed_tx: None,
             next_seed_at: config.span_seed_every_insns.unwrap_or(u64::MAX),
             config,
         })
@@ -430,9 +429,9 @@ impl Recorder {
 
     /// Attaches a live sink: every record is pushed to it as it is appended
     /// to the recorder's own log, and sent in frames cut by the recorder's
-    /// framing rule (full batch, span seed, frame age), so a concurrent
-    /// checkpointing replayer can consume the stream while recording is
-    /// still in progress.
+    /// framing rule (full batch, frame age), so a concurrent checkpointing
+    /// replayer can consume the stream while recording is still in
+    /// progress.
     pub fn stream_to(&mut self, sink: LogSink) {
         self.sink = Some(sink);
     }
@@ -444,14 +443,6 @@ impl Recorder {
     /// and digests are byte-for-byte identical with or without it.
     pub fn persist_to(&mut self, writer: DurableWriter) {
         self.durable = Some(writer);
-    }
-
-    /// Mirrors every captured [`SpanSeed`] to `tx` as soon as it exists, so
-    /// a concurrent parallel replayer can dispatch span workers while
-    /// recording is still in progress. Seeds still accumulate in
-    /// [`RecordOutcome::span_seeds`] regardless.
-    pub fn seed_to(&mut self, tx: std::sync::mpsc::Sender<SpanSeed>) {
-        self.seed_tx = Some(tx);
     }
 
     /// Does nothing: the recorder decodes into its own VM's cache. Kept
@@ -485,10 +476,10 @@ impl Recorder {
     /// Closes the pending frame of the durable writer and of the live sink
     /// together, disk first, so disk and wire sequence numbers stay equal.
     /// Besides the full batch that `push` closes on its own, this is the
-    /// framing rule: a frame is cut right after a span seed, so every seed's
-    /// `at_record` is a frame boundary, and at the first loop top once its
-    /// oldest record is [`MAX_FRAME_AGE_INSNS`] old, so the CR trails a
-    /// sparse log instead of waiting for the recording to end.
+    /// framing rule: a frame is cut at the first loop top once its oldest
+    /// record is [`MAX_FRAME_AGE_INSNS`] old, so the CR trails a sparse log
+    /// instead of waiting for the recording to end. Span seeds never cut a
+    /// frame, so a recording's frames are the same with seeding on or off.
     fn cut_frame(&mut self) {
         if let Some(writer) = self.durable.as_mut() {
             writer.flush();
@@ -613,7 +604,7 @@ impl Recorder {
     fn capture_span_seed(&mut self) {
         let mut backras = self.backras.clone();
         backras.save(self.current_tid, BackRasEntry::from_entries(self.vm.cpu().ras.snapshot()));
-        let seed = SpanSeed {
+        self.span_seeds.push(SpanSeed {
             at_insn: self.vm.retired(),
             at_record: self.log.len(),
             cpu: self.vm.cpu().save_state(),
@@ -622,13 +613,7 @@ impl Recorder {
             backras,
             current_tid: self.current_tid,
             dying: self.dying,
-        };
-        if let Some(tx) = &self.seed_tx {
-            // A disconnected receiver just means nobody is replaying live.
-            let _ = tx.send(seed.clone());
-        }
-        self.span_seeds.push(seed);
-        self.cut_frame();
+        });
     }
 
     fn next_event_cycle(&self) -> u64 {

@@ -19,15 +19,6 @@ pub enum LogSource {
     /// the stream carries reorder-healing and recovery state, and the
     /// common alarm-replay/audit case is `Complete`.
     Streaming(Box<LogStream>),
-    /// One span of a partitioned log: the records of `[base, base +
-    /// records.len())`, indexed by their *global* position. Span workers of
-    /// a parallel CR read through this without copying the whole log.
-    Span {
-        /// The span's records, shared without copying.
-        records: Arc<[Record]>,
-        /// Global index of `records[0]`.
-        base: usize,
-    },
 }
 
 impl LogSource {
@@ -37,7 +28,6 @@ impl LogSource {
         match self {
             LogSource::Complete(log) => log.records().get(index),
             LogSource::Streaming(stream) => stream.get(index),
-            LogSource::Span { records, base } => index.checked_sub(*base).and_then(|i| records.get(i)),
         }
     }
 
@@ -52,7 +42,6 @@ impl LogSource {
         match self {
             LogSource::Complete(log) => Ok(log.records().get(index)),
             LogSource::Streaming(stream) => stream.try_get(index),
-            LogSource::Span { records, base } => Ok(index.checked_sub(*base).and_then(|i| records.get(i))),
         }
     }
 
@@ -65,14 +54,14 @@ impl LogSource {
     /// Returns the fault when recovery is impossible.
     pub fn recover(&mut self) -> Result<(), CodecError> {
         match self {
-            LogSource::Complete(_) | LogSource::Span { .. } => Ok(()),
+            LogSource::Complete(_) => Ok(()),
             LogSource::Streaming(stream) => stream.recover(),
         }
     }
 
     /// Backs a streaming source's refetch recovery with the durable segment
-    /// store at `dir` ([`LogStream::attach_durable`]). A no-op for complete
-    /// and span sources — they never refetch.
+    /// store at `dir` ([`LogStream::attach_durable`]). A no-op for a
+    /// complete source — it never refetches.
     pub fn attach_durable(&mut self, dir: &std::path::Path) {
         if let LogSource::Streaming(stream) = self {
             stream.attach_durable(dir);
@@ -82,7 +71,7 @@ impl LogSource {
     /// Transport health counters (zero for a complete source).
     pub fn transport_stats(&self) -> TransportStats {
         match self {
-            LogSource::Complete(_) | LogSource::Span { .. } => TransportStats::default(),
+            LogSource::Complete(_) => TransportStats::default(),
             LogSource::Streaming(stream) => stream.transport_stats(),
         }
     }

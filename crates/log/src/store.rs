@@ -41,9 +41,8 @@ pub const DEFAULT_FRAMES_PER_SEGMENT: usize = 8;
 /// Configuration of the durable log store (the `durable_log` knob).
 /// Segment bodies are always RLE-compressed where that shrinks them, and
 /// frames hold at most [`DEFAULT_BATCH`] records: the recorder closes the
-/// writer's frame and the live sink's together (full batch, span seed,
-/// frame age), so a frame's on-disk sequence number is its wire sequence
-/// number.
+/// writer's frame and the live sink's together (full batch, frame age), so
+/// a frame's on-disk sequence number is its wire sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableLogConfig {
     /// Directory holding the segment files (created if absent).
@@ -129,10 +128,10 @@ impl DurableWriter {
     /// Appends one record, batching into frames of at most
     /// [`DEFAULT_BATCH`] records — the recorder's feed. A frame closes when
     /// it is full or at [`DurableWriter::flush`], which the recorder calls
-    /// right after a span seed and once the frame's oldest record is
-    /// [`crate::MAX_FRAME_AGE_INSNS`] instructions old, and it closes the
-    /// live sink's frame at the same points. The resulting frames are
-    /// byte-identical to the ones a streaming sink sends and retains.
+    /// once the frame's oldest record is [`crate::MAX_FRAME_AGE_INSNS`]
+    /// instructions old, and it closes the live sink's frame at the same
+    /// points. The resulting frames are byte-identical to the ones a
+    /// streaming sink sends and retains.
     pub fn push(&mut self, record: &Record) {
         self.batch.push(record.clone());
         if self.batch.len() >= DEFAULT_BATCH {

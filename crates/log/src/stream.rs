@@ -9,10 +9,9 @@
 //!
 //! Records travel in batches to keep the synchronization cost per record
 //! negligible. The recorder closes a batch when it holds [`DEFAULT_BATCH`]
-//! records, right after a span seed, and once its oldest record is
-//! [`MAX_FRAME_AGE_INSNS`] guest instructions old, so a sparse log reaches
-//! the consumer while the recording runs instead of in one batch at its
-//! end. Because the paper's deployment puts recording and replay on
+//! records and once its oldest record is [`MAX_FRAME_AGE_INSNS`] guest
+//! instructions old, so a sparse log reaches the consumer while the
+//! recording runs instead of in one batch at its end. Because the paper's deployment puts recording and replay on
 //! **separate machines** (§4), each batch crosses the channel as a
 //! checksummed, sequence-numbered frame ([`crate::encode_frame`]): the
 //! stream verifies every frame, so corruption, truncation, reordering,
@@ -33,11 +32,11 @@ use crate::{decode_frame, encode_frame, CodecError, FaultInjector, FaultPlan, In
 /// Default number of records per transport batch.
 pub const DEFAULT_BATCH: usize = 64;
 
-/// Guest instructions after which the recorder closes a partial batch.
-/// The recorder checks the age only at the top of its run loop, so a
-/// record reaches the consumer less than this many instructions plus one
-/// recorder slice after it was logged. Sparse guests leave the loop about
-/// once per timer tick.
+/// Guest instructions after which the recorder closes a partial batch, the
+/// one cut besides a full batch. The recorder checks the age only at the
+/// top of its run loop, so a record reaches the consumer less than this
+/// many instructions plus one recorder slice after it was logged. Sparse
+/// guests leave the loop about once per timer tick.
 pub const MAX_FRAME_AGE_INSNS: u64 = 50_000;
 
 /// Maximum re-request attempts for one damaged frame.

@@ -61,10 +61,10 @@ pub struct ReplayConfig {
     /// Deterministic fault injections for this replay (empty = none).
     pub fault_plan: rnr_log::FaultPlan,
     /// Verification-replay worker count for span-partitioned parallel replay
-    /// (`0` = serial, the classic single-threaded CR). Like
-    /// [`ReplayConfig::block_engine`] this is a wall-clock-only knob: the
-    /// fold in [`crate::replay_spans`] reconstructs cycles, checkpoints, and
-    /// alarm bookkeeping byte-identically to a serial run.
+    /// of a finished recording ([`crate::replay_spans`]; `0` = serial, the
+    /// classic single-threaded CR). Like [`ReplayConfig::block_engine`] this
+    /// is a wall-clock-only knob: the fold reconstructs cycles, checkpoints,
+    /// and alarm bookkeeping byte-identically to a serial run.
     pub parallel_spans: usize,
     /// Back a streaming source's refetch recovery with the durable segment
     /// store at this config's directory (DESIGN.md §13): damaged or dropped

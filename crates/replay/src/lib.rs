@@ -17,11 +17,12 @@
 //! * The **checkpointing replayer** (CR) is a [`Replayer`] with a
 //!   checkpoint interval; it also performs the §4.6.2 special case:
 //!   matching RAS-underflow alarms against *evict* records and discarding
-//!   the false ones without launching an alarm replayer. The CR can run
-//!   serially or span-partitioned across workers ([`replay_spans`],
-//!   DESIGN.md §11): the fold reconstructs the serial CR's clock,
-//!   checkpoint schedule, and alarm bookkeeping byte-identically, so
-//!   `parallel_spans` is a wall-clock-only knob.
+//!   the false ones without launching an alarm replayer. The CR reads a
+//!   live stream serially; a finished recording can also be verified
+//!   span-partitioned across workers ([`replay_spans`], DESIGN.md §11):
+//!   the fold reconstructs the serial CR's clock, checkpoint schedule, and
+//!   alarm bookkeeping byte-identically, so `parallel_spans` is a
+//!   wall-clock-only knob.
 //! * [`AlarmReplayer`] — launched from the checkpoint preceding an
 //!   unresolved alarm of *either detector family* ([`CaseKind`]). One
 //!   [`ArPass`] per checkpoint resolves every case that shares it
@@ -54,8 +55,7 @@ pub use engine::{
     RewindStep,
 };
 pub use parallel::{
-    assemble_spans, plan_spans, replay_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanFeed,
-    SpanJob,
+    assemble_spans, plan_spans, replay_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanJob,
 };
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint

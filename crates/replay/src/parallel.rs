@@ -9,6 +9,13 @@
 //! byte of the final [`ReplayOutcome`] that reaches a report — is identical
 //! to what a serial [`Replayer`] produces over the same log.
 //!
+//! Span replay verifies *finished* recordings: a log and the seeds its
+//! recorder captured. A streaming pipeline verifies with the serial
+//! [`Replayer`] reading the live stream instead: that CR ends within a few
+//! ms of the recording, while a span CR cannot start its last span before
+//! recording ends and then still has the fold and checkpoint
+//! materialization to run (DESIGN.md §11).
+//!
 //! Correctness rests on three properties of the replay engine:
 //!
 //! 1. Guest execution never reads the absolute cycle clock — every charge
@@ -23,13 +30,12 @@
 //!    serial CR's continuous verification between spans.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use rnr_hypervisor::{CycleAttribution, SpanSeed, VmSpec};
 use rnr_isa::Addr;
-use rnr_log::{Category, FaultPlan, InputLog, LogCursor, LogSource, LogStream, Record, TransportStats};
+use rnr_log::{Category, FaultPlan, InputLog, LogCursor, LogSource, Record, TransportStats};
 use rnr_machine::{BlockStats, Digest, SharedPageCache};
 use rnr_ras::ThreadId;
 
@@ -44,32 +50,6 @@ use crate::{
 /// engine's per-point recovery bound).
 const MAX_SPAN_ATTEMPTS: u32 = 3;
 
-/// Transport faults healed by the live drain before the run is declared
-/// unrecoverable (mirrors the serial engine's rewind bound).
-const MAX_TRANSPORT_HEALS: u32 = 16;
-
-/// Where a parallel replay gets its records and span seeds.
-#[derive(Debug)]
-pub enum SpanFeed {
-    /// A finished recording plus the seeds its recorder captured.
-    Complete {
-        /// The complete input log.
-        log: Arc<InputLog>,
-        /// Span seeds, in capture order.
-        seeds: Vec<SpanSeed>,
-    },
-    /// A live recording: records arrive on the stream while seeds arrive on
-    /// the channel; spans are dispatched as soon as both sides of their
-    /// boundary have been observed, overlapping replay with recording
-    /// (§4.6.1's concurrent CR, parallelized).
-    Streaming {
-        /// The record transport from the recorder.
-        stream: Box<LogStream>,
-        /// Seed delivery from [`rnr_hypervisor::Recorder::seed_to`].
-        seed_rx: Receiver<SpanSeed>,
-    },
-}
-
 /// Result of [`replay_spans`]: the serial-identical outcome plus the merged
 /// wall-clock block-engine statistics of every worker (the outcome's own VM
 /// is only the *last* worker's, so its stats alone would undercount).
@@ -80,24 +60,6 @@ pub struct ParallelReplayOutcome {
     /// Decoded-block statistics summed across span workers and checkpoint
     /// materialization (diagnostic; never part of a report).
     pub block_stats: BlockStats,
-}
-
-/// How a worker (re)constructs its log view for each attempt.
-#[derive(Debug, Clone)]
-enum JobSource {
-    /// The whole log, shared; the worker's cursor does the partitioning.
-    Complete(Arc<InputLog>),
-    /// Just this span's records, globally indexed from `base`.
-    Slice(Arc<[Record]>, usize),
-}
-
-impl JobSource {
-    fn to_source(&self) -> LogSource {
-        match self {
-            JobSource::Complete(log) => LogSource::Complete(Arc::clone(log)),
-            JobSource::Slice(records, base) => LogSource::Span { records: Arc::clone(records), base: *base },
-        }
-    }
 }
 
 /// One span's work order: everything a worker needs to replay one
@@ -111,7 +73,8 @@ pub struct SpanJob {
     index: usize,
     /// `None` for span 0 (fresh boot state), the preceding seed otherwise.
     seed: Option<SpanSeed>,
-    source: JobSource,
+    /// The whole log, shared; the worker's cursor does the partitioning.
+    log: Arc<InputLog>,
     /// First record index *not* in this span (`None` = run to `End`).
     records_end: Option<usize>,
     /// Seam instruction to run to after the last record (`None` = final span).
@@ -218,199 +181,48 @@ impl Fold {
     }
 }
 
-/// Replays a recording across `cfg.parallel_spans.max(1)` span workers and
-/// reassembles a [`ReplayOutcome`] byte-identical to a serial CR's.
+/// Replays a finished recording across `cfg.parallel_spans.max(1)` span
+/// workers and reassembles a [`ReplayOutcome`] byte-identical to a serial
+/// CR's: [`plan_spans`] cuts `log` at `seeds`, the pool runs the planned
+/// jobs in span order, and [`assemble_spans`] folds their results.
 ///
 /// `expected` arms final-digest verification exactly like
 /// [`Replayer::verify_against`].
 ///
 /// # Errors
 ///
-/// The same failures a serial resilient CR surfaces: an unhealable
-/// transport fault, a persistent divergence ([`ReplayError::Unrecoverable`]
-/// with the rewind trail), or — with `cfg.resilient` off — the first raw
-/// fault. A seam-digest mismatch between adjacent spans surfaces as
-/// [`ReplayError::Divergence`].
+/// The same failures a serial resilient CR surfaces over a finished log: a
+/// persistent divergence ([`ReplayError::Unrecoverable`] with the rewind
+/// trail) or, with `cfg.resilient` off, the first raw fault. A seam-digest
+/// mismatch between adjacent spans surfaces as [`ReplayError::Divergence`].
 pub fn replay_spans(
     spec: &VmSpec,
-    feed: SpanFeed,
+    log: &Arc<InputLog>,
+    seeds: &[SpanSeed],
     cfg: &ReplayConfig,
     expected: Option<Digest>,
 ) -> Result<ParallelReplayOutcome, ReplayError> {
-    let (dispatch, planned, workers) = match feed {
-        SpanFeed::Complete { log, seeds } => {
-            let jobs: Vec<Arc<SpanJob>> =
-                plan_spans(&log, &seeds, &cfg.fault_plan).into_iter().map(Arc::new).collect();
-            let workers = cfg.parallel_spans.max(1).min(jobs.len());
-            (Dispatch { jobs, next: 0, live: None, complete: true, failed: None }, Some(log), workers)
-        }
-        SpanFeed::Streaming { mut stream, seed_rx } => {
-            if let Some(d) = cfg.durable_log.as_ref() {
-                stream.attach_durable(&d.dir);
-            }
-            let live =
-                LiveDrain { stream, seed_rx, records: Vec::new(), seeds: Vec::new(), heals: 0, made: 0 };
-            let dispatch = Dispatch {
-                jobs: Vec::new(),
-                next: 0,
-                live: Some(Box::new(live)),
-                complete: false,
-                failed: None,
-            };
-            // One more worker than span workers: the drain occupies one.
-            (dispatch, None, cfg.parallel_spans.max(1) + 1)
-        }
-    };
-    let dispatch = Mutex::new(dispatch);
-    let ready = Condvar::new();
-    let results: Mutex<BTreeMap<usize, Result<SpanDone, ReplayError>>> = Mutex::new(BTreeMap::new());
-    let (dispatch_ref, ready_ref, results_ref) = (&dispatch, &ready, &results);
-    pool::drain(workers, &|| {
-        let mut d = dispatch_ref.lock().expect("span dispatch");
-        loop {
-            if let Some(job) = d.jobs.get(d.next).cloned() {
-                d.next += 1;
-                return Some(Box::new(move || {
-                    let done = run_one_span(spec, cfg, &job);
-                    results_ref.lock().expect("span results").insert(job.index, done);
-                }) as pool::Task<'_>);
-            }
-            if d.complete {
-                return None;
-            }
-            if let Some(live) = d.live.take() {
-                return Some(
-                    Box::new(move || drain_live(live, cfg, dispatch_ref, ready_ref)) as pool::Task<'_>
-                );
-            }
-            d = ready_ref.wait(d).expect("span dispatch");
-        }
-    });
-    let dispatch = dispatch.into_inner().expect("span dispatch");
-    if let Some(e) = dispatch.failed {
-        return Err(e);
-    }
-    let mut results = results.into_inner().expect("span results");
-    let results = (0..dispatch.jobs.len())
-        .map(|k| results.remove(&k).unwrap_or(Err(ReplayError::UnexpectedEndOfLog)))
-        .collect();
-    // Every task has finished, so each job's `Arc` is unique again.
-    let jobs: Vec<SpanJob> =
-        dispatch.jobs.into_iter().map(|j| Arc::try_unwrap(j).unwrap_or_else(|j| (*j).clone())).collect();
-    let (records, transport) = match (&planned, &dispatch.live) {
-        (Some(log), _) => (log.records(), TransportStats::default()),
-        (None, Some(live)) => (&live.records[..], live.stream.transport_stats()),
-        (None, None) => unreachable!("the drain hands its state back before it completes"),
-    };
-    assemble_spans(spec, cfg, None, records, &jobs, results, expected, transport)
-}
-
-/// The job source of [`replay_spans`]'s pool, behind a mutex. A complete
-/// log's jobs are planned up front. A live recording's jobs come from the
-/// drain task ([`drain_live`]), which the first worker to ask claims and
-/// which occupies that worker for the whole run, so records are decoded as
-/// they arrive rather than when a span worker happens to be idle (measured:
-/// the latter cost ~8% per durable-log session on a 2-vCPU host).
-struct Dispatch {
-    /// Every job made so far.
-    jobs: Vec<Arc<SpanJob>>,
-    /// The first job not yet handed out.
-    next: usize,
-    /// The live drain before a worker claims it, and again once it is done.
-    live: Option<Box<LiveDrain>>,
-    /// No further job will be made.
-    complete: bool,
-    /// An unhealable transport fault; stops dispatch for good.
-    failed: Option<ReplayError>,
-}
-
-/// The drain task: runs the live drain to the end of the stream, publishing
-/// each span job as soon as it is complete, then hands the drain's records
-/// and transport stats back for assembly. Dispatch completes even if the
-/// drain panics, so no worker waits forever; the panic then resurfaces
-/// when the pool joins.
-fn drain_live(mut live: Box<LiveDrain>, cfg: &ReplayConfig, dispatch: &Mutex<Dispatch>, ready: &Condvar) {
-    let drained = catch_unwind(AssertUnwindSafe(|| {
-        live.run(cfg, |job| {
-            dispatch.lock().expect("span dispatch").jobs.push(Arc::new(job));
-            ready.notify_one();
+    let jobs = plan_spans(log, seeds, &cfg.fault_plan);
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<Result<SpanDone, ReplayError>>>> =
+        Mutex::new(jobs.iter().map(|_| None).collect());
+    let (jobs_ref, slots_ref) = (&jobs, &slots);
+    pool::drain(cfg.parallel_spans.clamp(1, jobs.len()), &|| {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        (k < jobs_ref.len()).then(|| {
+            Box::new(move || {
+                let done = run_one_span(spec, cfg, &jobs_ref[k]);
+                slots_ref.lock().expect("span results")[k] = Some(done);
+            }) as pool::Task<'_>
         })
-    }));
-    let mut d = dispatch.lock().unwrap_or_else(PoisonError::into_inner);
-    d.complete = true;
-    ready.notify_all();
-    match drained {
-        Ok(result) => {
-            d.failed = result.err();
-            d.live = Some(live);
-        }
-        Err(payload) => {
-            drop(d);
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// A live recording being drained: the records and seeds observed so far.
-struct LiveDrain {
-    stream: Box<LogStream>,
-    seed_rx: Receiver<SpanSeed>,
-    records: Vec<Record>,
-    seeds: Vec<SpanSeed>,
-    heals: u32,
-    /// Span jobs made so far.
-    made: usize,
-}
-
-impl LiveDrain {
-    /// Drains the stream to its end, handing each span to `emit` as soon as
-    /// both sides of its boundary have been observed (replay overlaps the
-    /// still-running recording). The drain owns transport healing: workers
-    /// only ever see already-verified record slices.
-    fn run(&mut self, cfg: &ReplayConfig, mut emit: impl FnMut(SpanJob)) -> Result<(), ReplayError> {
-        loop {
-            match self.stream.try_get(self.records.len()) {
-                Ok(Some(r)) => self.records.push(r.clone()),
-                Ok(None) => break,
-                Err(e) => {
-                    if !cfg.resilient {
-                        return Err(ReplayError::Transport(e));
-                    }
-                    self.heals += 1;
-                    let healed =
-                        if self.heals > MAX_TRANSPORT_HEALS { Err(e) } else { self.stream.recover() };
-                    if let Err(c) = healed {
-                        return Err(ReplayError::Unrecoverable {
-                            fault: Box::new(ReplayError::Transport(c)),
-                            trail: Vec::new(),
-                        });
-                    }
-                    continue;
-                }
-            }
-            self.seeds.extend(self.seed_rx.try_iter());
-            while self.made < self.seeds.len() && self.records.len() >= self.seeds[self.made].at_record {
-                emit(self.next_job(&cfg.fault_plan));
-            }
-        }
-        // The recorder is done: its seed sends all happened before the sink
-        // hung up, so the channel is complete.
-        self.seeds.extend(self.seed_rx.try_iter());
-        while self.made <= self.seeds.len() {
-            emit(self.next_job(&cfg.fault_plan));
-        }
-        Ok(())
-    }
-
-    /// The next span over the drained records, carrying just its own slice.
-    fn next_job(&mut self, plan: &FaultPlan) -> SpanJob {
-        let k = self.made;
-        self.made += 1;
-        let start = if k == 0 { 0 } else { self.seeds[k - 1].at_record };
-        let end = if k < self.seeds.len() { self.seeds[k].at_record } else { self.records.len() };
-        let source = JobSource::Slice(Arc::from(&self.records[start..end]), start);
-        make_job(k, &self.seeds, &self.records, plan, source)
-    }
+    });
+    let results = slots
+        .into_inner()
+        .expect("span results")
+        .into_iter()
+        .map(|slot| slot.expect("every span ran"))
+        .collect();
+    assemble_spans(spec, cfg, None, log.records(), &jobs, results, expected, TransportStats::default())
 }
 
 /// Cuts a finished recording into one [`SpanJob`] per seed interval.
@@ -419,9 +231,7 @@ impl LiveDrain {
 /// pre-positioning, and whichever fault-plan injections fall inside it, so
 /// the jobs can be executed in any order, by any worker, on any pool.
 pub fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
-    (0..=seeds.len())
-        .map(|k| make_job(k, seeds, log.records(), plan, JobSource::Complete(Arc::clone(log))))
-        .collect()
+    (0..=seeds.len()).map(|k| make_job(k, seeds, log, plan)).collect()
 }
 
 /// Replays one planned span to completion, retrying transient divergences
@@ -451,12 +261,13 @@ pub fn run_planned_span(
 /// digests, folds the traces onto the serial clock/checkpoint/alarm
 /// bookkeeping, and materializes only the checkpoints alarm cases reference.
 ///
-/// `results` must be in span order (index `k` = `jobs[k]`); `records` is
-/// the full record sequence the jobs were planned over, and `transport`
-/// carries whatever the feed's drain already healed (zero for a complete
-/// log). `_shared` does nothing: each worker decodes into its own VM's
-/// cache. The parameter is kept only because the frozen repository
-/// benchmark passes it; it is deleted at the next change to `benchmark/`.
+/// `results` must be in span order (index `k` = `jobs[k]`), and `records`
+/// is the full record sequence the jobs were planned over. `transport` is
+/// copied into the outcome's recovery accounting; spans replay a finished
+/// log, which has no transport, so every caller passes zeros. `_shared`
+/// does nothing: each worker decodes into its own VM's cache. Both
+/// parameters are kept only because the frozen repository benchmark passes
+/// them; they are deleted at the next change to `benchmark/`.
 ///
 /// # Errors
 ///
@@ -552,13 +363,7 @@ pub fn assemble_spans(
     Ok(ParallelReplayOutcome { outcome, block_stats })
 }
 
-fn make_job(
-    k: usize,
-    seeds: &[SpanSeed],
-    records: &[Record],
-    plan: &FaultPlan,
-    source: JobSource,
-) -> SpanJob {
+fn make_job(k: usize, seeds: &[SpanSeed], log: &Arc<InputLog>, plan: &FaultPlan) -> SpanJob {
     let (start_rec, start_insn, seed) = if k == 0 {
         (0, 0, None)
     } else {
@@ -571,7 +376,7 @@ fn make_job(
         (None, None, u64::MAX)
     };
     let prior_interrupts =
-        records[..start_rec].iter().filter(|r| matches!(r, Record::Interrupt { .. })).count() as u64;
+        log.records()[..start_rec].iter().filter(|r| matches!(r, Record::Interrupt { .. })).count() as u64;
     // A planned injection belongs to exactly one span: the one whose
     // instruction range contains it (serial fires it at the first loop-top
     // at or past `at`; the owning worker does the same).
@@ -579,7 +384,7 @@ fn make_job(
     SpanJob {
         index: k,
         seed,
-        source,
+        log: Arc::clone(log),
         records_end,
         seam,
         start_insn,
@@ -606,7 +411,7 @@ fn worker_cfg(cfg: &ReplayConfig) -> ReplayConfig {
 }
 
 fn build_replayer(spec: &VmSpec, wcfg: ReplayConfig, job: &SpanJob) -> Replayer {
-    let source = job.source.to_source();
+    let source = LogSource::Complete(Arc::clone(&job.log));
     let mut r = match &job.seed {
         None => Replayer::new(spec, source, wcfg),
         Some(seed) => {
@@ -665,8 +470,8 @@ fn run_one_span(spec: &VmSpec, cfg: &ReplayConfig, job: &SpanJob) -> Result<Span
             Err(err) => {
                 let at = match (&err, cfg.resilient) {
                     (ReplayError::Divergence { at_insn, .. }, true) => *at_insn,
-                    // Transport faults cannot reach a worker (its slice was
-                    // verified by the drain); everything else is terminal.
+                    // A worker reads a finished log, so no transport fault
+                    // reaches it; everything else is terminal.
                     _ => return Err(err),
                 };
                 if cfg.block_engine && !degraded {

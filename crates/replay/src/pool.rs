@@ -7,10 +7,9 @@
 //! simply keeps `workers` threads pulling from it. Scheduling decisions
 //! (span order, fleet fairness, budget backpressure) live entirely in the
 //! source, which keeps this primitive reusable across very different
-//! consumers: `replay_spans` feeds it span jobs planned up front, or a
-//! live-recording drain task followed by the jobs it publishes behind a
-//! condvar; the pipeline's alarm phase feeds it cases through an atomic
-//! cursor; and the farm feeds it a weighted round-robin scheduler behind a
+//! consumers: `replay_spans` feeds it span jobs planned up front and the
+//! pipeline's alarm phase feeds it cases, each through an atomic cursor;
+//! and the farm feeds it a weighted round-robin scheduler behind a
 //! condvar.
 
 /// A unit of pooled work.

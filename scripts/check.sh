@@ -4,9 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The suite asserts serial-vs-parallel report identity and runs the fault
-# matrix with span workers active; on a single-core host `cargo test` gets
-# no real parallelism and the wall-clock claims go unexercised. Refuse
-# unless explicitly overridden.
+# matrix with span workers replaying the finished recording; on a
+# single-core host `cargo test` gets no real parallelism and the wall-clock
+# claims go unexercised. Refuse unless explicitly overridden.
 cores="$(nproc)"
 if [ "$cores" -lt 2 ] && [ "${RNR_ALLOW_SINGLE_CORE:-0}" != "1" ]; then
     echo "check.sh: only $cores core available; parallel span replay needs >= 2" >&2
@@ -80,8 +80,12 @@ timed examples run_examples
 # scenarios write to per-scenario temp dirs, removed on success.
 timed fault-matrix cargo run --release -q -p rnr-bench --bin fault_matrix --offline
 
-# Same matrix with checkpoint-partitioned span replay active: every
-# scenario must heal to a report byte-identical to a clean parallel run.
+# Same matrix with the recording finished first and verified by
+# checkpoint-partitioned span replay on two workers (a streaming pipeline's
+# CR is always serial). Every replay and AR scenario must heal under spans
+# to a report byte-identical to a clean run; transport, durable and
+# unrecoverable plans need the wire, which span replay never reads, so
+# those runs must be clean and byte-identical, as in the farm matrix.
 timed fault-matrix-par cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --parallel
 
 # Farm fault matrix: every seeded scenario as a two-session fleet on the

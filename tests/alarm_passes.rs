@@ -12,7 +12,7 @@ use rnr_hypervisor::{RecordConfig, RecordMode, Recorder, VmSpec};
 use rnr_log::{InputLog, Record};
 use rnr_replay::{
     checkpoint_groups, replay_spans, AlarmCase, AlarmReplayer, CaseKind, ReplayConfig, ReplayError, Replayer,
-    SpanFeed, VIRTUAL_HZ,
+    VIRTUAL_HZ,
 };
 use rnr_vrt::VrtParams;
 use rnr_workloads::{Workload, WorkloadParams};
@@ -47,8 +47,7 @@ fn session(spec: VmSpec, insns: u64, secs: f64, vrt: bool, span_workers: usize) 
         ..ReplayConfig::default()
     };
     let out = if span_workers > 0 {
-        let feed = SpanFeed::Complete { log: Arc::clone(&rec.log), seeds: rec.span_seeds.clone() };
-        replay_spans(&spec, feed, &cfg, Some(rec.final_digest)).expect("span CR").outcome
+        replay_spans(&spec, &rec.log, &rec.span_seeds, &cfg, Some(rec.final_digest)).expect("span CR").outcome
     } else {
         let mut cr = Replayer::new(&spec, Arc::clone(&rec.log), cfg.clone());
         cr.verify_against(rec.final_digest);

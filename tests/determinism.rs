@@ -96,7 +96,7 @@ fn disk_completion_at_the_budget_edge_verifies() {
         let default = PipelineConfig { seed, duration_insns: 600_000, ..PipelineConfig::default() };
         let configs = [
             ("default", default.clone()),
-            ("spans", PipelineConfig { parallel_spans: 2, ..default.clone() }),
+            ("spans", PipelineConfig { streaming: false, parallel_spans: 2, ..default.clone() }),
             (
                 "reference",
                 PipelineConfig {

@@ -106,32 +106,6 @@ fn transport_faults_heal_on_a_benign_workload_too() {
 }
 
 #[test]
-fn transport_faults_heal_while_parallel_span_replay_is_active() {
-    let cfg = |plan| PipelineConfig {
-        duration_insns: 250_000,
-        parallel_spans: 2,
-        fault_plan: plan,
-        ..Default::default()
-    };
-    let reference =
-        Pipeline::new(Workload::Mysql.spec(false), cfg(FaultPlan::default())).run().expect("clean run");
-    let plan = FaultPlan {
-        seed: SEED,
-        transport: vec![TransportFault {
-            seq: 1,
-            kind: TransportFaultKind::CorruptBit,
-            poison_retained: false,
-        }],
-        ..FaultPlan::default()
-    };
-    let report = Pipeline::new(Workload::Mysql.spec(false), cfg(plan)).run().expect("healed run");
-    assert_eq!(report.to_json(), reference.to_json());
-    assert!(report.recovery.transport.faults_detected >= 1);
-    assert!(report.recovery.transport.batches_refetched >= 1, "damaged batch must be refetched");
-    assert!(report.recovery.any());
-}
-
-#[test]
 fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
     let run = |plan| {
         let (spec, _attack) =
@@ -139,6 +113,7 @@ fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
         let cfg = PipelineConfig {
             duration_insns: 900_000,
             checkpoint_interval_secs: Some(0.125),
+            streaming: false,
             parallel_spans: 2,
             fault_plan: plan,
             ..PipelineConfig::default()
@@ -155,6 +130,35 @@ fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
     // accounted exactly like a serial rewind to the last checkpoint.
     assert!(report.recovery.cr_rewinds >= 1, "span retry must be recorded as a rewind");
     assert!(!report.recovery.rewind_trail.is_empty());
+}
+
+/// A streaming pipeline verifies with the serial CR whatever
+/// `parallel_spans` says, so a CR divergence rewinds to the last retained
+/// checkpoint, exactly as in a run without span workers, not to a span
+/// seed.
+#[test]
+fn streaming_pipeline_with_span_workers_rewinds_like_serial() {
+    let run = |parallel_spans| {
+        let (spec, _attack) =
+            rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).expect("attack mounts");
+        let cfg = PipelineConfig {
+            duration_insns: 900_000,
+            checkpoint_interval_secs: Some(0.125),
+            parallel_spans,
+            fault_plan: FaultPlan {
+                seed: SEED,
+                cr_divergence_at_insn: Some(240_000),
+                ..FaultPlan::default()
+            },
+            ..PipelineConfig::default()
+        };
+        Pipeline::new(spec, cfg).run().expect("healed run")
+    };
+    let serial = run(0);
+    assert!(!serial.recovery.rewind_trail.is_empty(), "the injected divergence must rewind");
+    let spans = run(2);
+    assert_eq!(spans.recovery.rewind_trail, serial.recovery.rewind_trail);
+    assert_eq!(spans.to_json(), serial.to_json());
 }
 
 /// The VRT detector family rides the same self-healing replay path as the

@@ -1,11 +1,11 @@
 //! The recorder's framing rule: a frame closes when it holds
-//! `DEFAULT_BATCH` records, right after a span seed, and at the first loop
-//! top once its oldest record is `MAX_FRAME_AGE_INSNS` old. The durable
-//! store keeps the frames exactly as the wire carries them, so these tests
-//! read the frame boundaries back from a segment store.
+//! `DEFAULT_BATCH` records and at the first loop top once its oldest record
+//! is `MAX_FRAME_AGE_INSNS` old; span seeds never cut one. The durable store
+//! keeps the frames exactly as the wire carries them, so these tests read
+//! the frames back from a segment store.
 
 use rnr_hypervisor::{RecordConfig, RecordMode, RecordOutcome, Recorder};
-use rnr_log::{DurableLogConfig, DurableStore, DurableWriter, FaultPlan, DEFAULT_BATCH};
+use rnr_log::{DurableLogConfig, DurableStore, DurableWriter, FaultPlan, Record, DEFAULT_BATCH};
 use rnr_vrt::VrtParams;
 use rnr_workloads::Workload;
 
@@ -30,8 +30,8 @@ impl Drop for TempDir {
 }
 
 /// Records `workload` under `rc` into a fresh durable store and returns the
-/// recording with the record count of every frame, in sequence order.
-fn record_frames(workload: Workload, rc: RecordConfig, tag: &str) -> (RecordOutcome, Vec<usize>) {
+/// recording with the records of every frame, in sequence order.
+fn record_frames(workload: Workload, rc: RecordConfig, tag: &str) -> (RecordOutcome, Vec<Vec<Record>>) {
     let dir = TempDir::new(tag);
     let mut recorder = Recorder::new(&workload.spec(false), rc).expect("recorder");
     let writer = DurableWriter::create(DurableLogConfig::new(&dir.0), &FaultPlan::default()).expect("store");
@@ -39,10 +39,10 @@ fn record_frames(workload: Workload, rc: RecordConfig, tag: &str) -> (RecordOutc
     let rec = recorder.run();
     let store = DurableStore::open(&dir.0).expect("store opens");
     assert!(store.scan().clean(), "{tag}: {:?}", store.scan());
-    let frames: Vec<usize> = (0..store.frame_count())
-        .map(|seq| store.frame(seq).unwrap_or_else(|| panic!("{tag}: frame {seq} missing")).len())
+    let frames: Vec<Vec<Record>> = (0..store.frame_count())
+        .map(|seq| store.frame(seq).unwrap_or_else(|| panic!("{tag}: frame {seq} missing")).to_vec())
         .collect();
-    assert_eq!(frames.iter().sum::<usize>(), rec.log.len(), "{tag}: the store must hold the whole log");
+    assert_eq!(frames.concat(), rec.log.records(), "{tag}: the store must hold the whole log");
     (rec, frames)
 }
 
@@ -54,34 +54,26 @@ fn sparse_log_is_cut_by_frame_age() {
     let mut rc = RecordConfig::new(RecordMode::Rec, SEED, 600_000);
     rc.vrt = Some(VrtParams::default());
     let (rec, frames) = record_frames(Workload::HeapServer, rc, "age");
+    let frames: Vec<usize> = frames.iter().map(Vec::len).collect();
     assert!(rec.span_seeds.is_empty());
     assert!(rec.log.len() <= DEFAULT_BATCH, "the log must fit one batch: {} records", rec.log.len());
     assert!(frames.len() > 1, "an aged frame must be cut: {frames:?}");
     assert!(frames.iter().all(|&n| (1..=DEFAULT_BATCH).contains(&n)), "{frames:?}");
 }
 
-/// Every span seed closes the frame it was captured in, so each seed's
-/// `at_record` is a frame boundary and a live span job never waits for
-/// records that are still pending.
+/// Span seeds are pure reads and never cut a frame, so Jit's sparse log,
+/// recorded with a seed every 150k instructions, is framed exactly as it is
+/// without seeds: the frame rule is the same whether or not span replay
+/// will verify the recording.
 #[test]
-fn every_span_seed_is_a_frame_boundary() {
-    let mut rc = RecordConfig::new(RecordMode::Rec, SEED, 1_200_000);
-    rc.span_seed_every_insns = Some(150_000);
-    let (rec, frames) = record_frames(Workload::Jit, rc, "seed");
-    assert!(rec.span_seeds.len() >= 4, "need several seeds, got {}", rec.span_seeds.len());
-    let boundaries: Vec<usize> = frames
-        .iter()
-        .scan(0, |end, &n| {
-            *end += n;
-            Some(*end)
-        })
-        .collect();
-    for seed in &rec.span_seeds {
-        assert!(
-            boundaries.contains(&seed.at_record),
-            "seed at record {} (insn {}) is inside a frame; frame ends {boundaries:?}",
-            seed.at_record,
-            seed.at_insn
-        );
-    }
+fn span_seeds_do_not_change_frames() {
+    let rc = RecordConfig::new(RecordMode::Rec, SEED, 1_200_000);
+    let (plain, plain_frames) = record_frames(Workload::Jit, rc.clone(), "plain");
+    let mut seeded_rc = rc;
+    seeded_rc.span_seed_every_insns = Some(150_000);
+    let (seeded, seeded_frames) = record_frames(Workload::Jit, seeded_rc, "seeded");
+    assert!(plain.span_seeds.is_empty());
+    assert!(seeded.span_seeds.len() >= 4, "need several seeds, got {}", seeded.span_seeds.len());
+    assert!(plain_frames.len() > 1, "the age cut must split the log: {} frame(s)", plain_frames.len());
+    assert_eq!(seeded_frames, plain_frames, "span seeds changed the frames");
 }

@@ -226,9 +226,10 @@ fn block_engine_edge_cases_match_single_step() {
     assert_eq!(skewed(true), skewed(false));
 }
 
-/// Checkpoint-partitioned span replay is a pure wall-clock knob: for every
-/// worker count, workload, and block-engine setting, the parallel pipeline
-/// report is byte-identical to the serial one of the same configuration.
+/// Checkpoint-partitioned span replay of the finished recording is a pure
+/// wall-clock knob: for every worker count, workload, and block-engine
+/// setting, the parallel pipeline report is byte-identical to the serial
+/// one of the same configuration.
 /// The matrix runs the full adversarial set — including the VRT-stressing
 /// `HeapServer` and `Longjmp` workloads — with the VRT detector armed, so
 /// memory-safety alarm cases ride the span-partitioned escalation path too.
@@ -240,6 +241,7 @@ fn parallel_span_replay_matches_serial_across_matrix() {
                 let cfg = PipelineConfig {
                     duration_insns: 250_000,
                     block_engine,
+                    streaming: false,
                     parallel_spans,
                     vrt: Some(rnr_vrt::VrtParams::default()),
                     ..PipelineConfig::default()
@@ -261,9 +263,10 @@ fn parallel_span_replay_matches_serial_across_matrix() {
     }
 }
 
-/// On the mounted attack, span-parallel verification reproduces the serial
-/// report exactly — verdicts, detection window, and alarm resolutions
-/// included — in both streaming and sequential feed modes.
+/// On the mounted attack, span-parallel verification of the finished
+/// recording reproduces the serial report exactly — verdicts, detection
+/// window, and alarm resolutions included. A streaming pipeline given span
+/// workers verifies with the serial CR and yields the same report too.
 #[test]
 fn attack_pipeline_parallel_spans_match_serial() {
     let base_cfg = PipelineConfig {
@@ -279,7 +282,7 @@ fn attack_pipeline_parallel_spans_match_serial() {
     assert!(serial.attacks_confirmed() >= 1);
     for workers in [2, 4] {
         let streamed = run(PipelineConfig { parallel_spans: workers, ..base_cfg.clone() });
-        assert_eq!(serial.to_json(), streamed.to_json(), "streaming feed, {workers} workers");
+        assert_eq!(serial.to_json(), streamed.to_json(), "streaming, {workers} workers asked for");
         let sequential =
             run(PipelineConfig { parallel_spans: workers, streaming: false, ..base_cfg.clone() });
         assert_eq!(serial.to_json(), sequential.to_json(), "complete feed, {workers} workers");
@@ -287,8 +290,9 @@ fn attack_pipeline_parallel_spans_match_serial() {
 }
 
 /// The `durable_log` knob is report-invisible across its interaction
-/// corners: persistence on vs off, crossed with span-parallel replay and
-/// the superblock trace engine, always yields a byte-identical report.
+/// corners: persistence on vs off, crossed with the streaming serial CR or
+/// span replay of the finished recording and with the superblock trace
+/// engine, always yields a byte-identical report.
 #[test]
 fn durable_log_equivalent_across_parallel_and_superblock_corners() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-corners-{}", std::process::id()));
@@ -296,6 +300,7 @@ fn durable_log_equivalent_across_parallel_and_superblock_corners() {
     let run = |durable: Option<&str>, parallel_spans: usize, superblocks: bool| {
         let cfg = PipelineConfig {
             duration_insns: 250_000,
+            streaming: parallel_spans == 0,
             parallel_spans,
             superblocks,
             durable_log: durable.map(|tag| rnr_log::DurableLogConfig::new(scratch.join(tag))),
@@ -329,8 +334,9 @@ fn durable_log_equivalent_across_parallel_and_superblock_corners() {
 /// stores: both modes persist through the one durable-write path,
 /// `Recorder::persist_to`, and cut frames at the same points, so the durable
 /// form is independent of how the run was driven. Mysql's dense log fills
-/// whole batches; Jit's sparse log, recorded with span seeds, is cut only
-/// at the seeds and by frame age.
+/// whole batches; Jit's sparse log is cut by frame age, and its sequential
+/// run, which captures span seeds for two span workers, cuts the same
+/// frames as its streaming run, which captures none.
 #[test]
 fn durable_store_is_byte_identical_across_streaming_and_sequential() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-store-{}", std::process::id()));

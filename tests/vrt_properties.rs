@@ -231,7 +231,7 @@ fn heap_attack_zero_fn_across_engine_matrix() {
     let no_traces = run(PipelineConfig { superblocks: false, ..vrt_cfg(600_000) });
     assert_eq!(base.to_json(), no_traces.to_json(), "superblocks-off diverged");
     for workers in [2, 4] {
-        let spans = run(PipelineConfig { parallel_spans: workers, ..vrt_cfg(600_000) });
+        let spans = run(PipelineConfig { streaming: false, parallel_spans: workers, ..vrt_cfg(600_000) });
         assert_eq!(base.to_json(), spans.to_json(), "span-parallel ({workers}) diverged");
     }
     let sequential =
@@ -278,7 +278,7 @@ fn uar_attack_convicted_and_equivalent() {
     let base = run(vrt_cfg(400_000));
     assert!(base.replay.verified);
     assert!(count_class(&base, "use-after-return") >= 1, "the UAR must be convicted");
-    let spans = run(PipelineConfig { parallel_spans: 2, ..vrt_cfg(400_000) });
+    let spans = run(PipelineConfig { streaming: false, parallel_spans: 2, ..vrt_cfg(400_000) });
     assert_eq!(base.to_json(), spans.to_json(), "span-parallel UAR report diverged");
 }
 
