@@ -118,9 +118,7 @@ fn benign_alarms_resolve_as_false_positives() {
 #[test]
 fn dos_watchdog_fires_on_scheduler_starvation() {
     let spec = dos_scenario(&WorkloadParams::default(), 600);
-    let mut rc = RecordConfig::new(RecordMode::Rec, 42, 1_500_000);
-    rc.trace = 1; // enables the switch-timestamp trace
-    let rec = Recorder::new(&spec, rc).unwrap().run();
+    let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 1_500_000)).unwrap().run();
     assert!(rec.fault.is_none());
     // The spin thread eventually wedges the scheduler.
     let det = DosDetector::new(spec.timer_period * 4, 1);
@@ -129,9 +127,7 @@ fn dos_watchdog_fires_on_scheduler_starvation() {
 
     // Control: the same workload without the malicious thread stays quiet.
     let benign = dos_control(&WorkloadParams::default());
-    let mut rc = RecordConfig::new(RecordMode::Rec, 42, 1_500_000);
-    rc.trace = 1;
-    let brec = Recorder::new(&benign, rc).unwrap().run();
+    let brec = Recorder::new(&benign, RecordConfig::new(RecordMode::Rec, 42, 1_500_000)).unwrap().run();
     let det = DosDetector::new(benign.timer_period * 4, 1);
     assert_eq!(det.first_alarm(&brec.switch_trace, brec.cycles), None);
 }

@@ -29,9 +29,7 @@ fn dos_replay_role_identifies_the_spinning_code() {
     // role profiles the execution and names the dominant code region.
     let params = WorkloadParams::default();
     let spec = dos_scenario(&params, 600);
-    let mut rc = RecordConfig::new(RecordMode::Rec, 42, 1_500_000);
-    rc.trace = 1;
-    let rec = Recorder::new(&spec, rc).unwrap().run();
+    let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 1_500_000)).unwrap().run();
     let alarm_at = DosDetector::new(params.timer_period * 4, 1)
         .first_alarm(&rec.switch_trace, rec.cycles)
         .expect("DOS detected");

@@ -14,102 +14,79 @@
 //!
 //! Exits nonzero on any violation. Wired into `scripts/check.sh`.
 //!
-//! With `--parallel`, the whole matrix reruns with checkpoint-partitioned
-//! span replay of the finished recording (`streaming: false`,
-//! `parallel_spans = 2`; a streaming pipeline's CR is always serial). Every
-//! replay and AR scenario must heal under spans to a report byte-identical
-//! to a *clean run of the same configuration* — which is itself
-//! byte-identical to the serial report. A plan that needs the wire
-//! (`FaultPlan::wants_transport_injection`: the transport, durable and
-//! unrecoverable scenarios) has nothing to act on there, so, as in the
-//! `--farm` matrix, its run must be clean and byte-identical.
-//!
-//! A final pair of sections reruns the two adversarial guests: the
-//! self-modifying JIT workload — the superblock trace engine's hardest
-//! input — fault-free with traces on and off (the reports must be
-//! byte-identical) and under a corrupted transport batch (which must heal
-//! back to the clean report); and the VRT-armed heap-overflow attack
-//! (DESIGN.md §15), whose memory-safety conviction and dismissed false
-//! positives must survive the superblock knob and a corrupted batch
-//! unchanged.
+//! A durable section runs the disk scenarios against the segment store:
+//! each must heal to the clean report, and the writer's disk counters must
+//! show exactly the one planned fault. A final pair of sections reruns the
+//! two adversarial guests: the self-modifying JIT workload — the superblock
+//! trace engine's hardest input — fault-free with traces on and off (the
+//! reports must be byte-identical) and under a corrupted transport batch
+//! (which must heal back to the clean report); and the VRT-armed
+//! heap-overflow attack (DESIGN.md §15), whose memory-safety conviction and
+//! dismissed false positives must survive the superblock knob and a
+//! corrupted batch unchanged.
 //!
 //! With `--farm`, the matrix instead runs every scenario as a replay-farm
-//! fleet (DESIGN.md §14): the faulted attack session shares the global
-//! worker pool with a quiet sibling, and the contract extends to
-//! *isolation* — the faulted session must still heal to the serial clean
-//! report, the sibling's report must stay byte-identical to its own clean
-//! reference with a quiet recovery block, and a session failing
-//! structurally (budget exhaustion) must not disturb the sibling either.
+//! fleet (DESIGN.md §14) on two workers: the faulted attack session, cut
+//! into three replay spans, shares the pool with a quiet one-span sibling,
+//! and the contract extends to *isolation* — the faulted session must still
+//! heal to the serial clean report, the sibling's report must stay
+//! byte-identical to its own clean reference with a quiet recovery block,
+//! and a session failing structurally (budget exhaustion) must not disturb
+//! the sibling either. The farm is the one place that replays spans, so
+//! this is the span half of the matrix.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rnr_bench::{attack_session_config, attack_spec, SEED};
+use rnr_hypervisor::VmSpec;
 use rnr_log::{
     disk_fault_scenarios, fault_scenarios, unrecoverable_scenario, DurableLogConfig, FaultPlan,
     TransportFault, TransportFaultKind,
 };
 use rnr_replay::ReplayError;
 use rnr_safe::{
-    BudgetKind, Farm, FarmConfig, FarmError, Pipeline, PipelineConfig, PipelineError, PipelineReport,
-    SessionSpec,
+    BudgetKind, Farm, FarmConfig, FarmError, FarmReport, Pipeline, PipelineConfig, PipelineError,
+    PipelineReport, SessionSpec, VerdictSummary,
 };
 use rnr_workloads::Workload;
 
 /// The attack pipeline under one fault plan — same workload and knobs as
 /// the pipeline equivalence tests, so the fault-free reference exercises
 /// alarms, escalation, and a confirmed ROP verdict.
-fn run_with(plan: FaultPlan, parallel: bool) -> Result<PipelineReport, PipelineError> {
-    Pipeline::new(attack_spec(), with_spans(attack_session_config(plan), parallel)).run()
+fn run_with(plan: FaultPlan) -> Result<PipelineReport, PipelineError> {
+    Pipeline::new(attack_spec(), attack_session_config(plan)).run()
 }
 
-/// `cfg` as the `--parallel` matrix runs it: recorded to completion, then
-/// verified by span replay on two workers. Unchanged otherwise.
-fn with_spans(cfg: PipelineConfig, parallel: bool) -> PipelineConfig {
-    if parallel {
-        PipelineConfig { streaming: false, parallel_spans: 2, ..cfg }
-    } else {
-        cfg
-    }
-}
-
-/// Checks a `--parallel` run whose plan needs the wire: span replay reads
-/// the finished recording, so the plan must leave the report byte-identical
-/// to `reference_json` and the recovery block quiet. Returns the failure
-/// count (0 or 1).
-fn check_inert(name: &str, report: &PipelineReport, reference_json: &str) -> u32 {
-    let (identical, quiet) = (report.to_json() == reference_json, !report.recovery.any());
-    if identical && quiet {
-        println!("ok   {name}: inert (span replay reads the finished recording; no wire)");
-        0
-    } else {
-        println!("FAIL {name}: wire plan under span replay: identical={identical} quiet={quiet}");
-        1
-    }
+/// A durable store for the scenario `tag` in its own temp dir, with one
+/// frame per segment: segment indices equal frame sequence numbers, so a
+/// plan's `DiskFault { segment: 2 }` damages exactly the frame its
+/// transport fault drops.
+fn scenario_store(tag: &str) -> DurableLogConfig {
+    let dir = std::env::temp_dir().join(format!("rnr-fault-matrix-{tag}-{}", std::process::id()));
+    let mut durable = DurableLogConfig::new(dir);
+    durable.frames_per_segment = 1;
+    durable
 }
 
 fn main() {
     // Injected AR panics are part of the matrix; keep their backtraces out
     // of the gate output. Scenario failures are reported explicitly below.
     std::panic::set_hook(Box::new(|_| {}));
-    if std::env::args().any(|a| a == "--farm") {
-        let failures = farm_matrix();
-        if failures > 0 {
-            eprintln!("fault matrix (farm) FAILED: {failures} scenario(s)");
-            std::process::exit(1);
-        }
-        println!("fault matrix (farm) passed");
-        return;
+    let (label, failures) = if std::env::args().any(|a| a == "--farm") {
+        ("fault matrix (farm)", farm_matrix())
+    } else {
+        ("fault matrix", serial_matrix())
+    };
+    if failures > 0 {
+        eprintln!("{label} FAILED: {failures} scenario(s)");
+        std::process::exit(1);
     }
-    let parallel = std::env::args().any(|a| a == "--parallel");
-    let run_with = |plan| run_with(plan, parallel);
-    println!(
-        "fault matrix: {}",
-        if parallel {
-            "span replay of the finished recording (2 workers)"
-        } else {
-            "serial streaming replay"
-        }
-    );
+    println!("{label} passed");
+}
+
+/// The matrix on the streaming pipeline: every seeded scenario, the
+/// unrecoverable one, the durable store, and the two adversarial guests.
+fn serial_matrix() -> u32 {
     let mut failures = 0u32;
 
     let reference = run_with(FaultPlan::default()).expect("fault-free attack pipeline completes");
@@ -131,7 +108,6 @@ fn main() {
     }
 
     for (name, plan) in fault_scenarios(SEED) {
-        let needs_wire = parallel && plan.wants_transport_injection();
         match catch_unwind(AssertUnwindSafe(|| run_with(plan))) {
             Err(_) => {
                 println!("FAIL {name}: panicked (recoverable scenarios must heal)");
@@ -141,7 +117,6 @@ fn main() {
                 println!("FAIL {name}: pipeline error: {e}");
                 failures += 1;
             }
-            Ok(Ok(report)) if needs_wire => failures += check_inert(name, &report, &reference_json),
             Ok(Ok(report)) => {
                 let mut bad = Vec::new();
                 if report.to_json() != reference_json {
@@ -181,12 +156,11 @@ fn main() {
             println!("FAIL {name}: panicked (must fail with a structured error)");
             failures += 1;
         }
-        Ok(Ok(report)) if parallel => failures += check_inert(name, &report, &reference_json),
         Ok(Ok(_)) => {
             println!("FAIL {name}: unexpectedly succeeded");
             failures += 1;
         }
-        Ok(Err(PipelineError::Replay(ReplayError::Unrecoverable { fault, trail }))) if !parallel => {
+        Ok(Err(PipelineError::Replay(ReplayError::Unrecoverable { fault, trail }))) => {
             println!("ok   {name}: unrecoverable after {} rewind(s): {fault}", trail.len());
         }
         Ok(Err(e)) => {
@@ -195,60 +169,50 @@ fn main() {
         }
     }
 
-    failures += durable_section(parallel, &reference_json);
-    failures += jit_section(parallel);
-    failures += vrt_section(parallel);
-
-    if failures > 0 {
-        eprintln!("fault matrix FAILED: {failures} scenario(s)");
-        std::process::exit(1);
-    }
-    println!("fault matrix passed");
+    failures += durable_section(&reference_json);
+    failures += jit_section();
+    failures += vrt_section();
+    failures
 }
 
 /// The durable segment store under every disk-fault scenario (DESIGN.md
 /// §13): with `durable_log` on, the recording is persisted to sealed
 /// segments and the CR's refetch recovery reads disk first. A clean durable
 /// run must be byte-identical to the in-memory reference with a quiet
-/// recovery block; every disk-fault scenario (torn tail, bit rot, missing
-/// segment, short read, failed fsync — each paired with a dropped transport
-/// frame that forces a refetch) must heal back to the very same report,
-/// falling back to the in-memory retained store when the disk copy is
-/// damaged. Under `--parallel` no refetch happens (span replay reads the
-/// finished recording), so every disk scenario must be inert. Each scenario
-/// uses its own temp dir, removed on success.
-fn durable_section(parallel: bool, reference_json: &str) -> u32 {
+/// recovery block and no disk fault; every disk-fault scenario (torn tail,
+/// bit rot, missing segment, short read, failed fsync — each paired with a
+/// dropped transport frame that forces a refetch) must heal back to the
+/// very same report, falling back to the in-memory retained store when the
+/// disk copy is damaged, and its writer must report exactly the planned
+/// disk fault. Each scenario uses its own temp dir, removed on success.
+fn durable_section(reference_json: &str) -> u32 {
     let mut failures = 0u32;
     let run_durable = |tag: &str, plan: FaultPlan| {
-        let dir = std::env::temp_dir().join(format!(
-            "rnr-fault-matrix-{tag}-p{}-{}",
-            u8::from(parallel),
-            std::process::id()
-        ));
-        let mut durable = DurableLogConfig::new(dir.clone());
-        // One frame per segment: segment indices equal frame sequence
-        // numbers, so the plan's `DiskFault { segment: 2 }` damages exactly
-        // the frame the transport drops.
-        durable.frames_per_segment = 1;
-        let cfg = PipelineConfig {
-            durable_log: Some(durable),
-            ..with_spans(attack_session_config(plan), parallel)
-        };
-        let result = Pipeline::new(attack_spec(), cfg).run();
-        (dir, result)
+        let durable = scenario_store(tag);
+        let dir = durable.dir.clone();
+        let cfg = PipelineConfig { durable_log: Some(durable), ..attack_session_config(plan) };
+        (dir, Pipeline::new(attack_spec(), cfg).run())
     };
 
     let (dir, clean) = run_durable("clean", FaultPlan::default());
     match clean {
-        Ok(report) if report.to_json() == reference_json && !report.recovery.any() => {
-            println!("ok   durable-clean: persisted run byte-identical, recovery quiet");
+        Ok(report)
+            if report.to_json() == reference_json
+                && !report.recovery.any()
+                && report.recovery.disk.faults_injected == 0 =>
+        {
+            println!(
+                "ok   durable-clean: persisted run byte-identical, recovery quiet, {} segment(s) sealed",
+                report.recovery.disk.segments_sealed
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
         Ok(report) => {
             println!(
-                "FAIL durable-clean: identical={} quiet={}",
+                "FAIL durable-clean: identical={} quiet={} faults_injected={}",
                 report.to_json() == reference_json,
-                !report.recovery.any()
+                !report.recovery.any(),
+                report.recovery.disk.faults_injected
             );
             failures += 1;
         }
@@ -260,6 +224,8 @@ fn durable_section(parallel: bool, reference_json: &str) -> u32 {
 
     for (name, plan) in disk_fault_scenarios(SEED) {
         let wants_disk_hit = name == "disk-serves-refetch";
+        // One for each damaging scenario; `disk-serves-refetch` plans none.
+        let planned = plan.disk.len() as u64;
         match catch_unwind(AssertUnwindSafe(|| run_durable(name, plan))) {
             Err(_) => {
                 println!("FAIL {name}: panicked (disk faults must heal)");
@@ -269,21 +235,18 @@ fn durable_section(parallel: bool, reference_json: &str) -> u32 {
                 println!("FAIL {name}: pipeline error: {e}");
                 failures += 1;
             }
-            Ok((dir, Ok(report))) if parallel => {
-                let failed = check_inert(name, &report, reference_json);
-                if failed == 0 {
-                    let _ = std::fs::remove_dir_all(&dir);
-                }
-                failures += failed;
-            }
             Ok((dir, Ok(report))) => {
                 let t = &report.recovery.transport;
+                let disk = &report.recovery.disk;
                 let mut bad = Vec::new();
                 if report.to_json() != reference_json {
                     bad.push("report differs from fault-free in-memory run");
                 }
                 if !report.recovery.any() {
                     bad.push("no recovery activity recorded (fault missed?)");
+                }
+                if disk.faults_injected != planned {
+                    bad.push("disk faults injected differ from the plan");
                 }
                 if wants_disk_hit && t.disk_refetches == 0 {
                     bad.push("refetch never served from disk");
@@ -293,8 +256,8 @@ fn durable_section(parallel: bool, reference_json: &str) -> u32 {
                 }
                 if bad.is_empty() {
                     println!(
-                        "ok   {name}: refetched={} disk_refetches={} disk_fallbacks={}",
-                        t.batches_refetched, t.disk_refetches, t.disk_fallbacks
+                        "ok   {name}: refetched={} disk_refetches={} disk_fallbacks={} faults_injected={}",
+                        t.batches_refetched, t.disk_refetches, t.disk_fallbacks, disk.faults_injected
                     );
                     let _ = std::fs::remove_dir_all(&dir);
                 } else {
@@ -308,7 +271,8 @@ fn durable_section(parallel: bool, reference_json: &str) -> u32 {
 }
 
 /// The `--farm` matrix: every seeded scenario run as a two-session fleet on
-/// the shared pool — the faulted attack session beside a quiet sibling.
+/// a two-worker pool — the faulted attack session, cut into three replay
+/// spans, beside a quiet one-span sibling.
 ///
 /// The farm records sequentially and feeds span replay from the complete
 /// log, so the matrix's *transport* scenarios have no wire to damage: those
@@ -317,29 +281,33 @@ fn durable_section(parallel: bool, reference_json: &str) -> u32 {
 /// transient divergences, the killed worker) fire exactly as in serial mode
 /// and must heal to the serial clean report with recovery activity — while
 /// the sibling's report stays byte-identical to its own clean reference
-/// with a quiet recovery block. Two more cases check structural isolation:
-/// a budget-exhausted session failing beside an untouched sibling, and a
-/// farm-owned durable root laying down one segment store per session.
+/// with a quiet recovery block. The attack session persists to its own
+/// store, and the disk scenarios damage it: no refetch reads it, so the
+/// planned disk fault is their only recovery activity. Two more cases
+/// check structural isolation — a budget-exhausted session failing beside
+/// an untouched sibling, and a farm-owned durable root laying down one
+/// segment store per session — and a last fleet runs the two adversarial
+/// guests on spans.
 fn farm_matrix() -> u32 {
     let mut failures = 0u32;
     let attack_reference =
-        run_with(FaultPlan::default(), false).expect("serial clean attack pipeline completes").to_json();
+        run_with(FaultPlan::default()).expect("serial clean attack pipeline completes").to_json();
     let quiet_cfg = PipelineConfig { duration_insns: 300_000, ..PipelineConfig::default() };
     let quiet_reference = Pipeline::new(Workload::Make.spec(false), quiet_cfg.clone())
         .run()
         .expect("serial clean quiet pipeline completes")
         .to_json();
-    let fleet = |plan: FaultPlan| {
+    let fleet = |attack: PipelineConfig| {
         vec![
-            SessionSpec::new("attack", attack_spec(), attack_session_config(plan)),
+            SessionSpec::new("attack", attack_spec(), attack),
             SessionSpec::new("quiet", Workload::Make.spec(false), quiet_cfg.clone()),
         ]
     };
-    let farm = Farm::new(FarmConfig::default());
+    let farm = Farm::new(FarmConfig { workers: 2, ..FarmConfig::default() });
 
     // A sibling must come through byte-identical and quiet no matter what
     // happens to the attack session; fold that check into every scenario.
-    let check_quiet = |name: &str, report: &rnr_safe::FarmReport, failures: &mut u32| match &report
+    let check_quiet = |name: &str, report: &FarmReport, failures: &mut u32| match &report
         .session("quiet")
         .expect("quiet session present")
         .result
@@ -359,11 +327,18 @@ fn farm_matrix() -> u32 {
         }
     };
 
-    for (name, plan) in fault_scenarios(SEED) {
-        // Transport faults need the streaming channel the farm never
-        // opens; those plans are inert here and the run must be clean.
-        let fires_in_farm = !plan.wants_transport_injection();
-        let report = farm.run(&fleet(plan));
+    for (name, plan) in fault_scenarios(SEED).into_iter().chain(disk_fault_scenarios(SEED)) {
+        // The farm records sequentially, so a transport fault has no wire
+        // to damage, and its spans replay the finished log, so no refetch
+        // reads the store: only the replay/AR injections and the planned
+        // disk faults fire. The attack session persists to its own store,
+        // one frame per segment as in the serial durable section.
+        let planned_disk = plan.disk.len() as u64;
+        let fires = planned_disk > 0 || !plan.wants_transport_injection();
+        let durable = scenario_store(&format!("farm-{name}"));
+        let dir = durable.dir.clone();
+        let report =
+            farm.run(&fleet(PipelineConfig { durable_log: Some(durable), ..attack_session_config(plan) }));
         check_quiet(name, &report, &mut failures);
         match &report.session("attack").expect("attack session present").result {
             Err(e) => {
@@ -371,30 +346,36 @@ fn farm_matrix() -> u32 {
                 failures += 1;
             }
             Ok(r) => {
+                let rec = &r.recovery;
                 let mut bad = Vec::new();
                 if r.to_json() != attack_reference {
                     bad.push("report differs from serial clean run");
                 }
-                if fires_in_farm && !r.recovery.any() {
+                if fires && !rec.any() {
                     bad.push("no recovery activity recorded (fault missed?)");
                 }
-                if !fires_in_farm && r.recovery.any() {
+                if !fires && rec.any() {
                     bad.push("transport plan fired despite sequential recording");
                 }
-                if !r.recovery.failed_cases.is_empty() {
+                if rec.disk.faults_injected != planned_disk {
+                    bad.push("disk faults injected differ from the plan");
+                }
+                if !rec.failed_cases.is_empty() {
                     bad.push("alarm cases left unresolved");
                 }
                 if bad.is_empty() {
-                    let rec = &r.recovery;
                     println!(
-                        "ok   {name}: {} rewinds={} ar_retries={} panics={} workers_lost={} block_fallbacks={}",
-                        if fires_in_farm { "healed," } else { "inert (no transport in farm mode)," },
+                        "ok   {name}: {} rewinds={} ar_retries={} panics={} workers_lost={} block_fallbacks={} \
+                         disk_faults={}",
+                        if fires { "fired," } else { "inert (no transport in farm mode)," },
                         rec.cr_rewinds,
                         rec.ar_case_retries,
                         rec.ar_panics_caught,
                         rec.ar_workers_lost,
-                        rec.block_fallback_spans
+                        rec.block_fallback_spans,
+                        rec.disk.faults_injected
                     );
+                    let _ = std::fs::remove_dir_all(&dir);
                 } else {
                     println!("FAIL {name}: {}", bad.join("; "));
                     failures += 1;
@@ -405,7 +386,7 @@ fn farm_matrix() -> u32 {
 
     // Structural isolation: the attack session exhausts its AR-slot budget
     // and fails with a typed error; the sibling is untouched.
-    let mut sessions = fleet(FaultPlan::default());
+    let mut sessions = fleet(attack_session_config(FaultPlan::default()));
     sessions[0].budget.ar_slots = Some(0);
     let report = farm.run(&sessions);
     check_quiet("farm-budget-exhausted", &report, &mut failures);
@@ -424,8 +405,8 @@ fn farm_matrix() -> u32 {
     // Farm-owned durable root: each session gets its own segment store
     // directory, and persistence stays report-invisible.
     let root = std::env::temp_dir().join(format!("rnr-fault-matrix-farm-{}", std::process::id()));
-    let durable_farm = Farm::new(FarmConfig { durable_root: Some(root.clone()), ..FarmConfig::default() });
-    let report = durable_farm.run(&fleet(FaultPlan::default()));
+    let durable_farm = Farm::new(FarmConfig { workers: 2, durable_root: Some(root.clone()) });
+    let report = durable_farm.run(&fleet(attack_session_config(FaultPlan::default())));
     check_quiet("farm-durable-root", &report, &mut failures);
     let mut bad = Vec::new();
     match &report.session("attack").expect("attack session present").result {
@@ -448,23 +429,112 @@ fn farm_matrix() -> u32 {
         failures += 1;
     }
 
+    failures + adversarial_farm(&farm)
+}
+
+/// The two adversarial guests as one fleet on the farm's spans, with
+/// superblocks on and off: the self-modifying JIT workload (cut into two
+/// spans) must dispatch traces, and the VRT-armed heap-overflow attack (three
+/// spans) must convict and dismiss its false positives. Each report must
+/// equal the session's serial pipeline report with a quiet recovery block.
+fn adversarial_farm(farm: &Farm) -> u32 {
+    let sessions = |superblocks: bool| {
+        vec![
+            SessionSpec::new(
+                "jit",
+                Workload::Jit.spec(false),
+                PipelineConfig { superblocks, ..jit_config() },
+            ),
+            SessionSpec::new("vrt", heap_overflow_spec(), PipelineConfig { superblocks, ..vrt_config() }),
+        ]
+    };
+    let serial: Vec<String> = sessions(true)
+        .into_iter()
+        .map(|s| {
+            Pipeline::new(s.vm, s.config).run().expect("serial adversarial pipeline completes").to_json()
+        })
+        .collect();
+    let mut failures = 0;
+    for superblocks in [true, false] {
+        let report = farm.run(&sessions(superblocks));
+        for (outcome, expected) in report.sessions.iter().zip(&serial) {
+            let name =
+                format!("farm-{}-superblocks-{}", outcome.name, if superblocks { "on" } else { "off" });
+            let r = match &outcome.result {
+                Ok(r) => r,
+                Err(e) => {
+                    println!("FAIL {name}: session failed: {e}");
+                    failures += 1;
+                    continue;
+                }
+            };
+            let mut bad = Vec::new();
+            if r.to_json() != *expected {
+                bad.push("report differs from the serial pipeline".to_string());
+            }
+            if r.recovery.any() {
+                bad.push(format!("recovery block not quiet: {:?}", r.recovery));
+            }
+            if outcome.name == "jit" && superblocks && r.block_stats.trace_hits == 0 {
+                bad.push("trace cache never dispatched".to_string());
+            }
+            if outcome.name == "vrt" && heap_overflow_verdicts(r).0 == 0 {
+                bad.push("heap overflow not convicted".to_string());
+            }
+            if bad.is_empty() {
+                println!("ok   {name}: report identical to serial, recovery quiet");
+            } else {
+                println!("FAIL {name}: {}", bad.join("; "));
+                failures += 1;
+            }
+        }
+    }
     failures
+}
+
+/// The JIT session of the adversarial sections: 400k instructions at the
+/// RepChk0.125 interval.
+fn jit_config() -> PipelineConfig {
+    PipelineConfig {
+        duration_insns: 400_000,
+        checkpoint_interval_secs: Some(0.125),
+        ..PipelineConfig::default()
+    }
+}
+
+/// The VRT-armed heap-overflow session of the adversarial sections.
+fn vrt_config() -> PipelineConfig {
+    PipelineConfig {
+        duration_insns: 600_000,
+        checkpoint_interval_secs: Some(0.125),
+        vrt: Some(rnr_safe::vrt::VrtParams::default()),
+        ..PipelineConfig::default()
+    }
+}
+
+/// The mounted heap-overflow attack (DESIGN.md §15).
+fn heap_overflow_spec() -> VmSpec {
+    rnr_attacks::mount_heap_overflow(&rnr_workloads::WorkloadParams::default(), 40).0
+}
+
+/// (heap-overflow convictions, dismissed false positives) of `report`.
+fn heap_overflow_verdicts(report: &PipelineReport) -> (usize, usize) {
+    let count =
+        |want: fn(&VerdictSummary) -> bool| report.resolutions.iter().filter(|r| want(&r.summary)).count();
+    (
+        count(|v| matches!(v, VerdictSummary::MemoryViolation { class, .. } if class == "heap-overflow")),
+        count(|v| matches!(v, VerdictSummary::FalsePositive { .. })),
+    )
 }
 
 /// The self-modifying JIT workload under the trace engine: superblocks must
 /// be invisible in the report (on vs off byte-identical), actually engage
 /// (trace dispatches observed despite the code churn), and heal a corrupted
 /// transport batch back to the clean report.
-fn jit_section(parallel: bool) -> u32 {
-    let run = |superblocks: bool, plan: FaultPlan| {
-        let cfg = PipelineConfig {
-            duration_insns: 400_000,
-            checkpoint_interval_secs: Some(0.125),
-            superblocks,
-            fault_plan: plan,
-            ..PipelineConfig::default()
-        };
-        Pipeline::new(Workload::Jit.spec(false), with_spans(cfg, parallel)).run()
+fn jit_section() -> u32 {
+    let run = |superblocks: bool, fault_plan: FaultPlan| {
+        let cfg = PipelineConfig { superblocks, fault_plan, ..jit_config() };
+        Pipeline::new(Workload::Jit.spec(false), cfg).run()
     };
     let traced = match run(true, FaultPlan::default()) {
         Ok(r) => r,
@@ -506,7 +576,6 @@ fn jit_section(parallel: bool) -> u32 {
         ..FaultPlan::default()
     };
     match run(true, corrupt) {
-        Ok(healed) if parallel => failures += check_inert("jit-corrupt-batch", &healed, &traced.to_json()),
         Ok(healed) if healed.to_json() == traced.to_json() && healed.recovery.any() => {
             println!(
                 "ok   jit: {} trace hit(s), superblocks report-invisible, corrupt batch healed \
@@ -535,19 +604,9 @@ fn jit_section(parallel: bool) -> u32 {
 /// negatives and dismiss the churn workload's false positives, stay
 /// byte-identical with superblocks off, and heal a corrupted transport
 /// batch back to the clean report — conviction included.
-fn vrt_section(parallel: bool) -> u32 {
-    use rnr_safe::VerdictSummary;
-    let run = |superblocks: bool, plan: FaultPlan| {
-        let (spec, _attack) = rnr_attacks::mount_heap_overflow(&rnr_workloads::WorkloadParams::default(), 40);
-        let cfg = PipelineConfig {
-            duration_insns: 600_000,
-            checkpoint_interval_secs: Some(0.125),
-            superblocks,
-            vrt: Some(rnr_safe::vrt::VrtParams::default()),
-            fault_plan: plan,
-            ..PipelineConfig::default()
-        };
-        Pipeline::new(spec, with_spans(cfg, parallel)).run()
+fn vrt_section() -> u32 {
+    let run = |superblocks: bool, fault_plan: FaultPlan| {
+        Pipeline::new(heap_overflow_spec(), PipelineConfig { superblocks, fault_plan, ..vrt_config() }).run()
     };
     let clean = match run(true, FaultPlan::default()) {
         Ok(r) => r,
@@ -557,18 +616,7 @@ fn vrt_section(parallel: bool) -> u32 {
         }
     };
     let mut failures = 0;
-    let convicted = clean
-        .resolutions
-        .iter()
-        .filter(|r| {
-            matches!(&r.summary, VerdictSummary::MemoryViolation { class, .. } if class == "heap-overflow")
-        })
-        .count();
-    let dismissed = clean
-        .resolutions
-        .iter()
-        .filter(|r| matches!(&r.summary, VerdictSummary::FalsePositive { .. }))
-        .count();
+    let (convicted, dismissed) = heap_overflow_verdicts(&clean);
     if convicted == 0 {
         println!("FAIL vrt-fault-free: heap overflow not convicted (zero-FN contract broken)");
         failures += 1;
@@ -602,7 +650,6 @@ fn vrt_section(parallel: bool) -> u32 {
         ..FaultPlan::default()
     };
     match run(true, corrupt) {
-        Ok(healed) if parallel => failures += check_inert("vrt-corrupt-batch", &healed, &clean.to_json()),
         Ok(healed) if healed.to_json() == clean.to_json() && healed.recovery.any() => {
             println!(
                 "ok   vrt: {convicted} heap-overflow conviction(s), {dismissed} FP(s) dismissed, \

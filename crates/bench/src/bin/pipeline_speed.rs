@@ -12,15 +12,19 @@
 //! regresses more than 20% below the committed figure. The committed file is
 //! left untouched.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use rnr_bench::{
     assert_reports_identical, cores, emit, ms, run_insns, set_json_key, take_json_key, Estimator, Table,
     BENCH_PIPELINE_PATH, SEED,
 };
-use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_replay::{checkpoint_groups, replay_spans, AlarmReplayer, ReplayConfig, Replayer, VIRTUAL_HZ};
+use rnr_hypervisor::{RecordConfig, RecordMode, RecordOutcome, Recorder, VmSpec};
+use rnr_replay::{
+    assemble_spans, checkpoint_groups, plan_spans, pool, run_planned_span, AlarmReplayer, ReplayConfig,
+    ReplayOutcome, Replayer, SpanDone, VIRTUAL_HZ,
+};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::WorkloadParams;
 
@@ -332,10 +336,7 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
                 assert_eq!(out.verified, Some(true), "serial digest mismatch");
                 (out.cycles, out.checkpoints_taken)
             } else {
-                let pcfg = ReplayConfig { parallel_spans: workers, ..cfg.clone() };
-                let out = replay_spans(&spec, &rec.log, &rec.span_seeds, &pcfg, Some(rec.final_digest))
-                    .expect("parallel CR replays")
-                    .outcome;
+                let out = span_cr(&spec, &rec, &cfg, workers);
                 assert_eq!(out.verified, Some(true), "{workers}-worker digest mismatch");
                 (out.cycles, out.checkpoints_taken)
             };
@@ -357,6 +358,39 @@ fn cr_sweep(worker_counts: &[usize], estimator: Estimator) -> Vec<CrParallelRow>
         row.speedup_vs_serial = serial_ms / row.cr_ms;
     }
     rows
+}
+
+/// Verifies `rec` cut at its span seeds on a pool of `workers` threads,
+/// through the three span primitives the replay farm schedules: plan the
+/// spans, run each one on the pool, fold the results.
+fn span_cr(spec: &VmSpec, rec: &RecordOutcome, cfg: &ReplayConfig, workers: usize) -> ReplayOutcome {
+    let jobs = plan_spans(&rec.log, &rec.span_seeds, &cfg.fault_plan);
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<SpanDone>>> = Mutex::new(jobs.iter().map(|_| None).collect());
+    let (jobs_ref, slots_ref) = (&jobs, &slots);
+    pool::drain(workers.clamp(1, jobs.len()), &|| {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        (k < jobs_ref.len()).then(|| {
+            Box::new(move || {
+                let done = run_planned_span(spec, cfg, None, &jobs_ref[k]).expect("span replays");
+                slots_ref.lock().expect("span results")[k] = Some(done);
+            }) as pool::Task<'_>
+        })
+    });
+    let results =
+        slots.into_inner().expect("span results").into_iter().map(|s| Ok(s.expect("every span ran")));
+    assemble_spans(
+        spec,
+        cfg,
+        None,
+        rec.log.records(),
+        &jobs,
+        results.collect(),
+        Some(rec.final_digest),
+        rnr_log::TransportStats::default(),
+    )
+    .expect("span CR assembles")
+    .outcome
 }
 
 /// `--check`: quick CI gate. Reruns the attack comparison (report

@@ -63,9 +63,7 @@ fn main() {
     // Row 3: DOS — the context-switch watchdog on the interrupt-starvation
     // scenario vs the healthy control.
     let run = |spec: &rnr_hypervisor::VmSpec| {
-        let mut rc = RecordConfig::new(RecordMode::Rec, SEED, 1_500_000);
-        rc.trace = 1;
-        Recorder::new(spec, rc).unwrap().run()
+        Recorder::new(spec, RecordConfig::new(RecordMode::Rec, SEED, 1_500_000)).unwrap().run()
     };
     let attack = run(&dos_scenario(&WorkloadParams::default(), 600));
     let control = run(&dos_control(&WorkloadParams::default()));

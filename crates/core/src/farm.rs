@@ -74,9 +74,10 @@ pub struct SessionSpec {
     pub vm: VmSpec,
     /// The session's pipeline knobs. The farm honours everything that can
     /// reach the report (seed, duration, RAS capacity, checkpoint interval,
-    /// cost model, fault plan, …) and treats the wall-clock-only execution
-    /// knobs (`streaming`, `parallel_spans`, `ar_workers`) as satisfied by
-    /// the shared pool — the report is byte-identical either way.
+    /// cost model, fault plan, …). It always records sequentially and cuts
+    /// the recording into spans by its own cadence rule, and it resolves
+    /// alarm cases on the shared pool, so `streaming` and `ar_workers` do
+    /// not apply here; the report is byte-identical either way.
     pub config: PipelineConfig,
     /// Resource limits; [`SessionBudget::unlimited`] by default.
     pub budget: SessionBudget,

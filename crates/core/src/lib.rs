@@ -16,9 +16,10 @@
 //! * The **checkpointing replayer** (`rnr-replay`) re-executes the log
 //!   deterministically (verified bit-exact), takes incremental
 //!   copy-on-write checkpoints, and discards underflow alarms that match
-//!   evict records — serially while it trails a streaming recording, or,
-//!   over a finished recording, partitioned across checkpoint spans
-//!   (`parallel_spans`), with the same byte-identical report either way.
+//!   evict records. A [`Pipeline`] runs it serially, trailing a streaming
+//!   recording; the replay [`Farm`] cuts each finished recording into
+//!   checkpoint spans on its shared pool. The report is byte-identical
+//!   either way.
 //! * Each surviving alarm is handed to an **alarm replayer**, which traps
 //!   every call/return, models an unbounded software RAS (or replays the
 //!   guest's precise allocation table for VRT cases), and returns a

@@ -13,8 +13,8 @@ use rnr_log::{
 use rnr_machine::{BlockStats, CostModel};
 use rnr_ras::RasConfig;
 use rnr_replay::{
-    checkpoint_groups, pool, replay_spans, AlarmCase, AlarmReplayer, ArPass, ReplayConfig, ReplayError,
-    ReplayOutcome, Replayer, Verdict, VIRTUAL_HZ,
+    checkpoint_groups, pool, AlarmCase, AlarmReplayer, ArPass, ReplayConfig, ReplayError, ReplayOutcome,
+    Replayer, Verdict, VIRTUAL_HZ,
 };
 
 /// Attempts the AR supervisor makes per alarm case before giving up and
@@ -49,12 +49,9 @@ pub struct PipelineConfig {
     pub ar_workers: usize,
     /// Run the CR concurrently with the recorder, consuming the input log
     /// as a live stream (the paper's deployment: recording and replay
-    /// proceed in parallel on separate machines, §4). The streaming CR is
-    /// serial whatever `parallel_spans` says: it trails the recording at
-    /// about recording speed, so span workers could only win back the few
-    /// ms it ends after the recording, and measured slower end to end
-    /// (DESIGN.md §11). `false` records to completion first — the result is
-    /// identical either way.
+    /// proceed in parallel on separate machines, §4). `false` records to
+    /// completion first and then replays the finished log. Either way the
+    /// CR is the serial [`Replayer`]; the report is identical.
     pub streaming: bool,
     /// Use the predecoded instruction cache in the recorder and all
     /// replayers (wall-clock optimization; virtual cycles, digests, and
@@ -68,12 +65,10 @@ pub struct PipelineConfig {
     /// replayers (wall-clock optimization; virtual cycles, digests, and
     /// verdicts are identical either way). Requires `block_engine`.
     pub superblocks: bool,
-    /// Partition verification replay of the finished recording across this
-    /// many span workers along the recorder's span seeds (DESIGN.md §11).
-    /// Applies only with `streaming` off, the one mode in which the pipeline
-    /// arms seed capture; `0` replays serially. Wall-clock only: the report,
-    /// logs, virtual cycles and digests are byte-identical for every worker
-    /// count.
+    /// Does nothing: the pipeline always verifies with the serial CR, and
+    /// only the replay farm cuts spans (DESIGN.md §11). Kept only because
+    /// the frozen repository benchmark sets it; deleted at the next change
+    /// to `benchmark/`.
     pub parallel_spans: usize,
     /// Deterministic fault injections (transport damage, injected
     /// divergences, AR panics/kills). Empty by default; with an empty plan
@@ -323,10 +318,16 @@ pub struct RecoveryReport {
     pub ar_workers_lost: u64,
     /// Cases that stayed unresolved after every retry (partial report).
     pub failed_cases: Vec<FailedCase>,
+    /// What the recorder's durable writer persisted, with the planned disk
+    /// faults it injected and the write and sync errors it swallowed (all
+    /// zero without `durable_log`).
+    pub disk: rnr_log::DiskWriteStats,
 }
 
 impl RecoveryReport {
-    /// True when any fault was detected, healed, or worked around.
+    /// True when any fault was detected, healed, or worked around. Of the
+    /// disk counters only injected faults and swallowed I/O errors count:
+    /// a clean durable run seals segments too.
     pub fn any(&self) -> bool {
         self.cr_rewinds > 0
             || self.block_fallback_spans > 0
@@ -338,6 +339,8 @@ impl RecoveryReport {
             || self.ar_panics_caught > 0
             || self.ar_workers_lost > 0
             || !self.failed_cases.is_empty()
+            || self.disk.faults_injected > 0
+            || self.disk.io_errors > 0
     }
 }
 
@@ -414,8 +417,7 @@ impl Pipeline {
     /// failed final-state verification.
     pub fn run(&self) -> Result<PipelineReport, PipelineError> {
         let cfg = &self.config;
-        let spans = !cfg.streaming && cfg.parallel_spans > 0;
-        let rc = record_config(cfg, spans.then(|| span_seed_cadence(cfg)));
+        let rc = record_config(cfg, None);
         let replay_cfg = replay_config(cfg);
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
@@ -478,13 +480,11 @@ impl Pipeline {
     /// Streaming, the recorder publishes each record to a live stream as it
     /// is logged and the serial CR consumes the stream on this thread,
     /// trailing the recording (§4: recording and replay proceed in
-    /// parallel); otherwise the CR replays the finished log, span-parallel
-    /// when `parallel_spans` asks for workers. Either way its final digest is
-    /// checked against the recording's once both are done. A recorder panic
-    /// takes precedence over a guest fault, and both over whatever
-    /// truncated-log error they induced in the CR. Returns the recording, the
-    /// CR outcome, and the CR phase's block-cache counters (summed across
-    /// span workers).
+    /// parallel); otherwise the serial CR replays the finished log. Either
+    /// way its final digest is checked against the recording's once both are
+    /// done. A recorder panic takes precedence over a guest fault, and both
+    /// over whatever truncated-log error they induced in the CR. Returns the
+    /// recording, the CR outcome, and the CR's block-cache counters.
     fn record_and_replay(
         &self,
         rc: RecordConfig,
@@ -503,12 +503,7 @@ impl Pipeline {
             (rec?, cr_result)
         } else {
             let rec = run_recorder(recorder)?;
-            let cr_result = if replay_cfg.parallel_spans > 0 {
-                replay_spans(&self.spec, &rec.log, &rec.span_seeds, replay_cfg, None)
-                    .map(|par| (par.outcome, par.block_stats))
-            } else {
-                serial_cr(&self.spec, LogSource::Complete(Arc::clone(&rec.log)), replay_cfg)
-            };
+            let cr_result = serial_cr(&self.spec, LogSource::Complete(Arc::clone(&rec.log)), replay_cfg);
             (rec, cr_result)
         };
         let (mut cr_out, cr_stats) = cr_result?;
@@ -533,8 +528,8 @@ fn serial_cr(
 }
 
 /// The recorder configuration a [`PipelineConfig`] implies. `span_cadence`
-/// arms seed capture for span replay; seed capture is pure reads, so the
-/// recording is byte-identical whether or not it is set.
+/// arms seed capture for the farm's span replay; seed capture is pure reads,
+/// so the recording is byte-identical whether or not it is set.
 pub(crate) fn record_config(cfg: &PipelineConfig, span_cadence: Option<u64>) -> RecordConfig {
     let mut rc = RecordConfig::new(RecordMode::Rec, cfg.seed, cfg.duration_insns);
     rc.ras_capacity = cfg.ras_capacity;
@@ -562,7 +557,6 @@ pub(crate) fn replay_config(cfg: &PipelineConfig) -> ReplayConfig {
         block_engine: cfg.block_engine,
         superblocks: cfg.superblocks,
         resilient: true,
-        parallel_spans: cfg.parallel_spans,
         fault_plan: cfg.fault_plan.clone(),
         durable_log: cfg.durable_log.clone(),
         vrt: cfg.vrt.clone(),
@@ -789,6 +783,7 @@ pub(crate) fn finish_report(
         ar_panics_caught: ar.panics,
         ar_workers_lost: ar.workers_lost,
         failed_cases,
+        disk: rec.disk,
     };
     PipelineReport {
         record: RecordSummary {
@@ -817,15 +812,6 @@ pub(crate) fn finish_report(
         block_stats,
         recovery,
     }
-}
-
-/// Seed-capture cadence for parallel replay: aim for ~4 spans per worker so
-/// the span pipeline stays busy, floored so tiny runs don't drown in
-/// restore overhead. The cadence shapes wall-clock only — seed capture is
-/// pure reads, so the recording is byte-identical regardless.
-fn span_seed_cadence(cfg: &PipelineConfig) -> u64 {
-    let workers = cfg.parallel_spans.max(1) as u64;
-    (cfg.duration_insns / (workers * 4)).max(15_000)
 }
 
 /// Pool size for the alarm-replay phase: 1 unless parallel alarm replay is

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use rnr_guest::layout;
 use rnr_isa::Reg;
 use rnr_log::{
-    AlarmInfo, Category, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo, MAX_FRAME_AGE_INSNS,
+    AlarmInfo, Category, DiskWriteStats, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo,
+    MAX_FRAME_AGE_INSNS,
 };
 use rnr_machine::{
     CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
@@ -91,8 +92,6 @@ pub struct RecordConfig {
     pub ras_capacity: usize,
     /// Cycle cost model.
     pub costs: CostModel,
-    /// Keep a debug ring buffer of the last `n` executed PCs.
-    pub trace: usize,
     /// Program the hardware JOP table (Table 1, row 2) with the `n` most
     /// common functions of the guest images (`None` disables JOP alarms).
     /// `Some(usize::MAX)` tracks every function.
@@ -130,7 +129,6 @@ impl RecordConfig {
             superblocks: true,
             ras_capacity: RasConfig::DEFAULT_CAPACITY,
             costs: CostModel::default(),
-            trace: 0,
             jop_common_functions: None,
             stall_on_alarm: false,
             span_seed_every_insns: None,
@@ -230,17 +228,6 @@ pub struct RecordOutcome {
     pub fig8: Option<AttributionReport>,
     /// Guest fault that ended the run early, if any.
     pub fault: Option<FaultKind>,
-    /// PC of the faulting instruction, when a fault occurred.
-    pub fault_pc: Option<rnr_isa::Addr>,
-    /// Register file at the fault, for diagnostics.
-    pub fault_regs: Option<[u64; 16]>,
-    /// Recently executed PCs before a fault (only when tracing was enabled
-    /// via [`RecordConfig::trace`]).
-    pub fault_trace: Vec<rnr_isa::Addr>,
-    /// IVT contents at the fault, for diagnostics.
-    pub fault_ivt: Option<[u64; 3]>,
-    /// Every disk operation started (only when tracing is enabled).
-    pub disk_ops: Vec<crate::devices::DiskOp>,
     /// Final value of the guest's privilege flag (non-zero = the §6 attack
     /// escalated before detection/response).
     pub priv_flag: u64,
@@ -251,17 +238,18 @@ pub struct RecordOutcome {
     pub stalled: bool,
     /// Guest kernel context switches observed at the interposition trap.
     pub context_switches: u64,
-    /// Cycle timestamps of context switches (only when tracing is enabled;
-    /// feeds the Table 1 DOS watchdog).
+    /// Cycle timestamps of context switches, one per switch (feeds the
+    /// Table 1 DOS watchdog).
     pub switch_trace: Vec<u64>,
-    /// Store-watchpoint hits `(pc, addr, value, retired)` (debugging).
-    pub watch_hits: Vec<(u64, u64, u64, u64)>,
     /// Basic-block cache counters (wall-clock diagnostics, never part of
     /// the verified report).
     pub block_stats: rnr_machine::BlockStats,
     /// Span seeds captured during recording (empty unless
     /// [`RecordConfig::span_seed_every_insns`] was set).
     pub span_seeds: Vec<SpanSeed>,
+    /// What the durable writer persisted, and the disk faults and swallowed
+    /// I/O errors it saw (all zero without [`Recorder::persist_to`]).
+    pub disk: DiskWriteStats,
 }
 
 impl RecordOutcome {
@@ -305,8 +293,6 @@ pub struct Recorder {
     next_packet: Option<u64>,
     net: crate::NetProfile,
     injections: VecDeque<PacketInjection>,
-    watch_addr: Option<u64>,
-    watch_last: u64,
     fig8: Option<RasAttribution>,
     vrt_base: u64,
     vrt_len: u64,
@@ -314,7 +300,6 @@ pub struct Recorder {
     fault: Option<FaultKind>,
     stalled: bool,
     context_switches: u64,
-    disk_ops: Vec<crate::devices::DiskOp>,
     switch_trace: Vec<u64>,
     span_seeds: Vec<SpanSeed>,
     next_seed_at: u64,
@@ -362,21 +347,8 @@ impl Recorder {
         images.push(spec.boot.to_image());
         let image_refs: Vec<&rnr_isa::Image> = images.iter().collect();
         let mut vm = GuestVm::new(machine, &image_refs);
-        if config.trace > 0 {
-            vm.enable_trace(config.trace);
-        }
-        // Read the debugging watch address once here, not in the run loop:
-        // env lookups are host syscalls and have no place on the hot path.
-        let watch_addr = std::env::var("RNR_WATCH_ADDR").ok().and_then(|v| u64::from_str_radix(&v, 16).ok());
-        if let Some(w) = watch_addr {
-            vm.set_watchpoint(w);
-        }
         vm.set_entry(spec.kernel.entry());
         vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
-        if config.functional_ras_analysis {
-            // The functional environment wants every return visible as a
-            // RetTrap; alarms come from the lockstep analyzer instead.
-        }
         let intro = Introspector::new(&spec.kernel);
         if mode.has_ras_extension() {
             vm.add_breakpoint(intro.switch_sp_trap());
@@ -390,8 +362,6 @@ impl Recorder {
         let next_timer = spec.timer_period + nondet.timer_jitter(spec.timer_period);
         let next_packet = spec.net.mean_interarrival.map(|m| nondet.packet_gap(m));
         Ok(Recorder {
-            watch_addr,
-            watch_last: 0,
             vm,
             nondet,
             disk: DiskDevice::new(VmSpec::DEFAULT_DISK, spec.disk_seed),
@@ -419,7 +389,6 @@ impl Recorder {
             fault: None,
             stalled: false,
             context_switches: 0,
-            disk_ops: Vec::new(),
             switch_trace: Vec::new(),
             span_seeds: Vec::new(),
             next_seed_at: config.span_seed_every_insns.unwrap_or(u64::MAX),
@@ -521,21 +490,6 @@ impl Recorder {
             let exit = self
                 .vm
                 .run(rnr_machine::RunBudget { until_retired: Some(until), until_cycles: Some(deadline) });
-            if let Some(watch) = self.watch_addr {
-                let val = self.vm.mem().read_u64(watch).unwrap_or(0);
-                if val != self.watch_last {
-                    eprintln!(
-                        "WATCH {:#x}: {} -> {} at insn {} pc {:#x} exit {:?}",
-                        watch,
-                        self.watch_last,
-                        val,
-                        self.vm.retired(),
-                        self.vm.cpu().pc,
-                        exit
-                    );
-                    self.watch_last = val;
-                }
-            }
             self.handle_exit(exit);
         }
         if self.config.mode.is_recording() {
@@ -544,9 +498,7 @@ impl Recorder {
         // Seal the store before the sink sends its last frame: a refetch of
         // the tail must find it on disk (with any planned damage already
         // applied). Earlier frames are on disk only once their segment is.
-        if let Some(writer) = self.durable.take() {
-            writer.finish();
-        }
+        let disk = self.durable.take().map(DurableWriter::finish).unwrap_or_default();
         if let Some(sink) = self.sink.take() {
             sink.finish();
         }
@@ -564,34 +516,16 @@ impl Recorder {
             fig8: self.fig8.as_ref().map(RasAttribution::report),
             fault: self.fault,
             stalled: self.stalled,
-            fault_pc: self.fault.map(|_| self.vm.cpu().pc),
-            fault_trace: if self.fault.is_some() { self.vm.trace().collect() } else { Vec::new() },
-            disk_ops: self.disk_ops,
-            fault_ivt: self.fault.map(|_| {
-                let ivt = MachineConfig::IVT_BASE;
-                [
-                    self.vm.mem().read_u64(ivt).unwrap_or(0),
-                    self.vm.mem().read_u64(ivt + 8).unwrap_or(0),
-                    self.vm.mem().read_u64(ivt + 16).unwrap_or(0),
-                ]
-            }),
-            fault_regs: self.fault.map(|_| {
-                let mut regs = [0u64; 16];
-                for r in rnr_isa::Reg::ALL {
-                    regs[r.index()] = self.vm.cpu().reg(r);
-                }
-                regs
-            }),
             priv_flag: self.intro.priv_flag(&self.vm),
             ops: (0..rnr_guest::layout::MAX_THREADS as u64)
                 .map(|slot| self.vm.mem().read_u64(rnr_guest::layout::OPS_BASE + (slot + 1) * 8).unwrap_or(0))
                 .sum(),
             context_switches: self.context_switches,
-            watch_hits: self.vm.watch_hits().to_vec(),
             block_stats: self.vm.block_stats(),
             switch_trace: self.switch_trace,
             console: self.console,
             span_seeds: self.span_seeds,
+            disk,
             log: Arc::new(self.log),
             attribution: self.attribution,
         }
@@ -766,9 +700,6 @@ impl Recorder {
                         // A command write started an operation; latch writes
                         // fall through to the arm below.
                         let op = self.disk.in_flight().expect("just started");
-                        if self.config.trace > 0 {
-                            self.disk_ops.push(op);
-                        }
                         let latency = self.nondet.disk_latency(
                             op.count.max(1),
                             costs.disk_latency_base,
@@ -992,9 +923,7 @@ impl Recorder {
         let costs = self.config.costs;
         if pc == self.intro.switch_sp_trap() {
             self.context_switches += 1;
-            if self.config.trace > 0 {
-                self.switch_trace.push(self.vm.cycles());
-            }
+            self.switch_trace.push(self.vm.cycles());
             let next = self.intro.next_thread_at_switch(&self.vm).unwrap_or(self.current_tid);
             let prev = self.current_tid;
             if let Some(saved) = self.vm.cpu_mut().ras.save_backras() {

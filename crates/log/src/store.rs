@@ -170,11 +170,6 @@ impl DurableWriter {
         self.stats
     }
 
-    /// Write stats accumulated so far.
-    pub fn stats(&self) -> DiskWriteStats {
-        self.stats
-    }
-
     /// Seals the pending frames into one segment file, atomically:
     /// write-temp + fsync + rename + directory fsync. IO errors degrade to
     /// memory-only durability (counted, never fatal — the in-memory log

@@ -32,8 +32,7 @@ pub struct MachineConfig {
     /// single-stepping (see `GuestVm::run`). Like `decode_cache`, a pure
     /// wall-clock knob: the retired stream, virtual cycles, digests, and
     /// exits are byte-identical either way. Automatically inert while
-    /// [`CostModel::decode`] is non-zero or per-instruction debugging
-    /// (tracing, watchpoints) is active.
+    /// [`CostModel::decode`] is non-zero.
     pub block_engine: bool,
     /// Chain hot basic blocks across taken branches and page boundaries
     /// into superblock traces with one dispatch and one counter commit per

@@ -96,10 +96,6 @@ pub struct GuestVm {
     skip_bp_at: Vec<Addr>,
     pending_io: Option<PendingIo>,
     interrupt_window: bool,
-    trace: std::collections::VecDeque<Addr>,
-    trace_cap: usize,
-    watch_addr: Option<Addr>,
-    watch_hits: Vec<(Addr, u64, u64, u64)>,
     // The Variable Record Table memory-safety detector (DESIGN.md §15).
     // Armed on recording VMs only; replay VMs take VRT alarms from the log.
     vrt: Option<rnr_vrt::VrtUnit>,
@@ -131,10 +127,6 @@ impl GuestVm {
             skip_bp_at: Vec::new(),
             pending_io: None,
             interrupt_window: false,
-            trace: std::collections::VecDeque::new(),
-            trace_cap: 0,
-            watch_addr: None,
-            watch_hits: Vec::new(),
         }
     }
 
@@ -157,26 +149,6 @@ impl GuestVm {
     /// The VRT's diagnostic counters, if the VM is armed.
     pub fn vrt_counters(&self) -> Option<&rnr_vrt::VrtCounters> {
         self.vrt.as_ref().map(|v| v.counters())
-    }
-
-    /// Debugging: record every store whose 8-byte window covers `addr`.
-    pub fn set_watchpoint(&mut self, addr: Addr) {
-        self.watch_addr = Some(addr);
-    }
-
-    /// Debugging: `(pc, store_addr, value, retired)` for watchpoint hits.
-    pub fn watch_hits(&self) -> &[(Addr, u64, u64, u64)] {
-        &self.watch_hits
-    }
-
-    /// Enables a debugging ring buffer of the last `n` executed PCs.
-    pub fn enable_trace(&mut self, n: usize) {
-        self.trace_cap = n;
-    }
-
-    /// The last executed PCs, oldest first (empty unless tracing is on).
-    pub fn trace(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.trace.iter().copied()
     }
 
     /// Sets the CPU entry point.
@@ -436,16 +408,11 @@ impl GuestVm {
 
     /// Whether [`GuestVm::run`] may execute whole basic blocks.
     ///
-    /// Besides the config knob, block execution requires every
-    /// per-instruction observation point to be absent: a non-zero decode
-    /// cost would charge cycles per cache build instead of per fetch, and
-    /// the PC trace ring / store watchpoint are debugging aids that want to
-    /// see (and timestamp) each instruction individually.
+    /// Besides the config knob, block execution requires a zero decode
+    /// cost: a non-zero one would charge cycles per cache build instead of
+    /// per fetch.
     fn block_engine_active(&self) -> bool {
-        self.config.block_engine
-            && self.config.costs.decode == 0
-            && self.trace_cap == 0
-            && self.watch_addr.is_none()
+        self.config.block_engine && self.config.costs.decode == 0
     }
 
     /// The event horizon: how many instructions may retire before a budget
@@ -1025,12 +992,6 @@ impl GuestVm {
             Ok(i) => i,
             Err(exit) => return Some(exit),
         };
-        if self.trace_cap > 0 {
-            if self.trace.len() == self.trace_cap {
-                self.trace.pop_front();
-            }
-            self.trace.push_back(pc);
-        }
         self.execute(pc, insn)
     }
 
@@ -1167,12 +1128,6 @@ impl GuestVm {
 
         match insn.op {
             op if is_straight(op) => {
-                if let (St | St8, Some(w)) = (op, self.watch_addr) {
-                    let addr = self.cpu.reg(insn.rs1).wrapping_add(insn.imm as i64 as u64);
-                    if w.wrapping_sub(addr) < 8 {
-                        self.watch_hits.push((pc, addr, self.cpu.reg(insn.rs2), self.retired));
-                    }
-                }
                 match self.exec_straight(insn) {
                     Ok(()) => {}
                     // Retire-then-exit: the write landed.

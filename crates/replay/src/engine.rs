@@ -60,11 +60,10 @@ pub struct ReplayConfig {
     pub resilient: bool,
     /// Deterministic fault injections for this replay (empty = none).
     pub fault_plan: rnr_log::FaultPlan,
-    /// Verification-replay worker count for span-partitioned parallel replay
-    /// of a finished recording ([`crate::replay_spans`]; `0` = serial, the
-    /// classic single-threaded CR). Like [`ReplayConfig::block_engine`] this
-    /// is a wall-clock-only knob: the fold reconstructs cycles, checkpoints,
-    /// and alarm bookkeeping byte-identically to a serial run.
+    /// Does nothing: no replayer reads it, and span replay is driven by the
+    /// replay farm's scheduler (DESIGN.md §11). Kept only because the frozen
+    /// repository benchmark sets it; deleted at the next change to
+    /// `benchmark/`.
     pub parallel_spans: usize,
     /// Back a streaming source's refetch recovery with the durable segment
     /// store at this config's directory (DESIGN.md §13): damaged or dropped

@@ -17,12 +17,13 @@
 //! * The **checkpointing replayer** (CR) is a [`Replayer`] with a
 //!   checkpoint interval; it also performs the §4.6.2 special case:
 //!   matching RAS-underflow alarms against *evict* records and discarding
-//!   the false ones without launching an alarm replayer. The CR reads a
-//!   live stream serially; a finished recording can also be verified
-//!   span-partitioned across workers ([`replay_spans`], DESIGN.md §11):
-//!   the fold reconstructs the serial CR's clock, checkpoint schedule, and
-//!   alarm bookkeeping byte-identically, so `parallel_spans` is a
-//!   wall-clock-only knob.
+//!   the false ones without launching an alarm replayer. The CR is serial.
+//!   A finished recording can also be verified span-partitioned: the
+//!   replay farm plans the spans ([`plan_spans`]), runs each on its pool
+//!   ([`run_planned_span`]) and folds them ([`assemble_spans`], DESIGN.md
+//!   §11). The fold reconstructs the serial CR's clock, checkpoint
+//!   schedule, and alarm bookkeeping byte-identically, so how a recording
+//!   is cut never reaches a report.
 //! * [`AlarmReplayer`] — launched from the checkpoint preceding an
 //!   unresolved alarm of *either detector family* ([`CaseKind`]). One
 //!   [`ArPass`] per checkpoint resolves every case that shares it
@@ -54,9 +55,7 @@ pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
     RewindStep,
 };
-pub use parallel::{
-    assemble_spans, plan_spans, replay_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanJob,
-};
+pub use parallel::{assemble_spans, plan_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanJob};
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint
 /// intervals in seconds (RepChk5/RepChk1/RepChk02); this constant maps them

@@ -10,11 +10,12 @@
 //! to what a serial [`Replayer`] produces over the same log.
 //!
 //! Span replay verifies *finished* recordings: a log and the seeds its
-//! recorder captured. A streaming pipeline verifies with the serial
-//! [`Replayer`] reading the live stream instead: that CR ends within a few
-//! ms of the recording, while a span CR cannot start its last span before
-//! recording ends and then still has the fold and checkpoint
-//! materialization to run (DESIGN.md §11).
+//! recorder captured. The replay farm is the one library caller: it
+//! records each session with seed capture armed, runs [`plan_spans`]' jobs
+//! as work items on its shared pool, and folds them with
+//! [`assemble_spans`]. The pipeline always verifies with the serial
+//! [`Replayer`], which trails a streaming recording and ends within a few
+//! ms of it (DESIGN.md §11).
 //!
 //! Correctness rests on three properties of the replay engine:
 //!
@@ -30,8 +31,7 @@
 //!    serial CR's continuous verification between spans.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rnr_hypervisor::{CycleAttribution, SpanSeed, VmSpec};
 use rnr_isa::Addr;
@@ -42,17 +42,17 @@ use rnr_ras::ThreadId;
 use crate::book::AlarmBook;
 use crate::engine::SpanRun;
 use crate::{
-    pool, AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery,
-    Replayer, RewindStep,
+    AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
+    RewindStep,
 };
 
 /// Re-execution attempts per span before giving up (mirrors the serial
 /// engine's per-point recovery bound).
 const MAX_SPAN_ATTEMPTS: u32 = 3;
 
-/// Result of [`replay_spans`]: the serial-identical outcome plus the merged
-/// wall-clock block-engine statistics of every worker (the outcome's own VM
-/// is only the *last* worker's, so its stats alone would undercount).
+/// Result of [`assemble_spans`]: the serial-identical outcome plus the
+/// merged wall-clock block-engine statistics of every span (the outcome's
+/// own VM is only the *last* span's, so its stats alone would undercount).
 #[derive(Debug)]
 pub struct ParallelReplayOutcome {
     /// The replay outcome, byte-identical to a serial run's.
@@ -181,50 +181,6 @@ impl Fold {
     }
 }
 
-/// Replays a finished recording across `cfg.parallel_spans.max(1)` span
-/// workers and reassembles a [`ReplayOutcome`] byte-identical to a serial
-/// CR's: [`plan_spans`] cuts `log` at `seeds`, the pool runs the planned
-/// jobs in span order, and [`assemble_spans`] folds their results.
-///
-/// `expected` arms final-digest verification exactly like
-/// [`Replayer::verify_against`].
-///
-/// # Errors
-///
-/// The same failures a serial resilient CR surfaces over a finished log: a
-/// persistent divergence ([`ReplayError::Unrecoverable`] with the rewind
-/// trail) or, with `cfg.resilient` off, the first raw fault. A seam-digest
-/// mismatch between adjacent spans surfaces as [`ReplayError::Divergence`].
-pub fn replay_spans(
-    spec: &VmSpec,
-    log: &Arc<InputLog>,
-    seeds: &[SpanSeed],
-    cfg: &ReplayConfig,
-    expected: Option<Digest>,
-) -> Result<ParallelReplayOutcome, ReplayError> {
-    let jobs = plan_spans(log, seeds, &cfg.fault_plan);
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<SpanDone, ReplayError>>>> =
-        Mutex::new(jobs.iter().map(|_| None).collect());
-    let (jobs_ref, slots_ref) = (&jobs, &slots);
-    pool::drain(cfg.parallel_spans.clamp(1, jobs.len()), &|| {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        (k < jobs_ref.len()).then(|| {
-            Box::new(move || {
-                let done = run_one_span(spec, cfg, &jobs_ref[k]);
-                slots_ref.lock().expect("span results")[k] = Some(done);
-            }) as pool::Task<'_>
-        })
-    });
-    let results = slots
-        .into_inner()
-        .expect("span results")
-        .into_iter()
-        .map(|slot| slot.expect("every span ran"))
-        .collect();
-    assemble_spans(spec, cfg, None, log.records(), &jobs, results, expected, TransportStats::default())
-}
-
 /// Cuts a finished recording into one [`SpanJob`] per seed interval.
 ///
 /// Each job carries the shared log, its seam bounds, its landing-RNG
@@ -232,28 +188,6 @@ pub fn replay_spans(
 /// the jobs can be executed in any order, by any worker, on any pool.
 pub fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
     (0..=seeds.len()).map(|k| make_job(k, seeds, log, plan)).collect()
-}
-
-/// Replays one planned span to completion, retrying transient divergences
-/// in place exactly like the in-crate span workers (the span is its own
-/// rewind unit; recovery accounting lands in the returned [`SpanDone`]).
-///
-/// # Errors
-///
-/// The span's terminal replay failure after the bounded retries:
-/// [`ReplayError::Unrecoverable`] with the rewind trail when `cfg.resilient`
-/// is set, or the first raw fault when it is not.
-///
-/// `_shared` does nothing: every span worker decodes into its own VM's
-/// cache. The parameter is kept only because the frozen repository
-/// benchmark passes it; it is deleted at the next change to `benchmark/`.
-pub fn run_planned_span(
-    spec: &VmSpec,
-    cfg: &ReplayConfig,
-    _shared: Option<&Arc<SharedPageCache>>,
-    job: &SpanJob,
-) -> Result<SpanDone, ReplayError> {
-    run_one_span(spec, cfg, job)
 }
 
 /// Reassembles per-span results into a [`ReplayOutcome`] byte-identical to
@@ -403,7 +337,6 @@ fn worker_cfg(cfg: &ReplayConfig) -> ReplayConfig {
         collect_cases: false,
         resilient: false,
         profile_sample_every: None,
-        parallel_spans: 0,
         fault_plan: FaultPlan::default(),
         durable_log: None,
         ..cfg.clone()
@@ -440,11 +373,27 @@ fn build_replayer(spec: &VmSpec, wcfg: ReplayConfig, job: &SpanJob) -> Replayer 
     r
 }
 
-/// Runs one span to completion, retrying transient divergences in place:
-/// the span *is* the rewind unit (its seed is the checkpoint), so recovery
-/// re-executes it from scratch, stepped after a block-engine suspect, and
-/// reports the same accounting a serial rewind would.
-fn run_one_span(spec: &VmSpec, cfg: &ReplayConfig, job: &SpanJob) -> Result<SpanDone, ReplayError> {
+/// Replays one planned span to completion, retrying transient divergences
+/// in place: the span *is* the rewind unit (its seed is the checkpoint), so
+/// recovery re-executes it from scratch, stepped after a block-engine
+/// suspect, and the returned [`SpanDone`] carries the same accounting a
+/// serial rewind would.
+///
+/// # Errors
+///
+/// The span's terminal replay failure after the bounded retries:
+/// [`ReplayError::Unrecoverable`] with the rewind trail when `cfg.resilient`
+/// is set, or the first raw fault when it is not.
+///
+/// `_shared` does nothing: every span worker decodes into its own VM's
+/// cache. The parameter is kept only because the frozen repository
+/// benchmark passes it; it is deleted at the next change to `benchmark/`.
+pub fn run_planned_span(
+    spec: &VmSpec,
+    cfg: &ReplayConfig,
+    _shared: Option<&Arc<SharedPageCache>>,
+    job: &SpanJob,
+) -> Result<SpanDone, ReplayError> {
     let mut rewinds = 0;
     let mut rewound_insns = 0;
     let mut block_fallbacks = 0;

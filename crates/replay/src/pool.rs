@@ -1,5 +1,5 @@
-//! A minimal scoped worker pool: the one pool behind span replay, alarm
-//! replay, and the replay farm.
+//! A minimal scoped worker pool: the one pool behind the pipeline's alarm
+//! replay and the replay farm.
 //!
 //! The pool owns no queue and no policy: callers hand it a *source* — a
 //! closure that either produces the next runnable task (possibly blocking
@@ -7,10 +7,9 @@
 //! simply keeps `workers` threads pulling from it. Scheduling decisions
 //! (span order, fleet fairness, budget backpressure) live entirely in the
 //! source, which keeps this primitive reusable across very different
-//! consumers: `replay_spans` feeds it span jobs planned up front and the
-//! pipeline's alarm phase feeds it cases, each through an atomic cursor;
-//! and the farm feeds it a weighted round-robin scheduler behind a
-//! condvar.
+//! consumers: the pipeline's alarm phase feeds it checkpoint groups
+//! through an atomic cursor, and the farm feeds it a weighted round-robin
+//! scheduler behind a condvar.
 
 /// A unit of pooled work.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;

@@ -45,9 +45,7 @@ fn main() {
     // A malicious kernel thread disables interrupts and spins; the
     // context-switch watchdog notices the scheduler going quiet.
     let run = |spec: &rnr_hypervisor::VmSpec| {
-        let mut rc = RecordConfig::new(RecordMode::Rec, 42, 1_500_000);
-        rc.trace = 1; // keep switch timestamps
-        Recorder::new(spec, rc).expect("spec ok").run()
+        Recorder::new(spec, RecordConfig::new(RecordMode::Rec, 42, 1_500_000)).expect("spec ok").run()
     };
     let params = WorkloadParams::default();
     let attacked = run(&dos_scenario(&params, 600));

@@ -3,13 +3,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The suite asserts serial-vs-parallel report identity and runs the fault
-# matrix with span workers replaying the finished recording; on a
-# single-core host `cargo test` gets no real parallelism and the wall-clock
-# claims go unexercised. Refuse unless explicitly overridden.
+# The suite asserts report identity between serial pipelines and span
+# replay on the replay farm's worker pool, and the farm fault matrix runs
+# two pool workers; on a single-core host that pool gets no real
+# parallelism and the wall-clock claims go unexercised. Refuse unless
+# explicitly overridden.
 cores="$(nproc)"
 if [ "$cores" -lt 2 ] && [ "${RNR_ALLOW_SINGLE_CORE:-0}" != "1" ]; then
-    echo "check.sh: only $cores core available; parallel span replay needs >= 2" >&2
+    echo "check.sh: only $cores core available; the replay farm's span workers need >= 2" >&2
     echo "check.sh: set RNR_ALLOW_SINGLE_CORE=1 to run anyway" >&2
     exit 1
 fi
@@ -72,7 +73,8 @@ timed examples run_examples
 # segment store's disk scenarios (torn write, bit rot, missing segment,
 # short read, failed fsync, each forcing the CR's disk-first refetch).
 # Fails if any recoverable scenario's report differs from the fault-free
-# run (or shows no recovery activity), or if the unrecoverable scenario
+# run (or shows no recovery activity), if a disk scenario's writer reports
+# other than its one planned disk fault, or if the unrecoverable scenario
 # does anything but fail with a structured error. Ends with the two
 # adversarial guests: the self-modifying JIT workload under the superblock
 # trace engine, and the VRT-armed heap-overflow attack (conviction and
@@ -80,20 +82,17 @@ timed examples run_examples
 # scenarios write to per-scenario temp dirs, removed on success.
 timed fault-matrix cargo run --release -q -p rnr-bench --bin fault_matrix --offline
 
-# Same matrix with the recording finished first and verified by
-# checkpoint-partitioned span replay on two workers (a streaming pipeline's
-# CR is always serial). Every replay and AR scenario must heal under spans
-# to a report byte-identical to a clean run; transport, durable and
-# unrecoverable plans need the wire, which span replay never reads, so
-# those runs must be clean and byte-identical, as in the farm matrix.
-timed fault-matrix-par cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --parallel
-
-# Farm fault matrix: every seeded scenario as a two-session fleet on the
-# shared worker pool. Replay/AR faults must heal byte-identically beside an
-# undisturbed quiet sibling; transport scenarios must be inert (the farm
-# records sequentially — there is no wire); budget exhaustion must fail
-# its session with a typed error and leave the sibling untouched; a
-# farm-owned durable root must lay down one segment store per session.
+# Farm fault matrix, the span half of the matrix (only the farm replays
+# spans): every seeded scenario as a two-session fleet on a two-worker
+# pool, the attack session cut into three spans beside a one-span sibling.
+# Replay/AR faults must heal byte-identically beside an undisturbed quiet
+# sibling; transport scenarios must be inert (the farm records
+# sequentially — there is no wire); each disk scenario on the attack
+# session's own store must leave the clean report with exactly its planned
+# disk fault; budget exhaustion must fail its session with a typed error
+# and leave the sibling untouched; a farm-owned durable root must lay down
+# one segment store per session; and the JIT and VRT guests must report on
+# spans as they do serially, superblocks on and off.
 timed fault-matrix-farm cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --farm
 
 # Perf gate: rerun the attack-pipeline comparison and fail if the reports
@@ -116,9 +115,10 @@ timed benchmark cargo test --release --offline --manifest-path benchmark/Cargo.t
 
 # Benchmark smoke gate: one short traced run per workload. The traced run's
 # drift guard checks that the benchmark's own copies of the pipeline's
-# config helpers (`record_config`, `replay_config`, `ar_replay_config`,
-# `span_seed_cadence`) still reproduce each session's report, and every
-# session's verdicts are checked against its workload. The benchmark exits
+# config helpers (`record_config`, `replay_config`, `ar_replay_config`;
+# its `span_seed_cadence` mirrors a helper the pipeline no longer has,
+# and seed capture never changes a report) still reproduce each session's
+# report, and every session's verdicts are checked against its workload. The benchmark exits
 # 0 even when a session is incorrect, so the gate reads the result line.
 bench_smoke() {
     local w last

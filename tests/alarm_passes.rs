@@ -3,16 +3,16 @@
 //! replay stopped after a record and then resumed is the same replay, so
 //! every verdict — full report included — and every alarm-replay cycle count
 //! must equal what a replay started for that case alone gives. Cases come
-//! from the serial CR and from span-parallel replay, whose checkpoints are
-//! materialized by re-running a span.
+//! from the serial CR and from span replay (the replay farm's primitives),
+//! whose checkpoints are materialized by re-running a span.
 
 use std::sync::Arc;
 
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder, VmSpec};
-use rnr_log::{InputLog, Record};
+use rnr_log::{InputLog, Record, TransportStats};
 use rnr_replay::{
-    checkpoint_groups, replay_spans, AlarmCase, AlarmReplayer, CaseKind, ReplayConfig, ReplayError, Replayer,
-    VIRTUAL_HZ,
+    assemble_spans, checkpoint_groups, plan_spans, run_planned_span, AlarmCase, AlarmReplayer, CaseKind,
+    ReplayConfig, ReplayError, Replayer, VIRTUAL_HZ,
 };
 use rnr_vrt::VrtParams;
 use rnr_workloads::{Workload, WorkloadParams};
@@ -28,38 +28,49 @@ struct Session {
 }
 
 /// Records `spec` for `insns` instructions and runs the CR with a
-/// checkpoint every `secs` virtual seconds — serially when `span_workers`
-/// is 0, else span-parallel — with the pipeline's recorder and replay
-/// settings.
-fn session(spec: VmSpec, insns: u64, secs: f64, vrt: bool, span_workers: usize) -> Session {
+/// checkpoint every `secs` virtual seconds — serially, or, when `span_every`
+/// sets a seed cadence, cut into spans at the recorder's seeds and folded
+/// back — with the pipeline's recorder and replay settings.
+fn session(spec: VmSpec, insns: u64, secs: f64, vrt: bool, span_every: Option<u64>) -> Session {
     let vrt = vrt.then(VrtParams::default);
     let mut rc = RecordConfig::new(RecordMode::Rec, SEED, insns);
     rc.vrt = vrt.clone();
-    if span_workers > 0 {
-        rc.span_seed_every_insns = Some((insns / (span_workers as u64 * 4)).max(15_000));
-    }
+    rc.span_seed_every_insns = span_every;
     let rec = Recorder::new(&spec, rc).expect("recorder").run();
     assert!(rec.fault.is_none(), "guest fault while recording: {:?}", rec.fault);
     let cfg = ReplayConfig {
         checkpoint_interval: Some((secs * VIRTUAL_HZ as f64) as u64),
-        parallel_spans: span_workers,
         vrt,
         ..ReplayConfig::default()
     };
-    let out = if span_workers > 0 {
-        replay_spans(&spec, &rec.log, &rec.span_seeds, &cfg, Some(rec.final_digest)).expect("span CR").outcome
+    let out = if span_every.is_some() {
+        let jobs = plan_spans(&rec.log, &rec.span_seeds, &cfg.fault_plan);
+        let results = jobs.iter().map(|job| run_planned_span(&spec, &cfg, None, job)).collect();
+        let digest = Some(rec.final_digest);
+        assemble_spans(
+            &spec,
+            &cfg,
+            None,
+            rec.log.records(),
+            &jobs,
+            results,
+            digest,
+            TransportStats::default(),
+        )
+        .expect("span CR")
+        .outcome
     } else {
         let mut cr = Replayer::new(&spec, Arc::clone(&rec.log), cfg.clone());
         cr.verify_against(rec.final_digest);
         cr.run().expect("serial CR")
     };
     assert_eq!(out.verified, Some(true), "CR must verify");
-    Session { spec, log: rec.log, ar_cfg: ReplayConfig { parallel_spans: 0, ..cfg }, cases: out.alarm_cases }
+    Session { spec, log: rec.log, ar_cfg: cfg, cases: out.alarm_cases }
 }
 
 fn attack_session() -> Session {
     let (spec, _plan) = rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
-    session(spec, 900_000, 0.125, false, 0)
+    session(spec, 900_000, 0.125, false, None)
 }
 
 /// Resolves every case on one pass per checkpoint and on a pass of its own,
@@ -100,7 +111,7 @@ fn attack_cases_resolve_on_one_pass_as_if_alone() {
 
 #[test]
 fn longjmp_vrt_cases_resolve_on_one_pass_as_if_alone() {
-    let s = session(Workload::Longjmp.spec(false), 600_000, 1.0, true, 0);
+    let s = session(Workload::Longjmp.spec(false), 600_000, 1.0, true, None);
     assert!(s.cases.iter().any(|c| matches!(c.kind, CaseKind::Ras(_))), "RAS cases escalate");
     assert!(s.cases.iter().any(|c| matches!(c.kind, CaseKind::Vrt(_))), "VRT cases escalate");
     let groups = assert_passes_match_solo(&s);
@@ -109,7 +120,7 @@ fn longjmp_vrt_cases_resolve_on_one_pass_as_if_alone() {
 
 #[test]
 fn materialized_span_checkpoints_resolve_on_one_pass_as_if_alone() {
-    let s = session(Workload::HeapServer.spec(false), 600_000, 0.125, true, 2);
+    let s = session(Workload::HeapServer.spec(false), 600_000, 0.125, true, Some(75_000));
     assert_eq!(s.cases.len(), 27, "HeapServer's escalated VRT alarms at seed {SEED}");
     let groups = assert_passes_match_solo(&s);
     let ids: Vec<u64> = groups.iter().map(|g| s.cases[g[0]].checkpoint.id).collect();

@@ -1,7 +1,10 @@
 //! Cross-crate determinism properties: the foundation RnR-Safe stands on.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::farm_of_one;
 use proptest::prelude::*;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
 use rnr_replay::{ReplayConfig, Replayer};
@@ -87,16 +90,17 @@ fn replay_from_checkpoint_converges() {
 /// lands in guest memory only with the interrupt, exactly where replay
 /// applies it (at the `Interrupt` record). Fileio at 600k instructions,
 /// seeds 163 and 173, stops recording inside that window; the final digests
-/// must still match under the default, span-parallel, and reference
-/// (everything off) pipeline configurations.
+/// must still match under the default and reference (everything off)
+/// pipeline configurations and under span replay in a farm of one.
 #[test]
 fn disk_completion_at_the_budget_edge_verifies() {
     use rnr_safe::{Pipeline, PipelineConfig};
     for seed in [163, 173] {
         let default = PipelineConfig { seed, duration_insns: 600_000, ..PipelineConfig::default() };
+        let spans = farm_of_one(Workload::Fileio.spec(false), default.clone(), 2);
+        assert!(spans.replay.verified, "seed {seed}, spans");
         let configs = [
             ("default", default.clone()),
-            ("spans", PipelineConfig { streaming: false, parallel_spans: 2, ..default.clone() }),
             (
                 "reference",
                 PipelineConfig {

@@ -2,6 +2,9 @@
 //! every recoverable seeded fault without changing the report, and fail
 //! structurally (never panic) on the unrecoverable one.
 
+mod common;
+
+use common::farm_of_one;
 use rnr_log::{
     apply_disk_fault, fault_scenarios, segment_file_name, unrecoverable_scenario, DiskFault, DiskFaultKind,
     DurableLogConfig, DurableStore, DurableWriter, FaultPlan, TransportFault, TransportFaultKind,
@@ -105,6 +108,8 @@ fn transport_faults_heal_on_a_benign_workload_too() {
     assert_eq!(report.recovery.rewind_trail.len(), report.recovery.cr_rewinds as usize);
 }
 
+/// Span replay in a farm of one on two workers: the injected CR divergence
+/// heals by re-running its span.
 #[test]
 fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
     let run = |plan| {
@@ -113,52 +118,21 @@ fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
         let cfg = PipelineConfig {
             duration_insns: 900_000,
             checkpoint_interval_secs: Some(0.125),
-            streaming: false,
-            parallel_spans: 2,
             fault_plan: plan,
             ..PipelineConfig::default()
         };
-        Pipeline::new(spec, cfg).run()
+        farm_of_one(spec, cfg, 2)
     };
-    let reference = run(FaultPlan::default()).expect("clean parallel run");
+    let reference = run(FaultPlan::default());
     assert!(!reference.recovery.any(), "clean parallel run must not report recovery");
     let plan = FaultPlan { seed: SEED, cr_divergence_at_insn: Some(240_000), ..FaultPlan::default() };
-    let report = run(plan).expect("healed run");
+    let report = run(plan);
     assert_eq!(report.to_json(), reference.to_json(), "healed parallel report must be byte-identical");
     assert!(report.replay.verified);
     // The owning span re-executes from its seed: that rewind-and-refetch is
     // accounted exactly like a serial rewind to the last checkpoint.
     assert!(report.recovery.cr_rewinds >= 1, "span retry must be recorded as a rewind");
     assert!(!report.recovery.rewind_trail.is_empty());
-}
-
-/// A streaming pipeline verifies with the serial CR whatever
-/// `parallel_spans` says, so a CR divergence rewinds to the last retained
-/// checkpoint, exactly as in a run without span workers, not to a span
-/// seed.
-#[test]
-fn streaming_pipeline_with_span_workers_rewinds_like_serial() {
-    let run = |parallel_spans| {
-        let (spec, _attack) =
-            rnr_attacks::mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).expect("attack mounts");
-        let cfg = PipelineConfig {
-            duration_insns: 900_000,
-            checkpoint_interval_secs: Some(0.125),
-            parallel_spans,
-            fault_plan: FaultPlan {
-                seed: SEED,
-                cr_divergence_at_insn: Some(240_000),
-                ..FaultPlan::default()
-            },
-            ..PipelineConfig::default()
-        };
-        Pipeline::new(spec, cfg).run().expect("healed run")
-    };
-    let serial = run(0);
-    assert!(!serial.recovery.rewind_trail.is_empty(), "the injected divergence must rewind");
-    let spans = run(2);
-    assert_eq!(spans.recovery.rewind_trail, serial.recovery.rewind_trail);
-    assert_eq!(spans.to_json(), serial.to_json());
 }
 
 /// The VRT detector family rides the same self-healing replay path as the
@@ -286,6 +260,36 @@ fn durable_store_serves_a_refetch_from_disk() {
         .expect("healed run");
     assert_eq!(report.to_json(), reference.to_json(), "durable heal must be report-invisible");
     assert!(report.recovery.transport.disk_refetches >= 1, "refetch must be served from sealed segments");
+    let disk = report.recovery.disk;
+    assert!(disk.segments_sealed > 0, "the writer's stats reach the report: {disk:?}");
+    assert_eq!((disk.faults_injected, disk.io_errors), (0, 0), "an undamaged store: {disk:?}");
+}
+
+/// A planned disk fault that no refetch reads still reaches the recovery
+/// block: with no transport fault the CR never reads the store, so only
+/// the writer's own accounting shows that the failed fsync fired.
+#[test]
+fn unread_disk_fault_still_shows_in_the_recovery_block() {
+    let dir = TempDir::new("unread-disk-fault");
+    let cfg = |plan, durable| PipelineConfig {
+        duration_insns: 250_000,
+        fault_plan: plan,
+        durable_log: durable,
+        ..Default::default()
+    };
+    let reference =
+        Pipeline::new(Workload::Mysql.spec(false), cfg(FaultPlan::default(), None)).run().expect("clean run");
+    let plan = FaultPlan {
+        seed: SEED,
+        disk: vec![DiskFault { segment: 1, kind: DiskFaultKind::FailedFsync }],
+        ..FaultPlan::default()
+    };
+    let report = Pipeline::new(Workload::Mysql.spec(false), cfg(plan, Some(durable_cfg(&dir.0))))
+        .run()
+        .expect("the recording is intact in memory");
+    assert_eq!(report.to_json(), reference.to_json());
+    assert_eq!(report.recovery.disk.faults_injected, 1);
+    assert!(report.recovery.any(), "the fired disk fault must count as recovery activity");
 }
 
 #[test]
@@ -324,6 +328,7 @@ fn damaged_disk_copy_falls_back_to_memory_and_still_heals() {
             report.recovery.transport.disk_fallbacks >= 1,
             "{kind:?}: damaged disk copy must fall back to the retained store"
         );
+        assert_eq!(report.recovery.disk.faults_injected, 1, "{kind:?}: the planned fault fired once");
         assert!(report.recovery.any(), "{kind:?}: recovery must be accounted");
     }
 }

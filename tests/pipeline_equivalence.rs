@@ -1,10 +1,14 @@
 //! Equivalence of the pipeline's host-side execution strategies: streaming
-//! vs sequential record+replay, AR pool sizes, and the decode cache are all
-//! wall-clock knobs — every one of them must leave the recorded log, the
-//! virtual-cycle figures, and the verdicts bit-identical.
+//! vs sequential record+replay, AR pool sizes, the decode cache, and span
+//! replay in the farm are all wall-clock knobs — every one of them must
+//! leave the recorded log, the virtual-cycle figures, and the verdicts
+//! bit-identical.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::farm_of_one;
 use rnr_attacks::mount_kernel_rop;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
 use rnr_log::log_channel;
@@ -228,8 +232,9 @@ fn block_engine_edge_cases_match_single_step() {
 
 /// Checkpoint-partitioned span replay of the finished recording is a pure
 /// wall-clock knob: for every worker count, workload, and block-engine
-/// setting, the parallel pipeline report is byte-identical to the serial
-/// one of the same configuration.
+/// setting, a farm of one session, which the farm's cadence rule cuts into
+/// about twice as many spans as it has workers, reports byte-identically to
+/// the serial pipeline of the same configuration.
 /// The matrix runs the full adversarial set — including the VRT-stressing
 /// `HeapServer` and `Longjmp` workloads — with the VRT detector armed, so
 /// memory-safety alarm cases ride the span-partitioned escalation path too.
@@ -237,22 +242,17 @@ fn block_engine_edge_cases_match_single_step() {
 fn parallel_span_replay_matches_serial_across_matrix() {
     for workload in Workload::ADVERSARIAL {
         for block_engine in [true, false] {
-            let run = |parallel_spans: usize| {
-                let cfg = PipelineConfig {
-                    duration_insns: 250_000,
-                    block_engine,
-                    streaming: false,
-                    parallel_spans,
-                    vrt: Some(rnr_vrt::VrtParams::default()),
-                    ..PipelineConfig::default()
-                };
-                Pipeline::new(workload.spec(false), cfg).run().unwrap()
+            let cfg = PipelineConfig {
+                duration_insns: 250_000,
+                block_engine,
+                vrt: Some(rnr_vrt::VrtParams::default()),
+                ..PipelineConfig::default()
             };
-            let serial = run(0);
+            let serial = Pipeline::new(workload.spec(false), cfg.clone()).run().unwrap();
             assert!(serial.replay.verified);
             assert_eq!(serial.attacks_confirmed(), 0, "{workload:?}: benign run convicted");
             for workers in [1, 2, 4, 8] {
-                let parallel = run(workers);
+                let parallel = farm_of_one(workload.spec(false), cfg.clone(), workers);
                 assert_eq!(
                     parallel.to_json(),
                     serial.to_json(),
@@ -264,102 +264,97 @@ fn parallel_span_replay_matches_serial_across_matrix() {
 }
 
 /// On the mounted attack, span-parallel verification of the finished
-/// recording reproduces the serial report exactly — verdicts, detection
-/// window, and alarm resolutions included. A streaming pipeline given span
-/// workers verifies with the serial CR and yields the same report too.
+/// recording in a farm of one reproduces the serial pipeline's report
+/// exactly — verdicts, detection window, and alarm resolutions included.
 #[test]
 fn attack_pipeline_parallel_spans_match_serial() {
-    let base_cfg = PipelineConfig {
+    let cfg = PipelineConfig {
         duration_insns: 900_000,
         checkpoint_interval_secs: Some(0.125),
         ..PipelineConfig::default()
     };
-    let run = |cfg: PipelineConfig| {
-        let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
-        Pipeline::new(spec, cfg).run().unwrap()
-    };
-    let serial = run(base_cfg.clone());
+    let spec = || mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap().0;
+    let serial = Pipeline::new(spec(), cfg.clone()).run().unwrap();
     assert!(serial.attacks_confirmed() >= 1);
     for workers in [2, 4] {
-        let streamed = run(PipelineConfig { parallel_spans: workers, ..base_cfg.clone() });
-        assert_eq!(serial.to_json(), streamed.to_json(), "streaming, {workers} workers asked for");
-        let sequential =
-            run(PipelineConfig { parallel_spans: workers, streaming: false, ..base_cfg.clone() });
-        assert_eq!(serial.to_json(), sequential.to_json(), "complete feed, {workers} workers");
+        let spans = farm_of_one(spec(), cfg.clone(), workers);
+        assert_eq!(serial.to_json(), spans.to_json(), "farm of one, {workers} workers");
     }
 }
 
 /// The `durable_log` knob is report-invisible across its interaction
 /// corners: persistence on vs off, crossed with the streaming serial CR or
-/// span replay of the finished recording and with the superblock trace
-/// engine, always yields a byte-identical report.
+/// span replay of the finished recording (a farm of one on two workers)
+/// and with the superblock trace engine, always yields a byte-identical
+/// report.
 #[test]
 fn durable_log_equivalent_across_parallel_and_superblock_corners() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-corners-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let run = |durable: Option<&str>, parallel_spans: usize, superblocks: bool| {
+    let run = |durable: Option<&str>, spans: bool, superblocks: bool| {
         let cfg = PipelineConfig {
             duration_insns: 250_000,
-            streaming: parallel_spans == 0,
-            parallel_spans,
             superblocks,
             durable_log: durable.map(|tag| rnr_log::DurableLogConfig::new(scratch.join(tag))),
             ..PipelineConfig::default()
         };
-        Pipeline::new(Workload::Jit.spec(false), cfg).run().unwrap()
+        if spans {
+            farm_of_one(Workload::Jit.spec(false), cfg, 2)
+        } else {
+            Pipeline::new(Workload::Jit.spec(false), cfg).run().unwrap()
+        }
     };
-    let reference = run(None, 0, true);
+    let reference = run(None, false, true);
     assert!(reference.replay.verified);
-    for parallel_spans in [0, 2] {
+    for spans in [false, true] {
         for superblocks in [true, false] {
-            let tag = format!("p{parallel_spans}-s{superblocks}");
-            let durable = run(Some(&tag), parallel_spans, superblocks);
-            let plain = run(None, parallel_spans, superblocks);
+            let tag = format!("spans{spans}-s{superblocks}");
+            let durable = run(Some(&tag), spans, superblocks);
+            let plain = run(None, spans, superblocks);
             assert_eq!(
                 plain.to_json(),
                 reference.to_json(),
-                "spans={parallel_spans} superblocks={superblocks}: baseline diverged"
+                "spans={spans} superblocks={superblocks}: baseline diverged"
             );
             assert_eq!(
                 durable.to_json(),
                 reference.to_json(),
-                "spans={parallel_spans} superblocks={superblocks}: durable_log changed the report"
+                "spans={spans} superblocks={superblocks}: durable_log changed the report"
             );
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Streaming and sequential pipelines persist **byte-identical** segment
-/// stores: both modes persist through the one durable-write path,
-/// `Recorder::persist_to`, and cut frames at the same points, so the durable
-/// form is independent of how the run was driven. Mysql's dense log fills
-/// whole batches; Jit's sparse log is cut by frame age, and its sequential
-/// run, which captures span seeds for two span workers, cuts the same
-/// frames as its streaming run, which captures none.
+/// Streaming and sequential pipelines and a farm of one persist
+/// **byte-identical** segment stores: all three persist through the one
+/// durable-write path, `Recorder::persist_to`, and cut frames at the same
+/// points, so the durable form is independent of how the run was driven.
+/// Mysql's dense log fills whole batches; Jit's sparse log is cut by frame
+/// age. The farm, on two workers, cuts each session at its span seeds, and
+/// capturing them leaves the frames as the pipelines, which capture none,
+/// cut them.
 #[test]
 fn durable_store_is_byte_identical_across_streaming_and_sequential() {
     let scratch = std::env::temp_dir().join(format!("rnr-eq-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    for (workload, duration_insns, parallel_spans) in
-        [(Workload::Mysql, 250_000, 0), (Workload::Jit, 1_200_000, 2)]
-    {
+    for (workload, duration_insns) in [(Workload::Mysql, 250_000), (Workload::Jit, 1_200_000)] {
+        let cfg = |dir: std::path::PathBuf| PipelineConfig {
+            duration_insns,
+            durable_log: Some(rnr_log::DurableLogConfig::new(dir)),
+            ..PipelineConfig::default()
+        };
         let run = |streaming: bool, dir: std::path::PathBuf| {
-            let cfg = PipelineConfig {
-                duration_insns,
-                streaming,
-                parallel_spans,
-                durable_log: Some(rnr_log::DurableLogConfig::new(dir)),
-                ..PipelineConfig::default()
-            };
-            Pipeline::new(workload.spec(false), cfg).run().unwrap()
+            Pipeline::new(workload.spec(false), PipelineConfig { streaming, ..cfg(dir) }).run().unwrap()
         };
         let label = workload.label();
-        let (streaming_dir, sequential_dir) =
-            (scratch.join(format!("{label}-streaming")), scratch.join(format!("{label}-sequential")));
+        let [streaming_dir, sequential_dir, farm_dir] =
+            ["streaming", "sequential", "farm"].map(|mode| scratch.join(format!("{label}-{mode}")));
         let streamed = run(true, streaming_dir.clone());
         let sequential = run(false, sequential_dir.clone());
+        let farmed = farm_of_one(workload.spec(false), cfg(farm_dir.clone()), 2);
         assert_eq!(streamed.to_json(), sequential.to_json(), "{label}");
+        assert_eq!(streamed.to_json(), farmed.to_json(), "{label}: farm of one");
 
         let list = |dir: &std::path::Path| {
             let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -371,13 +366,15 @@ fn durable_store_is_byte_identical_across_streaming_and_sequential() {
         };
         let names = list(&streaming_dir);
         assert!(!names.is_empty(), "{label}: the streaming run must have sealed segments");
-        assert_eq!(names, list(&sequential_dir), "{label}: same segment files either way");
-        for name in &names {
-            assert_eq!(
-                std::fs::read(streaming_dir.join(name)).unwrap(),
-                std::fs::read(sequential_dir.join(name)).unwrap(),
-                "{label} {name}: segment bytes differ between streaming and sequential persistence"
-            );
+        for (mode, dir) in [("sequential", &sequential_dir), ("farm", &farm_dir)] {
+            assert_eq!(names, list(dir), "{label}: same segment files streaming and {mode}");
+            for name in &names {
+                assert_eq!(
+                    std::fs::read(streaming_dir.join(name)).unwrap(),
+                    std::fs::read(dir.join(name)).unwrap(),
+                    "{label} {name}: segment bytes differ between streaming and {mode} persistence"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);

@@ -7,6 +7,9 @@
 //! engine — stepped, block, superblock, span-parallel, and the farm — and
 //! require byte-identical reports plus at least one conviction everywhere.
 
+mod common;
+
+use common::farm_of_one;
 use proptest::prelude::*;
 use rnr_attacks::{mount_heap_overflow, mount_stack_uar};
 use rnr_guest::layout;
@@ -231,7 +234,8 @@ fn heap_attack_zero_fn_across_engine_matrix() {
     let no_traces = run(PipelineConfig { superblocks: false, ..vrt_cfg(600_000) });
     assert_eq!(base.to_json(), no_traces.to_json(), "superblocks-off diverged");
     for workers in [2, 4] {
-        let spans = run(PipelineConfig { streaming: false, parallel_spans: workers, ..vrt_cfg(600_000) });
+        let spans =
+            farm_of_one(mount_heap_overflow(&WorkloadParams::default(), 40).0, vrt_cfg(600_000), workers);
         assert_eq!(base.to_json(), spans.to_json(), "span-parallel ({workers}) diverged");
     }
     let sequential =
@@ -268,17 +272,14 @@ fn heap_attack_zero_fn_in_the_farm() {
 }
 
 /// The use-after-return is convicted through the leaked frame pointer, with
-/// the same report serial and span-parallel.
+/// the same report serial and span-parallel (a farm of one).
 #[test]
 fn uar_attack_convicted_and_equivalent() {
-    let run = |cfg: PipelineConfig| {
-        let (spec, _plan) = mount_stack_uar(&WorkloadParams::default(), 4);
-        Pipeline::new(spec, cfg).run().unwrap()
-    };
-    let base = run(vrt_cfg(400_000));
+    let spec = || mount_stack_uar(&WorkloadParams::default(), 4).0;
+    let base = Pipeline::new(spec(), vrt_cfg(400_000)).run().unwrap();
     assert!(base.replay.verified);
     assert!(count_class(&base, "use-after-return") >= 1, "the UAR must be convicted");
-    let spans = run(PipelineConfig { streaming: false, parallel_spans: 2, ..vrt_cfg(400_000) });
+    let spans = farm_of_one(spec(), vrt_cfg(400_000), 2);
     assert_eq!(base.to_json(), spans.to_json(), "span-parallel UAR report diverged");
 }
 
