@@ -8,9 +8,10 @@
 //! host's cores) across all of them. Session phases are decomposed into
 //! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
 //! `ArCase` per checkpoint shared by escalated alarms (one alarm-replay pass
-//! resolves that checkpoint's cases) — and a deterministic weighted round-robin
-//! scheduler drains them so an alarm-storming session cannot starve its
-//! quiet siblings. Every VM a work item builds owns its decode, block and
+//! of the session's alarm phase, the same one [`Pipeline`](crate::Pipeline)
+//! drives, resolves that checkpoint's cases) — and a deterministic weighted
+//! round-robin scheduler drains them so an alarm-storming session cannot
+//! starve its quiet siblings. Every VM a work item builds owns its decode, block and
 //! trace caches.
 //!
 //! **Invariance:** a farm of N sessions produces per-session
@@ -20,8 +21,8 @@
 //! spine the farm is built on: recording is sequential (streaming is a
 //! wall-clock-only knob, and seed capture is pure reads), span replay folds
 //! index-keyed results in span order regardless of execution order, and
-//! alarm cases resolve into index-keyed slots — nothing the scheduler
-//! decides can reach a report. Failures are isolated the same way: a
+//! the alarm phase files each case's outcome in its own slot — nothing the
+//! scheduler decides can reach a report. Failures are isolated the same way: a
 //! session that panics, exhausts a [`SessionBudget`], or trips its fault
 //! plan fails with a structured [`FarmError`] while its siblings' reports
 //! stay untouched.
@@ -40,13 +41,13 @@ use std::time::Instant;
 use rnr_hypervisor::{RecordOutcome, VmSpec};
 use rnr_log::{DurableLogConfig, TransportStats};
 use rnr_replay::{
-    assemble_spans, checkpoint_groups, plan_spans, pool, run_planned_span, AlarmCase, ReplayConfig,
-    ReplayError, ReplayOutcome, SpanDone, SpanJob,
+    assemble_spans, plan_spans, pool, run_planned_span, ReplayConfig, ReplayError, ReplayOutcome, SpanDone,
+    SpanJob,
 };
 
 use crate::pipeline::{
     ar_replay_config, finish_report, panic_text, record_config, recorder_for, replay_config, run_recorder,
-    ArStats, CaseResolver,
+    AlarmPhase, ArStats,
 };
 use crate::{AlarmResolution, FailedCase, PipelineConfig, PipelineError, PipelineReport};
 
@@ -278,7 +279,7 @@ struct SessionPlan {
 
 /// Where one session is in its record → replay → finalize → resolve life
 /// cycle. Holds the phase's index-keyed result slots; the borrow parameter
-/// is the fleet's borrow of the session specs (the resolver replays
+/// is the fleet's borrow of the session specs (the alarm phase replays
 /// against a session's `VmSpec`).
 enum Phase<'s> {
     /// Waiting for / executing its `Record` item.
@@ -301,36 +302,28 @@ struct ReplayPhase {
     remaining: usize,
 }
 
+/// What `Finalize` hands back and the resolve phase holds: the verified
+/// recording and CR, and the session's alarm phase, one `ArCase` item per
+/// pass.
 struct ResolvePhase<'s> {
     rec: RecordOutcome,
     cr_out: ReplayOutcome,
     cr_stats: rnr_machine::BlockStats,
-    resolver: Arc<CaseResolver<'s>>,
-    cases: Arc<Vec<AlarmCase>>,
-    /// Case indices per checkpoint: one `ArCase` item each.
-    groups: Arc<Vec<Vec<usize>>>,
-    /// Per-case result slots.
-    slots: Vec<Option<Result<AlarmResolution, FailedCase>>>,
-    remaining: usize,
-    workers_lost: u64,
+    alarms: Arc<AlarmPhase<'s>>,
 }
 
-/// What `Finalize` hands back: everything the resolve phase needs.
-struct FinalizeOut<'s> {
-    rec: RecordOutcome,
-    cr_out: ReplayOutcome,
-    cr_stats: rnr_machine::BlockStats,
-    resolver: Arc<CaseResolver<'s>>,
-    workers_lost: u64,
-}
+/// Every case's outcome and the alarm phase's recovery accounting.
+type Resolved = (Vec<Result<AlarmResolution, FailedCase>>, ArStats);
 
 /// A work item's result, computed OUTSIDE the fleet lock and applied under
 /// it.
 enum Executed<'s> {
     Recorded(Box<Result<RecordOutcome, FarmError>>),
     Span(usize, Box<Result<SpanDone, ReplayError>>),
-    Finalized(Result<Box<FinalizeOut<'s>>, FarmError>),
-    Resolved(Vec<(usize, Result<AlarmResolution, FailedCase>)>),
+    Finalized(Result<Box<ResolvePhase<'s>>, FarmError>),
+    /// An `ArCase` item's pass ran; the item that ran the last pass carries
+    /// the outcomes.
+    Resolved(Option<Box<Resolved>>),
 }
 
 struct FleetState<'s> {
@@ -460,11 +453,9 @@ impl<'s> Fleet<'s> {
                 let Phase::Resolving(rs) = &st.phases[s] else {
                     unreachable!("case dispatched outside resolve phase")
                 };
-                let resolver = Arc::clone(&rs.resolver);
-                let cases = Arc::clone(&rs.cases);
-                let groups = Arc::clone(&rs.groups);
+                let alarms = Arc::clone(&rs.alarms);
                 let g = item.index;
-                Box::new(move || Executed::Resolved(resolver.resolve_group(&cases, &groups[g])))
+                Box::new(move || Executed::Resolved(alarms.run_pass(g).then(|| Box::new(alarms.finish()))))
             }
         };
         Box::new(move || {
@@ -507,11 +498,11 @@ impl<'s> Fleet<'s> {
     }
 
     /// Finalize payload: seam-check and fold the finished spans, verify the
-    /// final digest, apply the rewind and AR-case budgets, and build the
-    /// shared case resolver.
-    fn finalize_session(&self, s: usize, rp: ReplayPhase) -> Result<Box<FinalizeOut<'s>>, FarmError> {
+    /// final digest, apply the rewind and AR-case budgets, and move the
+    /// escalated cases into the session's alarm phase.
+    fn finalize_session(&self, s: usize, rp: ReplayPhase) -> Result<Box<ResolvePhase<'s>>, FarmError> {
         // Borrow the spec through the fleet's `'s` sessions slice (not
-        // through `&self`): the resolver keeps it for the resolve phase.
+        // through `&self`): the alarm phase keeps it for the resolve phase.
         let sessions: &'s [SessionSpec] = self.sessions;
         let spec = &sessions[s];
         let results: Vec<Result<SpanDone, ReplayError>> =
@@ -548,22 +539,19 @@ impl<'s> Fleet<'s> {
                 });
             }
         }
-        // The fault plan's worker-kill is recorded as in the pipeline; the
-        // case is resolved anyway, by whichever pool worker draws its group.
-        let workers_lost =
-            u64::from(spec.config.fault_plan.kill_ar_worker_at_case.is_some_and(|k| k < cases));
-        let resolver = Arc::new(CaseResolver::new(
+        let mut cr_out = par.outcome;
+        let alarms = AlarmPhase::new(
             &spec.vm,
             Arc::clone(&rp.rec.log),
             self.plans[s].ar_cfg.clone(),
             &spec.config.fault_plan,
-        ));
-        Ok(Box::new(FinalizeOut {
+            std::mem::take(&mut cr_out.alarm_cases),
+        );
+        Ok(Box::new(ResolvePhase {
             rec: rp.rec,
-            cr_out: par.outcome,
+            cr_out,
             cr_stats: par.block_stats,
-            resolver,
-            workers_lost,
+            alarms: Arc::new(alarms),
         }))
     }
 
@@ -614,67 +602,36 @@ impl<'s> Fleet<'s> {
                 }
             }
             Executed::Finalized(Err(e)) => self.finish(st, s, Err(e)),
-            Executed::Finalized(Ok(out)) => {
-                let fin = *out;
-                let cases = Arc::new(fin.cr_out.alarm_cases.clone());
-                let n = cases.len();
-                if n == 0 {
-                    let report = finish_report(
-                        self.sessions[s].vm.name.clone(),
-                        &self.sessions[s].config,
-                        &fin.rec,
-                        &fin.cr_out,
-                        fin.cr_stats,
-                        Vec::new(),
-                        ArStats { retries: 0, panics: 0, workers_lost: fin.workers_lost },
-                    );
-                    self.finish(st, s, Ok(report));
+            Executed::Finalized(Ok(rs)) => {
+                let passes = rs.alarms.passes();
+                if passes == 0 {
+                    let resolved = rs.alarms.finish();
+                    self.report(st, s, *rs, resolved);
                     return;
                 }
-                let groups = Arc::new(checkpoint_groups(&cases));
-                for g in 0..groups.len() {
+                for g in 0..passes {
                     st.sched.enqueue(WorkItem { session: s, kind: WorkKind::ArCase, index: g });
                 }
-                st.phases[s] = Phase::Resolving(Box::new(ResolvePhase {
-                    rec: fin.rec,
-                    cr_out: fin.cr_out,
-                    cr_stats: fin.cr_stats,
-                    resolver: fin.resolver,
-                    cases,
-                    groups,
-                    slots: (0..n).map(|_| None).collect(),
-                    remaining: n,
-                    workers_lost: fin.workers_lost,
-                }));
+                st.phases[s] = Phase::Resolving(rs);
             }
-            Executed::Resolved(resolved) => {
-                let Phase::Resolving(rs) = &mut st.phases[s] else { return };
-                for (i, result) in resolved {
-                    if rs.slots[i].is_none() {
-                        rs.remaining -= 1;
-                    }
-                    rs.slots[i] = Some(result);
-                }
-                if rs.remaining > 0 {
-                    return;
-                }
+            Executed::Resolved(None) => {}
+            Executed::Resolved(Some(resolved)) => {
                 let phase = std::mem::replace(&mut st.phases[s], Phase::Finalizing);
-                let Phase::Resolving(rs) = phase else { unreachable!("checked above") };
-                let outcomes: Vec<Result<AlarmResolution, FailedCase>> =
-                    rs.slots.into_iter().map(|slot| slot.expect("every case resolved")).collect();
-                let (retries, panics) = rs.resolver.counters();
-                let report = finish_report(
-                    self.sessions[s].vm.name.clone(),
-                    &self.sessions[s].config,
-                    &rs.rec,
-                    &rs.cr_out,
-                    rs.cr_stats,
-                    outcomes,
-                    ArStats { retries, panics, workers_lost: rs.workers_lost },
-                );
-                self.finish(st, s, Ok(report));
+                let Phase::Resolving(rs) = phase else {
+                    unreachable!("cases resolved outside resolve phase")
+                };
+                self.report(st, s, *rs, *resolved);
             }
         }
+    }
+
+    /// Assembles session `s`'s report from its resolve phase and alarm
+    /// outcomes, and terminates the session with it.
+    fn report(&self, st: &mut FleetState<'s>, s: usize, rs: ResolvePhase<'s>, (outcomes, ar): Resolved) {
+        let spec = &self.sessions[s];
+        let report =
+            finish_report(spec.vm.name.clone(), &spec.config, &rs.rec, &rs.cr_out, rs.cr_stats, outcomes, ar);
+        self.finish(st, s, Ok(report));
     }
 
     /// Terminates session `s` (idempotent): stamps its latency, drops its

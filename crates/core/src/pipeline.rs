@@ -6,10 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rnr_hypervisor::{RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder, VmSpec};
-use rnr_log::{
-    log_channel_with, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, LogSource,
-    DEFAULT_BATCH,
-};
+use rnr_log::{log_channel, Category, DurableLogConfig, DurableWriter, FaultPlan, InputLog, LogSource};
 use rnr_machine::{BlockStats, CostModel};
 use rnr_ras::RasConfig;
 use rnr_replay::{
@@ -422,56 +419,29 @@ impl Pipeline {
         // Phases 1 + 2: monitored recording and checkpointing replay —
         // concurrent (the CR consumes the log as a live stream) or
         // sequential, with identical results.
-        let (rec, cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg)?;
+        let (rec, mut cr_out, cr_block_stats) = self.record_and_replay(rc, &replay_cfg)?;
         // Phase 3: alarm replay for every escalated case — one pass per
         // checkpoint resolves the cases that share it, on a bounded,
         // supervised worker pool when configured ("multiple ARs… in
-        // parallel", §6). Each case is resolved under `catch_unwind` with
-        // bounded retries; a killed worker's abandoned case is re-resolved
-        // inline. Results land in per-case slots, so the report stays
-        // deterministic for every pool size.
-        let resolver = CaseResolver::new(
+        // parallel", §6).
+        let alarms = AlarmPhase::new(
             &self.spec,
             Arc::clone(&rec.log),
             ar_replay_config(&replay_cfg),
             &cfg.fault_plan,
+            std::mem::take(&mut cr_out.alarm_cases),
         );
-        let cases = &cr_out.alarm_cases;
-        let groups = checkpoint_groups(cases);
-        let kill_at = cfg.fault_plan.kill_ar_worker_at_case.filter(|&k| k < cases.len());
+        let alarms_ref = &alarms;
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<AlarmResolution, FailedCase>>>> =
-            Mutex::new(cases.iter().map(|_| None).collect());
-        let (resolver_ref, groups_ref, slots_ref) = (&resolver, &groups, &slots);
-        pool::drain(ar_worker_count(cfg, groups.len()), &|| {
+        pool::drain(ar_worker_count(cfg, alarms.passes()), &|| {
             let g = next.fetch_add(1, Ordering::Relaxed);
-            (g < groups_ref.len()).then(|| {
+            (g < alarms_ref.passes()).then(|| {
                 Box::new(move || {
-                    // The fault plan may kill the worker that draws a case's
-                    // group: that case is abandoned unresolved, and the
-                    // supervisor fills the hole below.
-                    let group: Vec<usize> =
-                        groups_ref[g].iter().copied().filter(|&i| Some(i) != kill_at).collect();
-                    let resolved = resolver_ref.resolve_group(cases, &group);
-                    let mut slots = slots_ref.lock().expect("case slots");
-                    for (i, result) in resolved {
-                        slots[i] = Some(result);
-                    }
+                    alarms_ref.run_pass(g);
                 }) as pool::Task<'_>
             })
         });
-        // Abandoned cases are regrouped and re-resolved inline — the report
-        // never silently drops a verdict.
-        let mut slots = slots.into_inner().expect("case slots");
-        for group in &groups {
-            let holes: Vec<usize> = group.iter().copied().filter(|&i| slots[i].is_none()).collect();
-            for (i, result) in resolver.resolve_group(cases, &holes) {
-                slots[i] = Some(result);
-            }
-        }
-        let outcomes = slots.into_iter().map(|slot| slot.expect("every case resolved")).collect();
-        let (retries, panics) = resolver.counters();
-        let ar = ArStats { retries, panics, workers_lost: u64::from(kill_at.is_some()) };
+        let (outcomes, ar) = alarms.finish();
         Ok(finish_report(self.spec.name.clone(), cfg, &rec, &cr_out, cr_block_stats, outcomes, ar))
     }
 
@@ -493,7 +463,7 @@ impl Pipeline {
         let cfg = &self.config;
         let mut recorder = recorder_for(&self.spec, rc, cfg.durable_log.as_ref(), &cfg.fault_plan)?;
         let (rec, cr_result) = if cfg.streaming {
-            let (sink, stream) = log_channel_with(DEFAULT_BATCH, &cfg.fault_plan);
+            let (sink, stream) = log_channel(&cfg.fault_plan);
             recorder.stream_to(sink);
             let (rec, cr_result) = std::thread::scope(|scope| {
                 let handle = scope.spawn(move || run_recorder(recorder));
@@ -605,59 +575,117 @@ pub(crate) fn run_recorder(recorder: Recorder) -> Result<RecordOutcome, Pipeline
     }
 }
 
-/// The supervised alarm resolver shared by [`Pipeline::run`] and the replay
-/// farm: one [`AlarmReplayer`] over the finished recording, one pass per
-/// checkpoint group, a bounded retry loop per case under `catch_unwind`,
-/// and the fault plan's AR injections (panic, transient divergence) fired
-/// on first attempts only. Thread-safe: any number of workers may call
-/// [`CaseResolver::resolve_group`] concurrently; retry/panic accounting is
-/// atomic.
-pub(crate) struct CaseResolver<'a> {
+/// One session's alarm-replay phase, shared by [`Pipeline::run`] and the
+/// replay farm's `ArCase` items. It owns the CR's escalated cases
+/// (moved out of its outcome, never copied), grouped one alarm-replay pass
+/// per checkpoint (see [`checkpoint_groups`]), and one result slot per
+/// case. Any number of workers may run passes concurrently: each case is
+/// resolved under `catch_unwind` with bounded retries, and the fault plan's
+/// AR injections (panic, transient divergence) fire on first attempts only.
+/// The plan's worker kill abandons its case, which [`AlarmPhase::finish`]
+/// re-resolves inline, so the report never silently drops a verdict and
+/// stays deterministic for every pool size.
+pub(crate) struct AlarmPhase<'a> {
     ar: AlarmReplayer<'a>,
+    cases: Vec<AlarmCase>,
+    /// Case indices per checkpoint, one pass each.
+    groups: Vec<Vec<usize>>,
+    /// Per-case results, in case order.
+    slots: Mutex<Vec<Option<Result<AlarmResolution, FailedCase>>>>,
+    /// Passes not yet run.
+    remaining: AtomicUsize,
+    kill_case: Option<usize>,
     panic_case: Option<usize>,
     divergence_case: Option<usize>,
     retries: AtomicU64,
     panics: AtomicU64,
 }
 
-impl<'a> CaseResolver<'a> {
-    /// A resolver over `log` with the scrubbed AR config (see
+impl<'a> AlarmPhase<'a> {
+    /// The phase for `cases` over `log`, with the scrubbed AR config (see
     /// [`ar_replay_config`]); `plan` supplies the AR-targeted injections.
     pub(crate) fn new(
         spec: &'a VmSpec,
         log: Arc<InputLog>,
         ar_cfg: ReplayConfig,
         plan: &FaultPlan,
-    ) -> CaseResolver<'a> {
-        CaseResolver {
+        cases: Vec<AlarmCase>,
+    ) -> AlarmPhase<'a> {
+        let groups = checkpoint_groups(&cases);
+        AlarmPhase {
             ar: AlarmReplayer::new(spec, log).with_config(ar_cfg),
+            slots: Mutex::new(cases.iter().map(|_| None).collect()),
+            remaining: AtomicUsize::new(groups.len()),
+            kill_case: plan.kill_ar_worker_at_case.filter(|&k| k < cases.len()),
             panic_case: plan.ar_panic_case,
             divergence_case: plan.ar_divergence_case,
             retries: AtomicU64::new(0),
             panics: AtomicU64::new(0),
+            cases,
+            groups,
+        }
+    }
+
+    /// Alarm-replay passes to run, one per checkpoint the cases share.
+    pub(crate) fn passes(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Runs pass `g` and files its cases' outcomes. The fault plan may kill
+    /// the worker that draws a case's pass: that case is abandoned
+    /// unresolved. Returns true for the call that completes the last pass.
+    pub(crate) fn run_pass(&self, g: usize) -> bool {
+        let group: Vec<usize> =
+            self.groups[g].iter().copied().filter(|&i| Some(i) != self.kill_case).collect();
+        self.file(self.resolve_group(&group));
+        // Each pass releases its decrement after filing its outcomes; the
+        // decrement that reaches zero acquires them all.
+        self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Re-resolves the abandoned cases inline, regrouped by checkpoint, and
+    /// returns every case's outcome in case order with the phase's recovery
+    /// accounting. Called once, after every pass has run.
+    pub(crate) fn finish(&self) -> (Vec<Result<AlarmResolution, FailedCase>>, ArStats) {
+        for group in &self.groups {
+            let holes: Vec<usize> = {
+                let slots = self.slots.lock().expect("case slots");
+                group.iter().copied().filter(|&i| slots[i].is_none()).collect()
+            };
+            self.file(self.resolve_group(&holes));
+        }
+        let slots = std::mem::take(&mut *self.slots.lock().expect("case slots"));
+        let outcomes = slots.into_iter().map(|slot| slot.expect("every case resolved")).collect();
+        let ar = ArStats {
+            retries: self.retries.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
+            workers_lost: u64::from(self.kill_case.is_some()),
+        };
+        (outcomes, ar)
+    }
+
+    fn file(&self, resolved: Vec<(usize, Result<AlarmResolution, FailedCase>)>) {
+        let mut slots = self.slots.lock().expect("case slots");
+        for (i, result) in resolved {
+            slots[i] = Some(result);
         }
     }
 
     /// Resolves the cases `group` indexes — one checkpoint's cases, in log
-    /// order (see [`checkpoint_groups`]) — on one alarm-replay pass, and
-    /// returns each case index with its outcome. A case that fails (an
-    /// error or a caught panic) keeps the verdicts before it; its retry
-    /// starts a new pass from its checkpoint, which then carries on with
-    /// the rest of the group. A case that stays unresolved after every
-    /// attempt ships as a [`FailedCase`] instead of discarding the rest of
-    /// the report. Each pass's block-cache counters are reported once, on
-    /// the last case it resolved.
-    pub(crate) fn resolve_group(
-        &self,
-        cases: &[AlarmCase],
-        group: &[usize],
-    ) -> Vec<(usize, Result<AlarmResolution, FailedCase>)> {
+    /// order — on one alarm-replay pass, and returns each case index with
+    /// its outcome. A case that fails (an error or a caught panic) keeps the
+    /// verdicts before it; its retry starts a new pass from its checkpoint,
+    /// which then carries on with the rest of the group. A case that stays
+    /// unresolved after every attempt ships as a [`FailedCase`] instead of
+    /// discarding the rest of the report. Each pass's block-cache counters
+    /// are reported once, on the last case it resolved.
+    fn resolve_group(&self, group: &[usize]) -> Vec<(usize, Result<AlarmResolution, FailedCase>)> {
         let mut out: Vec<(usize, Result<AlarmResolution, FailedCase>)> = Vec::with_capacity(group.len());
         let mut pass: Option<ArPass<'_>> = None;
         // The `out` slot of the last case the live pass resolved.
         let mut last: Option<usize> = None;
         for &i in group {
-            let case = &cases[i];
+            let case = &self.cases[i];
             let mut last_error = String::new();
             let mut resolved = None;
             for attempt in 0..MAX_CASE_ATTEMPTS {
@@ -732,11 +760,6 @@ impl<'a> CaseResolver<'a> {
             ar_block_stats: BlockStats::default(),
         })
     }
-
-    /// (retries, panics) accounting so far.
-    pub(crate) fn counters(&self) -> (u64, u64) {
-        (self.retries.load(Ordering::Relaxed), self.panics.load(Ordering::Relaxed))
-    }
 }
 
 /// AR-phase recovery accounting for [`finish_report`].
@@ -748,8 +771,8 @@ pub(crate) struct ArStats {
 
 /// Assembles the final [`PipelineReport`] from the three phases' outputs.
 /// Shared by [`Pipeline::run`] and the replay farm so both produce
-/// byte-identical reports from identical phase results. `outcomes` must be
-/// in alarm-case order.
+/// byte-identical reports from identical phase results. `outcomes` holds
+/// one entry per escalated case, in alarm-case order.
 pub(crate) fn finish_report(
     workload: String,
     cfg: &PipelineConfig,
@@ -759,6 +782,7 @@ pub(crate) fn finish_report(
     outcomes: Vec<Result<AlarmResolution, FailedCase>>,
     ar: ArStats,
 ) -> PipelineReport {
+    let alarms_escalated = outcomes.len();
     let mut resolutions = Vec::with_capacity(outcomes.len());
     let mut failed_cases = Vec::new();
     for outcome in outcomes {
@@ -805,7 +829,7 @@ pub(crate) fn finish_report(
             checkpoints_live_max: cr_out.checkpoints_live_max,
             alarms_seen: cr_out.alarms_seen,
             underflows_cancelled: cr_out.underflows_cancelled,
-            alarms_escalated: cr_out.alarm_cases.len(),
+            alarms_escalated,
         },
         resolutions,
         detection,
@@ -959,10 +983,11 @@ mod tests {
         assert_eq!(checkpoint_groups(&cases), vec![group.clone()], "the attack's cases share one checkpoint");
         let ar_cfg = ar_replay_config(&replay_cfg);
         let builds = |plan: FaultPlan| -> Vec<u64> {
-            let resolver = CaseResolver::new(&spec, Arc::clone(&rec.log), ar_cfg.clone(), &plan);
-            let out = resolver.resolve_group(&cases, &group);
-            assert_eq!(out.iter().map(|(i, _)| *i).collect::<Vec<_>>(), group);
-            out.into_iter().map(|(_, r)| r.expect("the case resolves").ar_block_stats.builds).collect()
+            let phase = AlarmPhase::new(&spec, Arc::clone(&rec.log), ar_cfg.clone(), &plan, cases.clone());
+            assert_eq!(phase.passes(), 1);
+            assert!(phase.run_pass(0), "the only pass is the last");
+            let (outcomes, _) = phase.finish();
+            outcomes.into_iter().map(|r| r.expect("the case resolves").ar_block_stats.builds).collect()
         };
         let ar = AlarmReplayer::new(&spec, Arc::clone(&rec.log)).with_config(ar_cfg.clone());
         let mut whole = ar.pass(&cases[0].checkpoint);

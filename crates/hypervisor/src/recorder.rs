@@ -4,11 +4,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use rnr_guest::layout;
 use rnr_isa::Reg;
 use rnr_log::{
-    AlarmInfo, Category, DiskWriteStats, DurableWriter, InputLog, LogSink, Record, VrtAlarmInfo,
-    MAX_FRAME_AGE_INSNS,
+    encode_frame, AlarmInfo, Category, DiskWriteStats, DurableWriter, InputLog, LogSink, Record,
+    VrtAlarmInfo, DEFAULT_BATCH, MAX_FRAME_AGE_INSNS,
 };
 use rnr_machine::{
     CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
@@ -271,17 +272,7 @@ pub struct Recorder {
     disk: DiskDevice,
     nic: NicDevice,
     console: Vec<u8>,
-    log: InputLog,
-    // Declared before `sink` so that, on drop too, the disk copy is sealed
-    // before the sink flushes its last frame.
-    durable: Option<DurableWriter>,
-    sink: Option<LogSink>,
-    /// Retired instructions when the oldest record of the pending frame was
-    /// emitted; `None` once that frame is cut, and always without a
-    /// durable writer or sink. A full batch closes inside `push` and leaves
-    /// it stale until the next record opens a frame; an age cut meanwhile
-    /// flushes nothing.
-    frame_opened_at: Option<u64>,
+    log: FramedLog,
     attribution: CycleAttribution,
     intro: Introspector,
     current_tid: ThreadId,
@@ -367,10 +358,7 @@ impl Recorder {
             disk: DiskDevice::new(VmSpec::DEFAULT_DISK, spec.disk_seed),
             nic: NicDevice::new(),
             console: Vec::new(),
-            log: InputLog::new(),
-            sink: None,
-            durable: None,
-            frame_opened_at: None,
+            log: FramedLog::default(),
             attribution: CycleAttribution::new(),
             intro,
             current_tid: ThreadId(1),
@@ -396,22 +384,20 @@ impl Recorder {
         })
     }
 
-    /// Attaches a live sink: every record is pushed to it as it is appended
-    /// to the recorder's own log, and sent in frames cut by the recorder's
-    /// framing rule (full batch, frame age), so a concurrent checkpointing
-    /// replayer can consume the stream while recording is still in
-    /// progress.
+    /// Attaches a live sink: the recorder sends it every frame it cuts
+    /// (full batch, frame age), so a concurrent checkpointing replayer can
+    /// consume the stream while recording is still in progress.
     pub fn stream_to(&mut self, sink: LogSink) {
-        self.sink = Some(sink);
+        self.log.sink = Some(sink);
     }
 
-    /// Attaches a durable segment-store writer (DESIGN.md §13): every record
-    /// is framed for the store as it is appended — before it reaches a live
-    /// sink — and the writer seals a segment every `frames_per_segment`
-    /// frames and when recording finishes. Resilience only; the log, cycles,
-    /// and digests are byte-for-byte identical with or without it.
+    /// Attaches a durable segment-store writer (DESIGN.md §13): every frame
+    /// the recorder cuts goes to the store before it reaches a live sink,
+    /// and the writer seals a segment every `frames_per_segment` frames and
+    /// when recording finishes. Resilience only; the log, cycles, and
+    /// digests are byte-for-byte identical with or without it.
     pub fn persist_to(&mut self, writer: DurableWriter) {
-        self.durable = Some(writer);
+        self.log.durable = Some(writer);
     }
 
     /// Does nothing: the recorder decodes into its own VM's cache. Kept
@@ -419,44 +405,9 @@ impl Recorder {
     /// the next change to `benchmark/`.
     pub fn attach_shared_cache(&mut self, _shared: Arc<SharedPageCache>) {}
 
-    /// Appends a record to the log and to the pending frame of the durable
-    /// writer and of the live sink, if either is attached; a record that
-    /// opens a frame starts the frame's age. Disk comes first, but a closed
-    /// frame reaches disk only when its segment is sealed (every
-    /// `frames_per_segment` frames, and at the end), so most frames are sent
-    /// before they are on disk, and a refetch of an unsealed frame falls
-    /// back to the sink's retained copy.
+    /// Appends a record to the log, cutting a frame when it fills.
     fn emit(&mut self, rec: Record) {
-        if let Some(writer) = self.durable.as_mut() {
-            if writer.pending_records() == 0 {
-                self.frame_opened_at = Some(self.vm.retired());
-            }
-            writer.push(&rec);
-        }
-        if let Some(sink) = self.sink.as_mut() {
-            if sink.pending_records() == 0 {
-                self.frame_opened_at = Some(self.vm.retired());
-            }
-            sink.push(rec.clone());
-        }
-        self.log.push(rec);
-    }
-
-    /// Closes the pending frame of the durable writer and of the live sink
-    /// together, disk first, so disk and wire sequence numbers stay equal.
-    /// Besides the full batch that `push` closes on its own, this is the
-    /// framing rule: a frame is cut at the first loop top once its oldest
-    /// record is [`MAX_FRAME_AGE_INSNS`] old, so the CR trails a sparse log
-    /// instead of waiting for the recording to end. Span seeds never cut a
-    /// frame, so a recording's frames are the same with seeding on or off.
-    fn cut_frame(&mut self) {
-        if let Some(writer) = self.durable.as_mut() {
-            writer.flush();
-        }
-        if let Some(sink) = self.sink.as_mut() {
-            sink.flush();
-        }
-        self.frame_opened_at = None;
+        self.log.push(rec, self.vm.retired());
     }
 
     /// Runs to the instruction budget and returns the outcome.
@@ -483,9 +434,7 @@ impl Recorder {
             if self.vm.retired() >= until || self.fault.is_some() || self.stalled {
                 break;
             }
-            if self.frame_opened_at.is_some_and(|at| self.vm.retired() - at >= MAX_FRAME_AGE_INSNS) {
-                self.cut_frame();
-            }
+            self.log.cut_if_aged(self.vm.retired());
             let deadline = self.next_event_cycle();
             let exit = self
                 .vm
@@ -495,13 +444,7 @@ impl Recorder {
         if self.config.mode.is_recording() {
             self.emit(Record::End { at_insn: self.vm.retired(), at_cycle: self.vm.cycles() });
         }
-        // Seal the store before the sink sends its last frame: a refetch of
-        // the tail must find it on disk (with any planned damage already
-        // applied). Earlier frames are on disk only once their segment is.
-        let disk = self.durable.take().map(DurableWriter::finish).unwrap_or_default();
-        if let Some(sink) = self.sink.take() {
-            sink.finish();
-        }
+        let disk = self.log.finish();
         if let Some(f) = self.fig8.as_mut() {
             f.add_instructions(self.vm.retired());
         }
@@ -526,7 +469,7 @@ impl Recorder {
             console: self.console,
             span_seeds: self.span_seeds,
             disk,
-            log: Arc::new(self.log),
+            log: Arc::new(std::mem::take(&mut self.log.records)),
             attribution: self.attribution,
         }
     }
@@ -540,7 +483,7 @@ impl Recorder {
         backras.save(self.current_tid, BackRasEntry::from_entries(self.vm.cpu().ras.snapshot()));
         self.span_seeds.push(SpanSeed {
             at_insn: self.vm.retired(),
-            at_record: self.log.len(),
+            at_record: self.log.records.len(),
             cpu: self.vm.cpu().save_state(),
             mem_pages: self.vm.mem().snapshot_pages(),
             disk: self.disk.clone(),
@@ -957,6 +900,109 @@ impl Recorder {
     }
 }
 
+/// The recorder's input log and the one place it is framed. A frame closes
+/// when it holds [`DEFAULT_BATCH`] records, and at the first loop top once
+/// its oldest record is [`MAX_FRAME_AGE_INSNS`] old, so the CR trails a
+/// sparse log instead of waiting for the recording to end. Span seeds
+/// never cut a frame, so a recording's frames are the same with seeding on
+/// or off. A cut encodes the frame once and hands the same bytes to the
+/// durable writer, then to the live sink, so disk and wire sequence
+/// numbers are equal. Without either output nothing is framed.
+#[derive(Debug, Default)]
+struct FramedLog {
+    records: InputLog,
+    /// Records already cut into frames; the rest is the pending frame.
+    framed: usize,
+    /// Sequence number of the pending frame.
+    next_seq: u64,
+    /// Retired instructions when the pending frame's oldest record was
+    /// logged; `None` while no frame is pending.
+    opened_at: Option<u64>,
+    durable: Option<DurableWriter>,
+    sink: Option<LogSink>,
+}
+
+impl FramedLog {
+    /// Appends `rec`, logged at `retired` instructions, and cuts the
+    /// pending frame once it is full.
+    fn push(&mut self, rec: Record, retired: u64) {
+        self.records.push(rec);
+        if self.durable.is_none() && self.sink.is_none() {
+            return;
+        }
+        self.opened_at.get_or_insert(retired);
+        if self.records.len() - self.framed >= DEFAULT_BATCH {
+            self.cut();
+        }
+    }
+
+    /// Cuts the pending frame once its oldest record is
+    /// [`MAX_FRAME_AGE_INSNS`] old at `retired` instructions.
+    fn cut_if_aged(&mut self, retired: u64) {
+        if self.opened_at.is_some_and(|at| retired - at >= MAX_FRAME_AGE_INSNS) {
+            self.cut();
+        }
+    }
+
+    fn cut(&mut self) {
+        if let Some((seq, frame)) = self.cut_to_disk() {
+            if let Some(sink) = self.sink.as_mut() {
+                sink.send(seq, frame);
+            }
+        }
+    }
+
+    /// Encodes the pending frame and appends it to the durable writer;
+    /// returns it, with its sequence number, for the live sink. A frame
+    /// reaches disk with its segment's seal, so most frames are sent before
+    /// they are on disk, and a refetch of an unsealed frame falls back to
+    /// the sink's retained copy.
+    fn cut_to_disk(&mut self) -> Option<(u64, Bytes)> {
+        self.opened_at = None;
+        // Outputs first: once `Recorder::run` has taken the outputs and the
+        // records, `framed` lies past the records' end.
+        if self.durable.is_none() && self.sink.is_none() {
+            return None;
+        }
+        let records = &self.records.records()[self.framed..];
+        if records.is_empty() {
+            return None;
+        }
+        let seq = self.next_seq;
+        let frame = encode_frame(seq, records);
+        if let Some(writer) = self.durable.as_mut() {
+            writer.append(seq, records, frame.clone());
+        }
+        self.next_seq += 1;
+        self.framed = self.records.len();
+        Some((seq, frame))
+    }
+
+    /// Cuts the last frame and seals the store before the sink sends that
+    /// frame and hangs up: a refetch of the tail must find it on disk (with
+    /// any planned damage already applied). Returns what the writer
+    /// persisted.
+    fn finish(&mut self) -> DiskWriteStats {
+        let last = self.cut_to_disk();
+        let disk = self.durable.take().map(DurableWriter::finish).unwrap_or_default();
+        if let Some(mut sink) = self.sink.take() {
+            if let Some((seq, frame)) = last {
+                sink.send(seq, frame);
+            }
+            sink.finish();
+        }
+        disk
+    }
+}
+
+impl Drop for FramedLog {
+    /// A recorder that unwinds still cuts, seals and sends its last frame,
+    /// disk first.
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
 /// The verification digest of a guest: its VM digest (CPU and memory)
 /// combined with its disk digest. The recorder's final digest and every
 /// replayer's final and seam digests are this one function.
@@ -965,4 +1011,38 @@ pub fn verification_digest(vm: &GuestVm, disk: &DiskDevice) -> Digest {
     h.update_u64(vm.digest().0);
     h.update_u64(disk.store().digest().0);
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rnr_guest::KernelBuilder;
+    use rnr_log::{log_channel, DurableLogConfig, DurableStore, FaultPlan};
+
+    /// A recorder dropped before its end — as an unwinding one is — keeps
+    /// its uncut frame: the reopened store and the stream both hold it.
+    #[test]
+    fn dropped_recorder_seals_and_sends_its_uncut_frame() {
+        let dir = std::env::temp_dir().join(format!("rnr-recorder-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = VmSpec::new(KernelBuilder::new().build(), "bare");
+        let mut recorder = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 1, 1_000)).unwrap();
+        recorder
+            .persist_to(DurableWriter::create(DurableLogConfig::new(&dir), &FaultPlan::default()).unwrap());
+        let (sink, stream) = log_channel(&FaultPlan::default());
+        recorder.stream_to(sink);
+        let records: Vec<Record> = (0..3).map(|value| Record::Rdtsc { value }).collect();
+        assert!(records.len() < DEFAULT_BATCH);
+        for record in &records {
+            recorder.emit(record.clone());
+        }
+        drop(recorder);
+        let store = DurableStore::open(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = store.unwrap();
+        assert!(store.scan().clean(), "{:?}", store.scan());
+        assert_eq!(store.frame_count(), 1);
+        assert_eq!(store.frame(0).unwrap(), &records[..]);
+        assert_eq!(stream.into_log().records(), &records[..]);
+    }
 }

@@ -10,7 +10,7 @@
 //! can gate CI.
 //!
 //! The transport half of a plan is executed by a [`FaultInjector`] sitting
-//! on the *sink* side of [`crate::log_channel_with`]: the pristine frame is
+//! on the *sink* side of [`crate::log_channel`]: the pristine frame is
 //! retained for re-request before the injector damages the copy in flight
 //! (unless the plan poisons the retained store too, which models an
 //! unrecoverable loss).

@@ -13,6 +13,13 @@
 //! — including flips in a DMA length field that the raw record codec alone
 //! could mis-parse into a different, still-valid record sequence. Sequence
 //! numbers let the consumer detect drops, duplicates, and reordering.
+//!
+//! A recording is framed once, by the recorder: a frame closes when it
+//! holds [`DEFAULT_BATCH`] records and once its oldest record is
+//! [`MAX_FRAME_AGE_INSNS`] guest instructions old. Each frame is encoded
+//! once, and the same bytes go to the durable store and to the live
+//! transport, so a frame's sequence number is the same on disk and on the
+//! wire.
 
 use bytes::{Buf, Bytes};
 
@@ -20,6 +27,16 @@ use crate::{codec, CodecError, Record};
 
 /// Size of the frame header: sequence number + payload length + CRC32.
 pub const FRAME_HEADER: usize = 8 + 4 + 4;
+
+/// Records in a full frame, the first of the recorder's two cuts.
+pub const DEFAULT_BATCH: usize = 64;
+
+/// Guest instructions after which the recorder closes a partial frame, the
+/// one cut besides a full frame. The recorder checks the age only at the
+/// top of its run loop, so a record reaches the consumer less than this
+/// many instructions plus one recorder slice after it was logged. Sparse
+/// guests leave the loop about once per timer tick.
+pub const MAX_FRAME_AGE_INSNS: u64 = 50_000;
 
 /// CRC32 lookup table for the IEEE 802.3 polynomial (reflected 0xEDB88320).
 const CRC_TABLE: [u32; 256] = build_crc_table();

@@ -20,19 +20,23 @@
 //!   CRC32, so one parser reads every log byte that comes from outside.
 //! * [`LogCursor`] — the replayers' read position; checkpoints store a
 //!   cursor as their `InputLogPtr` (Figure 4).
+//! * [`encode_frame`] / [`decode_frame`] — checksummed, sequence-numbered
+//!   frames, the unit the recorder cuts its log into ([`DEFAULT_BATCH`]
+//!   records, or [`MAX_FRAME_AGE_INSNS`] instructions of age). Each frame
+//!   is encoded once; the store and the wire carry the same bytes.
 //! * [`log_channel`] / [`LogSink`] / [`LogStream`] / [`LogSource`] — the
 //!   streaming transport that lets the checkpointing replayer consume the
 //!   log concurrently with its generation (§4.6.1), instead of waiting for
-//!   the recording to finish. Batches travel as checksummed,
-//!   sequence-numbered frames ([`encode_frame`] / [`decode_frame`]) so a
-//!   faulty transport is detected and healed, not silently replayed.
+//!   the recording to finish. Frames are verified on arrival, so a faulty
+//!   transport is detected and healed, not silently replayed.
 //! * [`FaultPlan`] / [`FaultInjector`] — deterministic, seeded fault
 //!   injection (corrupt/drop/duplicate/delay/truncate a frame, disk faults
 //!   against sealed segments, plus replay and AR-supervisor injection
 //!   points) so every failure scenario is reproducible from `(seed, plan)`.
 //! * [`DurableWriter`] / [`DurableStore`] — the durable segmented log
-//!   store: frames sealed into versioned, CRC32-protected [`Segment`] files
-//!   (the record codec plus RLE; atomic write-temp + fsync + rename), a
+//!   store: the recorder's encoded frames sealed into versioned,
+//!   CRC32-protected [`Segment`] files (their payloads behind a frame index,
+//!   plus RLE; atomic write-temp + fsync + rename), a
 //!   crash-recovery scan that truncates torn tails, quarantines damaged
 //!   segments and refuses a store of another format version, and a
 //!   disk-first refetch path for the CR's rewind-and-refetch recovery.
@@ -58,7 +62,7 @@ pub use fault::{
     disk_fault_scenarios, fault_scenarios, splitmix64, unrecoverable_scenario, DiskFault, DiskFaultKind,
     FaultInjector, FaultPlan, InjectedFrame, TransportFault, TransportFaultKind,
 };
-pub use frame::{crc32, decode_frame, encode_frame, FRAME_HEADER};
+pub use frame::{crc32, decode_frame, encode_frame, DEFAULT_BATCH, FRAME_HEADER, MAX_FRAME_AGE_INSNS};
 pub use record::{AlarmInfo, Category, DmaSource, Record, VrtAlarmInfo};
 pub use segment::{
     decode_segment, encode_segment, get_varint, put_varint, Segment, SegmentError, FORMAT_VERSION,
@@ -70,7 +74,6 @@ pub use store::{
     DurableWriter, RecoveryScan, DEFAULT_FRAMES_PER_SEGMENT, SEGMENT_EXT,
 };
 pub use stream::{
-    log_channel, log_channel_with, LogSink, LogStream, TransportStats, BACKOFF_BASE_VCYCLES, DEFAULT_BATCH,
-    MAX_FRAME_AGE_INSNS, MAX_REFETCH_RETRIES,
+    log_channel, LogSink, LogStream, TransportStats, BACKOFF_BASE_VCYCLES, MAX_REFETCH_RETRIES,
 };
 pub use writer::InputLog;

@@ -34,8 +34,10 @@
 
 use std::fmt;
 
+use bytes::Bytes;
+
 use crate::frame::crc32_of;
-use crate::{codec, CodecError, Record};
+use crate::{codec, CodecError, Record, FRAME_HEADER};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"RNRS";
@@ -241,27 +243,55 @@ pub fn encode_segment(segment: &Segment, compress: bool) -> Vec<u8> {
     // varint takes at most 5 bytes, and every record's size is exact.
     let records = segment.frames.iter().flatten();
     let record_bytes: u64 = records.clone().map(Record::encoded_len).sum();
-    let mut body = Vec::with_capacity(5 * segment.frames.len() + record_bytes as usize);
-    for frame in &segment.frames {
-        put_varint(&mut body, frame.len() as u64);
-    }
+    let mut body = frame_index(segment.frames.iter().map(Vec::len), record_bytes as usize);
     for record in records {
         codec::encode(record, &mut body);
     }
+    seal(segment.first_seq, segment.frames.len(), segment.record_count(), &body, compress)
+}
+
+/// Seals the encoded transport `frames` — each with its record count,
+/// starting at sequence number `first_seq` — into one segment, RLE-compressed
+/// where that shrinks it. A frame's payload is its records in the wire
+/// codec, so the body is the frame index followed by the payloads, and the
+/// bytes equal [`encode_segment`]'s for the same records.
+pub(crate) fn seal_frames(first_seq: u64, frames: &[(usize, Bytes)]) -> Vec<u8> {
+    let payloads = frames.iter().map(|(_, frame)| &frame[FRAME_HEADER..]);
+    let mut body = frame_index(frames.iter().map(|&(n, _)| n), payloads.clone().map(<[u8]>::len).sum());
+    for payload in payloads {
+        body.extend_from_slice(payload);
+    }
+    let records = frames.iter().map(|&(n, _)| n).sum();
+    seal(first_seq, frames.len(), records, &body, true)
+}
+
+/// A segment body's frame index — one varint record count per frame — with
+/// room reserved for the `record_bytes` of records that follow it.
+fn frame_index(counts: impl ExactSizeIterator<Item = usize>, record_bytes: usize) -> Vec<u8> {
+    let mut body = Vec::with_capacity(5 * counts.len() + record_bytes);
+    for n in counts {
+        put_varint(&mut body, n as u64);
+    }
+    body
+}
+
+/// The sealer behind both feeders: the header, the CRC32 and the stored
+/// (possibly compressed) form of a raw segment body.
+fn seal(first_seq: u64, frame_count: usize, record_count: usize, body: &[u8], compress: bool) -> Vec<u8> {
     let raw_len = body.len();
-    let packed = if compress { Some(rle_compress(&body)).filter(|p| p.len() < raw_len) } else { None };
+    let packed = if compress { Some(rle_compress(body)).filter(|p| p.len() < raw_len) } else { None };
     let (stored, flags) = match &packed {
         Some(p) => (p.as_slice(), FLAG_COMPRESSED),
-        None => (body.as_slice(), 0),
+        None => (body, 0),
     };
 
     let mut out = Vec::with_capacity(SEGMENT_HEADER + stored.len());
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.push(FORMAT_VERSION);
     out.push(flags);
-    out.extend_from_slice(&segment.first_seq.to_le_bytes());
-    out.extend_from_slice(&(segment.frames.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(segment.record_count() as u32).to_le_bytes());
+    out.extend_from_slice(&first_seq.to_le_bytes());
+    out.extend_from_slice(&(frame_count as u32).to_le_bytes());
+    out.extend_from_slice(&(record_count as u32).to_le_bytes());
     out.extend_from_slice(&(raw_len as u32).to_le_bytes());
     out.extend_from_slice(&(stored.len() as u32).to_le_bytes());
     let crc = crc32_of(&[&out, stored]);

@@ -22,17 +22,9 @@ pub enum LogSource {
 }
 
 impl LogSource {
-    /// The record at `index`. For a streaming source this blocks until the
-    /// record arrives; `None` means the log ended before `index`.
-    pub fn get(&mut self, index: usize) -> Option<&Record> {
-        match self {
-            LogSource::Complete(log) => log.records().get(index),
-            LogSource::Streaming(stream) => stream.get(index),
-        }
-    }
-
-    /// Fault-aware [`LogSource::get`]: a streaming source surfaces detected
-    /// transport faults instead of swallowing them.
+    /// The record at `index`; `Ok(None)` means the log ended before
+    /// `index`. For a streaming source this blocks until the record
+    /// arrives, and surfaces a detected transport fault.
     ///
     /// # Errors
     ///
@@ -98,25 +90,25 @@ impl From<LogStream> for LogSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log_channel;
+    use crate::{encode_frame, log_channel, FaultPlan};
 
     #[test]
     fn complete_source_reads_by_index() {
         let log: InputLog =
             vec![Record::Rdtsc { value: 1 }, Record::End { at_insn: 1, at_cycle: 1 }].into_iter().collect();
         let mut src = LogSource::from(Arc::new(log));
-        assert_eq!(src.get(0), Some(&Record::Rdtsc { value: 1 }));
-        assert!(matches!(src.get(1), Some(Record::End { .. })));
-        assert_eq!(src.get(2), None);
+        assert_eq!(src.try_get(0), Ok(Some(&Record::Rdtsc { value: 1 })));
+        assert!(matches!(src.try_get(1), Ok(Some(Record::End { .. }))));
+        assert_eq!(src.try_get(2), Ok(None));
     }
 
     #[test]
-    fn streaming_source_sees_published_records() {
-        let (mut sink, stream) = log_channel(1);
-        sink.push(Record::Rdtsc { value: 5 });
+    fn streaming_source_sees_sent_records() {
+        let (mut sink, stream) = log_channel(&FaultPlan::default());
+        sink.send(0, encode_frame(0, &[Record::Rdtsc { value: 5 }]));
         sink.finish();
         let mut src = LogSource::from(stream);
-        assert_eq!(src.get(0), Some(&Record::Rdtsc { value: 5 }));
-        assert_eq!(src.get(1), None);
+        assert_eq!(src.try_get(0), Ok(Some(&Record::Rdtsc { value: 5 })));
+        assert_eq!(src.try_get(1), Ok(None));
     }
 }

@@ -2,8 +2,10 @@
 //! framed record stream.
 //!
 //! The recorder's retained frame store lives in memory; an always-on
-//! deployment must keep the evidence on disk. [`DurableWriter`] groups
-//! transport frames into [`crate::Segment`]s and seals each one
+//! deployment must keep the evidence on disk. [`DurableWriter`] takes the
+//! recorder's frames as it cuts them — the same encoded bytes the live sink
+//! sends — groups them into [`crate::Segment`]s whose body is the frames'
+//! payloads behind a frame index, and seals each one
 //! **atomically**: the segment bytes are written to a `.tmp` sibling,
 //! fsynced, renamed into place, and the directory itself is fsynced — a
 //! crash at any point leaves either the previous state or the complete new
@@ -29,8 +31,10 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::segment::{decode_segment, encode_segment, Segment, SegmentError};
-use crate::{splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record, DEFAULT_BATCH};
+use bytes::Bytes;
+
+use crate::segment::{decode_segment, seal_frames, SegmentError};
+use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record};
 
 /// File extension of a sealed segment.
 pub const SEGMENT_EXT: &str = "rnrseg";
@@ -39,10 +43,9 @@ pub const SEGMENT_EXT: &str = "rnrseg";
 pub const DEFAULT_FRAMES_PER_SEGMENT: usize = 8;
 
 /// Configuration of the durable log store (the `durable_log` knob).
-/// Segment bodies are always RLE-compressed where that shrinks them, and
-/// frames hold at most [`DEFAULT_BATCH`] records: the recorder closes the
-/// writer's frame and the live sink's together (full batch, frame age), so
-/// a frame's on-disk sequence number is its wire sequence number.
+/// Segment bodies are always RLE-compressed where that shrinks them. The
+/// frames are the recorder's, so a frame's on-disk sequence number is its
+/// wire sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableLogConfig {
     /// Directory holding the segment files (created if absent).
@@ -79,12 +82,10 @@ pub struct DiskWriteStats {
 #[derive(Debug)]
 pub struct DurableWriter {
     cfg: DurableLogConfig,
-    /// Frames awaiting their segment seal.
-    pending: Vec<Vec<Record>>,
+    /// Encoded frames awaiting their segment seal, with their record counts.
+    pending: Vec<(usize, Bytes)>,
     /// Sequence number of `pending[0]`.
     pending_first_seq: u64,
-    /// Records awaiting their frame ([`DurableWriter::push`] mode).
-    batch: Vec<Record>,
     next_segment: u64,
     faults: Vec<DiskFault>,
     seed: u64,
@@ -106,66 +107,37 @@ impl DurableWriter {
             cfg,
             pending: Vec::new(),
             pending_first_seq: 0,
-            batch: Vec::new(),
             next_segment: 0,
             stats: DiskWriteStats::default(),
         })
     }
 
-    /// Appends one transport frame; frames must arrive in sequence order
-    /// (the sink's flush order). Seals a segment whenever
+    /// Appends frame `seq` — `frame` is [`crate::encode_frame`] of
+    /// `records` — and seals a segment whenever
     /// [`DurableLogConfig::frames_per_segment`] frames have accumulated.
-    pub fn append_frame(&mut self, seq: u64, records: &[Record]) {
+    /// Frames must arrive in sequence order; the writer keeps the encoded
+    /// bytes and never re-encodes a record.
+    pub fn append(&mut self, seq: u64, records: &[Record], frame: Bytes) {
         let expected = self.pending_first_seq + self.pending.len() as u64;
         debug_assert_eq!(seq, expected, "frames must be appended in sequence order");
         if seq != expected {
             self.stats.io_errors += 1;
             return;
         }
-        self.add_frame(records.to_vec());
-    }
-
-    /// Appends one record, batching into frames of at most
-    /// [`DEFAULT_BATCH`] records — the recorder's feed. A frame closes when
-    /// it is full or at [`DurableWriter::flush`], which the recorder calls
-    /// once the frame's oldest record is [`crate::MAX_FRAME_AGE_INSNS`]
-    /// instructions old, and it closes the live sink's frame at the same
-    /// points. The resulting frames are byte-identical to the ones a
-    /// streaming sink sends and retains.
-    pub fn push(&mut self, record: &Record) {
-        self.batch.push(record.clone());
-        if self.batch.len() >= DEFAULT_BATCH {
-            self.flush();
-        }
-    }
-
-    /// Records pushed but not yet closed into a frame.
-    pub fn pending_records(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Closes the partial batch, if any, into a frame. The frame reaches
-    /// disk with its segment's seal, every
-    /// [`DurableLogConfig::frames_per_segment`] frames or at
-    /// [`DurableWriter::finish`].
-    pub fn flush(&mut self) {
-        if !self.batch.is_empty() {
-            let frame = std::mem::replace(&mut self.batch, Vec::with_capacity(DEFAULT_BATCH));
-            self.add_frame(frame);
-        }
-    }
-
-    fn add_frame(&mut self, records: Vec<Record>) {
-        self.pending.push(records);
+        self.pending.push((records.len(), frame));
         if self.pending.len() >= self.cfg.frames_per_segment.max(1) {
             self.seal();
         }
     }
 
-    /// Flushes any partial batch, seals the remainder, and reports what was
-    /// persisted. (Dropping the writer does the same, swallowing errors.)
+    /// [`DurableWriter::append`] of `records`, encoded here.
+    pub fn append_frame(&mut self, seq: u64, records: &[Record]) {
+        self.append(seq, records, encode_frame(seq, records));
+    }
+
+    /// Seals the remaining frames and reports what was persisted. (Dropping
+    /// the writer seals them too, swallowing errors.)
     pub fn finish(mut self) -> DiskWriteStats {
-        self.flush();
         self.seal();
         self.stats
     }
@@ -178,16 +150,16 @@ impl DurableWriter {
         if self.pending.is_empty() {
             return;
         }
-        let segment =
-            Segment { first_seq: self.pending_first_seq, frames: std::mem::take(&mut self.pending) };
+        let frames = std::mem::take(&mut self.pending);
+        let first_seq = self.pending_first_seq;
         let index = self.next_segment;
         self.next_segment += 1;
-        self.pending_first_seq = segment.first_seq + segment.frames.len() as u64;
+        self.pending_first_seq = first_seq + frames.len() as u64;
         let fault = self.faults.iter().find(|f| f.segment == index).copied();
 
         self.stats.segments_sealed += 1;
-        self.stats.frames_written += segment.frames.len() as u64;
-        self.stats.records_written += segment.record_count() as u64;
+        self.stats.frames_written += frames.len() as u64;
+        self.stats.records_written += frames.iter().map(|&(n, _)| n as u64).sum::<u64>();
 
         if matches!(fault.map(|f| f.kind), Some(DiskFaultKind::FailedFsync)) {
             // The segment never becomes durable: model the loss by not
@@ -196,7 +168,7 @@ impl DurableWriter {
             return;
         }
 
-        let bytes = encode_segment(&segment, true);
+        let bytes = seal_frames(first_seq, &frames);
         let path = self.cfg.dir.join(segment_file_name(index));
         let tmp = self.cfg.dir.join(format!("{}.tmp", segment_file_name(index)));
         let sealed = (|| -> io::Result<()> {
@@ -227,7 +199,6 @@ impl DurableWriter {
 
 impl Drop for DurableWriter {
     fn drop(&mut self) {
-        self.flush();
         self.seal();
     }
 }
@@ -486,6 +457,7 @@ pub fn durable_fetch(dir: &Path, seq: u64) -> Option<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{encode_segment, Segment};
     use crate::DiskFault;
 
     /// Unique per-test scratch dir, removed on drop (success or panic) so
@@ -534,34 +506,6 @@ mod tests {
             assert_eq!(store.frame(seq).unwrap(), &records(3, seq * 100)[..]);
         }
         assert_eq!(store.scan().missing_spans, Vec::new());
-    }
-
-    #[test]
-    fn push_mode_matches_frame_mode() {
-        let tmp = TempDir::new("push-mode");
-        let a = tmp.0.join("a");
-        let b = tmp.0.join("b");
-        let all: Vec<Record> =
-            (0..2 * DEFAULT_BATCH as u64 + 10).map(|i| Record::Rdtsc { value: i }).collect();
-
-        let mut wa = DurableWriter::create(cfg(&a, 2), &FaultPlan::default()).unwrap();
-        for r in &all {
-            wa.push(r);
-        }
-        wa.finish();
-
-        let mut wb = DurableWriter::create(cfg(&b, 2), &FaultPlan::default()).unwrap();
-        for (seq, chunk) in all.chunks(DEFAULT_BATCH).enumerate() {
-            wb.append_frame(seq as u64, chunk);
-        }
-        wb.finish();
-
-        // Three frames (the last one partial) → segments of 2 frames + 1.
-        for seg in 0..2u64 {
-            let fa = fs::read(a.join(segment_file_name(seg))).unwrap();
-            let fb = fs::read(b.join(segment_file_name(seg))).unwrap();
-            assert_eq!(fa, fb, "segment {seg} differs between push and frame feeds");
-        }
     }
 
     #[test]

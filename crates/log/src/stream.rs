@@ -3,20 +3,16 @@
 //! During monitored recording the paper's replayers do not wait for the
 //! recording to end: "the CR continuously consumes the input log as it is
 //! generated" (§4.6.1). [`log_channel`] gives that shape to the simulator —
-//! the recorder publishes records through a [`LogSink`] as it appends them,
-//! and the checkpointing replayer pulls them from the matching [`LogStream`]
-//! on another thread, blocking only when it has caught up with the recording.
-//!
-//! Records travel in batches to keep the synchronization cost per record
-//! negligible. The recorder closes a batch when it holds [`DEFAULT_BATCH`]
-//! records and once its oldest record is [`MAX_FRAME_AGE_INSNS`] guest
-//! instructions old, so a sparse log reaches the consumer while the
-//! recording runs instead of in one batch at its end. Because the paper's deployment puts recording and replay on
-//! **separate machines** (§4), each batch crosses the channel as a
-//! checksummed, sequence-numbered frame ([`crate::encode_frame`]): the
-//! stream verifies every frame, so corruption, truncation, reordering,
+//! the recorder sends each frame it cuts ([`crate::DEFAULT_BATCH`] records,
+//! or a frame [`crate::MAX_FRAME_AGE_INSNS`] instructions old) through a
+//! [`LogSink`], and the checkpointing replayer pulls records from the
+//! matching [`LogStream`] on another thread, blocking only when it has
+//! caught up with the recording. Because the paper's deployment puts
+//! recording and replay on **separate machines** (§4), each frame crosses
+//! the channel checksummed and sequence-numbered ([`crate::encode_frame`]):
+//! the stream verifies every frame, so corruption, truncation, reordering,
 //! duplication, and drops are *detected* instead of silently replayed. The
-//! sink retains a pristine copy of every frame it has published — the
+//! sink retains a pristine copy of every frame it has sent — the
 //! recorder's retained log — so the consumer can re-request a damaged frame
 //! ([`LogStream::recover`]) with bounded retries and capped backoff charged
 //! in virtual cycles, never wall-clock.
@@ -27,17 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use crate::{decode_frame, encode_frame, CodecError, FaultInjector, FaultPlan, InputLog, Record};
-
-/// Default number of records per transport batch.
-pub const DEFAULT_BATCH: usize = 64;
-
-/// Guest instructions after which the recorder closes a partial batch, the
-/// one cut besides a full batch. The recorder checks the age only at the
-/// top of its run loop, so a record reaches the consumer less than this
-/// many instructions plus one recorder slice after it was logged. Sparse
-/// guests leave the loop about once per timer tick.
-pub const MAX_FRAME_AGE_INSNS: u64 = 50_000;
+use crate::{decode_frame, CodecError, FaultInjector, FaultPlan, InputLog, Record};
 
 /// Maximum re-request attempts for one damaged frame.
 pub const MAX_REFETCH_RETRIES: u32 = 4;
@@ -79,30 +65,17 @@ pub struct TransportStats {
     pub disk_fallbacks: u64,
 }
 
-/// Creates a connected sink/stream pair carrying record batches of at most
-/// `batch_size` records (0 is treated as 1: unbatched).
-pub fn log_channel(batch_size: usize) -> (LogSink, LogStream) {
-    log_channel_with(batch_size, &FaultPlan::default())
-}
-
-/// [`log_channel`] with `plan`'s transport faults injected on the sink
-/// side. The pristine copy of each frame is retained before injection
-/// (unless the plan poisons the retained store), so recovery re-requests
-/// observe exactly what a real recorder would still hold.
-pub fn log_channel_with(batch_size: usize, plan: &FaultPlan) -> (LogSink, LogStream) {
+/// Creates a connected sink/stream pair, with `plan`'s transport faults
+/// injected on the sink side. The pristine copy of each frame is retained
+/// before injection (unless the plan poisons the retained store), so
+/// recovery re-requests observe exactly what a real recorder would still
+/// hold.
+pub fn log_channel(plan: &FaultPlan) -> (LogSink, LogStream) {
     let (tx, rx) = channel();
     let retained: Retained = Arc::new(Mutex::new(Vec::new()));
     let injector = plan.wants_transport_injection().then(|| FaultInjector::from_plan(plan));
     (
-        LogSink {
-            tx,
-            batch: Vec::new(),
-            batch_size: batch_size.max(1),
-            next_seq: 0,
-            retained: Arc::clone(&retained),
-            injector,
-            delayed: None,
-        },
+        LogSink { tx, retained: Arc::clone(&retained), injector, delayed: None },
         LogStream {
             rx,
             log: InputLog::new(),
@@ -117,17 +90,14 @@ pub fn log_channel_with(batch_size: usize, plan: &FaultPlan) -> (LogSink, LogStr
     )
 }
 
-/// The write side: the recorder pushes records here as it logs them.
+/// The write side: the recorder sends its frames here as it cuts them.
 ///
 /// The channel is unbounded, so the recorder never blocks on a slow
-/// consumer; dropping the sink (or calling [`LogSink::finish`]) flushes the
-/// pending batch and signals end-of-stream.
+/// consumer; dropping the sink (or calling [`LogSink::finish`]) signals
+/// end-of-stream.
 #[derive(Debug)]
 pub struct LogSink {
     tx: Sender<Bytes>,
-    batch: Vec<Record>,
-    batch_size: usize,
-    next_seq: u64,
     retained: Retained,
     injector: Option<FaultInjector>,
     /// A frame held back by a planned delay; it rides behind its successor.
@@ -135,28 +105,10 @@ pub struct LogSink {
 }
 
 impl LogSink {
-    /// Publishes one record, flushing when the batch fills.
-    pub fn push(&mut self, record: Record) {
-        self.batch.push(record);
-        if self.batch.len() >= self.batch_size {
-            self.flush();
-        }
-    }
-
-    /// Records published but not yet framed and sent.
-    pub fn pending_records(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Frames and sends any batched records immediately.
-    pub fn flush(&mut self) {
-        if self.batch.is_empty() {
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = encode_frame(seq, &self.batch);
-        self.batch.clear();
+    /// Retains and sends frame `seq`, an [`crate::encode_frame`] of the
+    /// recorder's records. Frames must come in sequence order from 0: the
+    /// retained store is indexed by sequence number.
+    pub fn send(&mut self, seq: u64, frame: Bytes) {
         let (retained, outgoing, delay) = match &self.injector {
             Some(inj) => {
                 let i = inj.apply(seq, frame);
@@ -164,7 +116,11 @@ impl LogSink {
             }
             None => (frame.clone(), vec![frame], false),
         };
-        self.retained.lock().expect("retained store lock").push(retained);
+        {
+            let mut store = self.retained.lock().expect("retained store lock");
+            debug_assert_eq!(store.len() as u64, seq, "frames must be sent in sequence order");
+            store.push(retained);
+        }
         if delay {
             self.delayed = outgoing.into_iter().next();
             return;
@@ -179,14 +135,13 @@ impl LogSink {
         }
     }
 
-    /// Flushes and closes the stream (consuming the sink hangs up the
-    /// channel, which is what wakes a blocked consumer for the last time).
+    /// Closes the stream (consuming the sink hangs up the channel, which is
+    /// what wakes a blocked consumer for the last time).
     pub fn finish(self) {}
 }
 
 impl Drop for LogSink {
     fn drop(&mut self) {
-        self.flush();
         if let Some(held) = self.delayed.take() {
             let _ = self.tx.send(held);
         }
@@ -195,12 +150,11 @@ impl Drop for LogSink {
 
 /// The read side: a growing [`InputLog`] fed by a [`LogSink`].
 ///
-/// [`LogStream::get`] blocks until the requested record has been published
-/// or the producer has hung up, so a consumer can simply walk indices
+/// [`LogStream::try_get`] blocks until the requested record has arrived or
+/// the producer has hung up, so a consumer can simply walk indices
 /// `0, 1, 2, …` and observe exactly the record sequence the recorder wrote.
-/// [`LogStream::try_get`] is the fault-aware form: a detected transport
-/// fault surfaces as a [`CodecError`] that [`LogStream::recover`] can heal
-/// from the retained store.
+/// A detected transport fault surfaces as a [`CodecError`] that
+/// [`LogStream::recover`] can heal from the retained store.
 #[derive(Debug)]
 pub struct LogStream {
     rx: Receiver<Bytes>,
@@ -220,15 +174,8 @@ pub struct LogStream {
 }
 
 impl LogStream {
-    /// Blocks until record `index` is available; `None` once the producer
-    /// has finished without publishing that many records. Swallows
-    /// transport faults (they still latch for [`LogStream::try_get`]) —
-    /// fault-aware consumers should use `try_get` instead.
-    pub fn get(&mut self, index: usize) -> Option<&Record> {
-        self.try_get(index).ok().flatten()
-    }
-
-    /// Blocks until record `index` is available.
+    /// Blocks until record `index` is available; `Ok(None)` once the
+    /// producer has finished without sending that many records.
     ///
     /// # Errors
     ///
@@ -399,7 +346,7 @@ impl LogStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TransportFault, TransportFaultKind};
+    use crate::{encode_frame, TransportFault, TransportFaultKind};
 
     fn plan_with(seq: u64, kind: TransportFaultKind, poison_retained: bool) -> FaultPlan {
         FaultPlan {
@@ -409,51 +356,49 @@ mod tests {
         }
     }
 
-    fn feed(sink: &mut LogSink, n: u64) {
-        for v in 0..n {
-            sink.push(Record::Rdtsc { value: v });
+    /// `Rdtsc` records with values `0..n`.
+    fn records(n: u64) -> Vec<Record> {
+        (0..n).map(|value| Record::Rdtsc { value }).collect()
+    }
+
+    /// Sends `records(n)` in frames of `batch` records.
+    fn feed(sink: &mut LogSink, n: u64, batch: usize) {
+        for (seq, chunk) in records(n).chunks(batch).enumerate() {
+            sink.send(seq as u64, encode_frame(seq as u64, chunk));
         }
     }
 
     #[test]
-    fn sink_batches_and_stream_reassembles() {
-        let (mut sink, mut stream) = log_channel(3);
-        for v in 0..7 {
-            sink.push(Record::Rdtsc { value: v });
-        }
+    fn stream_reassembles_frames() {
+        let (mut sink, mut stream) = log_channel(&FaultPlan::default());
+        feed(&mut sink, 7, 3);
         sink.finish();
         for v in 0..7 {
-            assert_eq!(stream.get(v as usize), Some(&Record::Rdtsc { value: v }));
+            assert_eq!(stream.try_get(v as usize).unwrap(), Some(&Record::Rdtsc { value: v }));
         }
-        assert_eq!(stream.get(7), None);
+        assert_eq!(stream.try_get(7).unwrap(), None);
     }
 
     #[test]
-    fn get_blocks_across_thread_boundary() {
-        let (mut sink, mut stream) = log_channel(2);
+    fn try_get_blocks_across_thread_boundary() {
+        let (mut sink, mut stream) = log_channel(&FaultPlan::default());
         let producer = std::thread::spawn(move || {
-            for v in 0..100 {
-                sink.push(Record::Rdtsc { value: v });
-            }
+            feed(&mut sink, 100, 2);
             sink.finish();
         });
-        // Consume concurrently; get() must block until each arrives.
+        // Consume concurrently; try_get() must block until each arrives.
         for v in 0..100 {
-            assert_eq!(stream.get(v as usize), Some(&Record::Rdtsc { value: v }));
+            assert_eq!(stream.try_get(v as usize).unwrap(), Some(&Record::Rdtsc { value: v }));
         }
-        assert_eq!(stream.get(100), None);
+        assert_eq!(stream.try_get(100).unwrap(), None);
         producer.join().unwrap();
     }
 
     #[test]
     fn into_log_preserves_byte_accounting() {
-        let (mut sink, stream) = log_channel(4);
-        let mut reference = InputLog::new();
-        for v in 0..10 {
-            let r = Record::Rdtsc { value: v };
-            reference.push(r.clone());
-            sink.push(r);
-        }
+        let (mut sink, stream) = log_channel(&FaultPlan::default());
+        let reference: InputLog = records(10).into_iter().collect();
+        feed(&mut sink, 10, 4);
         sink.finish();
         let collected = stream.into_log();
         assert_eq!(collected.records(), reference.records());
@@ -461,19 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn dropping_sink_flushes_partial_batch() {
-        let (mut sink, mut stream) = log_channel(100);
-        sink.push(Record::Rdtsc { value: 9 });
-        drop(sink);
-        assert_eq!(stream.get(0), Some(&Record::Rdtsc { value: 9 }));
-        assert_eq!(stream.get(1), None);
-    }
-
-    #[test]
     fn corrupt_frame_detected_and_recovered() {
-        let (mut sink, mut stream) =
-            log_channel_with(2, &plan_with(1, TransportFaultKind::CorruptBit, false));
-        feed(&mut sink, 8);
+        let (mut sink, mut stream) = log_channel(&plan_with(1, TransportFaultKind::CorruptBit, false));
+        feed(&mut sink, 8, 2);
         sink.finish();
         assert_eq!(stream.try_get(0).unwrap(), Some(&Record::Rdtsc { value: 0 }));
         // The flipped bit may land in the length field, so either detection
@@ -495,8 +430,8 @@ mod tests {
 
     #[test]
     fn dropped_frame_detected_and_recovered() {
-        let (mut sink, mut stream) = log_channel_with(2, &plan_with(1, TransportFaultKind::DropFrame, false));
-        feed(&mut sink, 10);
+        let (mut sink, mut stream) = log_channel(&plan_with(1, TransportFaultKind::DropFrame, false));
+        feed(&mut sink, 10, 2);
         sink.finish();
         let err = stream.try_get(4).unwrap_err();
         assert!(matches!(err, CodecError::SequenceGap { expected: 1, .. }), "{err:?}");
@@ -508,8 +443,8 @@ mod tests {
 
     #[test]
     fn dropped_tail_frame_detected_and_recovered() {
-        let (mut sink, mut stream) = log_channel_with(2, &plan_with(4, TransportFaultKind::DropFrame, false));
-        feed(&mut sink, 10);
+        let (mut sink, mut stream) = log_channel(&plan_with(4, TransportFaultKind::DropFrame, false));
+        feed(&mut sink, 10, 2);
         sink.finish();
         let err = stream.try_get(9).unwrap_err();
         assert_eq!(err, CodecError::SequenceGap { expected: 4, got: 5 });
@@ -519,9 +454,8 @@ mod tests {
 
     #[test]
     fn duplicate_frame_silently_dropped() {
-        let (mut sink, mut stream) =
-            log_channel_with(2, &plan_with(1, TransportFaultKind::DuplicateFrame, false));
-        feed(&mut sink, 8);
+        let (mut sink, mut stream) = log_channel(&plan_with(1, TransportFaultKind::DuplicateFrame, false));
+        feed(&mut sink, 8, 2);
         sink.finish();
         for v in 0..8 {
             assert_eq!(stream.try_get(v as usize).unwrap(), Some(&Record::Rdtsc { value: v }));
@@ -533,9 +467,8 @@ mod tests {
 
     #[test]
     fn delayed_frame_healed_by_reordering() {
-        let (mut sink, mut stream) =
-            log_channel_with(2, &plan_with(1, TransportFaultKind::DelayFrame, false));
-        feed(&mut sink, 8);
+        let (mut sink, mut stream) = log_channel(&plan_with(1, TransportFaultKind::DelayFrame, false));
+        feed(&mut sink, 8, 2);
         sink.finish();
         for v in 0..8 {
             assert_eq!(stream.try_get(v as usize).unwrap(), Some(&Record::Rdtsc { value: v }));
@@ -547,8 +480,8 @@ mod tests {
 
     #[test]
     fn poisoned_retained_store_is_unrecoverable() {
-        let (mut sink, mut stream) = log_channel_with(2, &plan_with(1, TransportFaultKind::CorruptBit, true));
-        feed(&mut sink, 8);
+        let (mut sink, mut stream) = log_channel(&plan_with(1, TransportFaultKind::CorruptBit, true));
+        feed(&mut sink, 8, 2);
         sink.finish();
         let err = stream.try_get(3).unwrap_err();
         assert!(
@@ -562,9 +495,8 @@ mod tests {
 
     #[test]
     fn truncated_frame_detected_and_recovered() {
-        let (mut sink, mut stream) =
-            log_channel_with(2, &plan_with(2, TransportFaultKind::TruncateFrame, false));
-        feed(&mut sink, 10);
+        let (mut sink, mut stream) = log_channel(&plan_with(2, TransportFaultKind::TruncateFrame, false));
+        feed(&mut sink, 10, 2);
         sink.finish();
         let err = stream.try_get(5).unwrap_err();
         assert_eq!(err, CodecError::FrameTruncated { seq: 2 });
@@ -576,15 +508,9 @@ mod tests {
 
     #[test]
     fn into_log_auto_recovers() {
-        let (mut sink, stream) = log_channel_with(2, &plan_with(1, TransportFaultKind::CorruptBit, false));
-        let mut reference = InputLog::new();
-        for v in 0..9 {
-            let r = Record::Rdtsc { value: v };
-            reference.push(r.clone());
-            sink.push(r);
-        }
+        let (mut sink, stream) = log_channel(&plan_with(1, TransportFaultKind::CorruptBit, false));
+        feed(&mut sink, 9, 2);
         sink.finish();
-        let collected = stream.into_log();
-        assert_eq!(collected.records(), reference.records());
+        assert_eq!(stream.into_log().records(), &records(9)[..]);
     }
 }

@@ -68,6 +68,33 @@ run_examples() {
 }
 timed examples run_examples
 
+# Figures gate: `all` prints every paper table and figure (217 lines,
+# about 1.5 s), deterministically; its stdout must match the committed
+# golden output, so a change that moves a figure has to re-bless the file
+# and say which figure moved and why. `all` runs the sibling figure
+# binaries from its own directory, so they are built first, and the run
+# uses the default length (`RNR_BENCH_INSNS` unset). With
+# `RNR_REGEN_GOLDEN=1` the gate rewrites the file instead of diffing (the
+# tests gate reads the same variable and rewrites `segment_v2.bin`).
+figures() {
+    local golden=tests/fixtures/figures.txt out
+    local all="${CARGO_TARGET_DIR:-target}/release/all"
+    cargo build --release -q --offline -p rnr-bench --bins
+    if [ "${RNR_REGEN_GOLDEN:-0}" = "1" ]; then
+        env -u RNR_BENCH_INSNS "$all" >"$golden"
+        return
+    fi
+    out="$(mktemp)"
+    env -u RNR_BENCH_INSNS "$all" >"$out"
+    if ! diff -u "$golden" "$out"; then
+        rm -f "$out"
+        echo "figures: output differs from $golden (RNR_REGEN_GOLDEN=1 re-blesses it)" >&2
+        return 1
+    fi
+    rm -f "$out"
+}
+timed figures figures
+
 # Fault-matrix gate: run the attack pipeline under every seeded fault
 # scenario — transport, replay, and AR-supervisor faults, plus the durable
 # segment store's disk scenarios (torn write, bit rot, missing segment,

@@ -11,19 +11,19 @@ use std::sync::Arc;
 use common::farm_of_one;
 use rnr_attacks::mount_kernel_rop;
 use rnr_hypervisor::{RecordConfig, RecordMode, Recorder};
-use rnr_log::log_channel;
+use rnr_log::{log_channel, FaultPlan};
 use rnr_safe::{Pipeline, PipelineConfig};
 use rnr_workloads::{Workload, WorkloadParams};
 
-/// A recorder with a live sink publishes exactly the log it keeps: the
-/// streamed copy is byte-identical to the recording's own.
+/// A recorder with a live sink sends exactly the log it keeps: the streamed
+/// copy is byte-identical to the recording's own.
 #[test]
 fn streamed_log_is_byte_identical() {
     let spec = Workload::Mysql.spec(false);
     let plain = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 120_000)).unwrap().run();
 
     let mut recorder = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, 120_000)).unwrap();
-    let (sink, stream) = log_channel(8);
+    let (sink, stream) = log_channel(&FaultPlan::default());
     recorder.stream_to(sink);
     let consumer = std::thread::spawn(move || stream.into_log());
     let streamed = recorder.run();
