@@ -184,7 +184,11 @@ fn serial_matrix() -> u32 {
 /// dropped transport frame that forces a refetch) must heal back to the
 /// very same report, falling back to the in-memory retained store when the
 /// disk copy is damaged, and its writer must report exactly the planned
-/// disk fault. Each scenario uses its own temp dir, removed on success.
+/// disk fault. Each refetch must come from exactly one source: disk alone
+/// when the store is whole, memory alone when the frame's segment is
+/// damaged — the refetch waits for the seal, damage included, so a seal in
+/// flight never decides it. Each scenario uses its own temp dir, removed on
+/// success.
 fn durable_section(reference_json: &str) -> u32 {
     let mut failures = 0u32;
     let run_durable = |tag: &str, plan: FaultPlan| {
@@ -251,8 +255,14 @@ fn durable_section(reference_json: &str) -> u32 {
                 if wants_disk_hit && t.disk_refetches == 0 {
                     bad.push("refetch never served from disk");
                 }
+                if wants_disk_hit && t.disk_fallbacks != 0 {
+                    bad.push("a sealed frame's refetch fell back to memory");
+                }
                 if !wants_disk_hit && t.disk_fallbacks == 0 {
                     bad.push("damaged disk copy never fell back to memory");
+                }
+                if !wants_disk_hit && t.disk_refetches != 0 {
+                    bad.push("damaged disk copy served a refetch");
                 }
                 if bad.is_empty() {
                     println!(

@@ -389,15 +389,17 @@ impl Recorder {
     /// consume the stream while recording is still in progress.
     pub fn stream_to(&mut self, sink: LogSink) {
         self.log.sink = Some(sink);
+        self.log.connect();
     }
 
     /// Attaches a durable segment-store writer (DESIGN.md §13): every frame
     /// the recorder cuts goes to the store before it reaches a live sink,
-    /// and the writer seals a segment every `frames_per_segment` frames and
-    /// when recording finishes. Resilience only; the log, cycles, and
-    /// digests are byte-for-byte identical with or without it.
+    /// and the writer's thread seals a segment every `frames_per_segment`
+    /// frames and when recording finishes. Resilience only; the log,
+    /// cycles, and digests are byte-for-byte identical with or without it.
     pub fn persist_to(&mut self, writer: DurableWriter) {
         self.log.durable = Some(writer);
+        self.log.connect();
     }
 
     /// Does nothing: the recorder decodes into its own VM's cache. Kept
@@ -907,7 +909,9 @@ impl Recorder {
 /// never cut a frame, so a recording's frames are the same with seeding on
 /// or off. A cut encodes the frame once and hands the same bytes to the
 /// durable writer, then to the live sink, so disk and wire sequence
-/// numbers are equal. Without either output nothing is framed.
+/// numbers are equal. With both outputs attached the writer publishes its
+/// seal mark to the sink's stream, so a refetch never races a seal.
+/// Without either output nothing is framed.
 #[derive(Debug, Default)]
 struct FramedLog {
     records: InputLog,
@@ -936,6 +940,14 @@ impl FramedLog {
         }
     }
 
+    /// Connects the durable writer's seal mark to the sink's stream once
+    /// both are attached.
+    fn connect(&mut self) {
+        if let (Some(writer), Some(sink)) = (self.durable.as_mut(), self.sink.as_ref()) {
+            writer.connect(sink);
+        }
+    }
+
     /// Cuts the pending frame once its oldest record is
     /// [`MAX_FRAME_AGE_INSNS`] old at `retired` instructions.
     fn cut_if_aged(&mut self, retired: u64) {
@@ -954,9 +966,11 @@ impl FramedLog {
 
     /// Encodes the pending frame and appends it to the durable writer;
     /// returns it, with its sequence number, for the live sink. A frame
-    /// reaches disk with its segment's seal, so most frames are sent before
-    /// they are on disk, and a refetch of an unsealed frame falls back to
-    /// the sink's retained copy.
+    /// reaches disk when the writer's thread seals its segment, so most
+    /// frames are sent before they are on disk: a refetch of a frame whose
+    /// segment was handed to the thread waits for that seal, and one of
+    /// the segment the writer still fills falls back to the sink's
+    /// retained copy.
     fn cut_to_disk(&mut self) -> Option<(u64, Bytes)> {
         self.opened_at = None;
         // Outputs first: once `Recorder::run` has taken the outputs and the
@@ -978,10 +992,10 @@ impl FramedLog {
         Some((seq, frame))
     }
 
-    /// Cuts the last frame and seals the store before the sink sends that
-    /// frame and hangs up: a refetch of the tail must find it on disk (with
-    /// any planned damage already applied). Returns what the writer
-    /// persisted.
+    /// Cuts the last frame and seals the store, joining the writer's
+    /// thread, before the sink sends that frame and hangs up: a refetch of
+    /// the tail must find it on disk (with any planned damage already
+    /// applied). Returns what the writer persisted.
     fn finish(&mut self) -> DiskWriteStats {
         let last = self.cut_to_disk();
         let disk = self.durable.take().map(DurableWriter::finish).unwrap_or_default();

@@ -23,7 +23,8 @@
 //! * [`encode_frame`] / [`decode_frame`] — checksummed, sequence-numbered
 //!   frames, the unit the recorder cuts its log into ([`DEFAULT_BATCH`]
 //!   records, or [`MAX_FRAME_AGE_INSNS`] instructions of age). Each frame
-//!   is encoded once; the store and the wire carry the same bytes.
+//!   is encoded once; the store and the wire carry the same bytes. Every
+//!   CRC32 in the crate is [`crc32`]'s slicing-by-16.
 //! * [`log_channel`] / [`LogSink`] / [`LogStream`] / [`LogSource`] — the
 //!   streaming transport that lets the checkpointing replayer consume the
 //!   log concurrently with its generation (§4.6.1), instead of waiting for
@@ -36,7 +37,9 @@
 //! * [`DurableWriter`] / [`DurableStore`] — the durable segmented log
 //!   store: the recorder's encoded frames sealed into versioned,
 //!   CRC32-protected [`Segment`] files (their payloads behind a frame index,
-//!   plus RLE; atomic write-temp + fsync + rename), a
+//!   plus RLE; atomic write-temp + fsync + rename) on the writer's own
+//!   thread, behind a bounded channel and a seal mark the stream's refetch
+//!   waits on, a
 //!   crash-recovery scan that truncates torn tails, quarantines damaged
 //!   segments and refuses a store of another format version, and a
 //!   disk-first refetch path for the CR's rewind-and-refetch recovery.

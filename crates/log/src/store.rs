@@ -5,11 +5,19 @@
 //! deployment must keep the evidence on disk. [`DurableWriter`] takes the
 //! recorder's frames as it cuts them — the same encoded bytes the live sink
 //! sends — groups them into [`crate::Segment`]s whose body is the frames'
-//! payloads behind a frame index, and seals each one
-//! **atomically**: the segment bytes are written to a `.tmp` sibling,
-//! fsynced, renamed into place, and the directory itself is fsynced — a
-//! crash at any point leaves either the previous state or the complete new
-//! segment, never a half-visible one.
+//! payloads behind a frame index, and hands each full segment to its own
+//! writer thread over a bounded channel, so the recorder never waits on a
+//! seal unless [`SEAL_QUEUE`] segments are already waiting. The thread
+//! seals each segment **atomically**: the segment bytes are written to a
+//! `.tmp` sibling, fsynced, renamed into place, and the directory itself is
+//! fsynced — a crash at any point leaves either the previous state or the
+//! complete new segment, never a half-visible one.
+//!
+//! A writer connected to a live sink ([`DurableWriter::connect`]) publishes
+//! a seal mark: how far it has handed frames to its thread, and how far
+//! their seals are over (renamed, the directory fsynced, any planned damage
+//! applied). The stream's refetch waits on it, so it never reads a segment
+//! whose seal is still running.
 //!
 //! [`DurableStore::open`] is the recovery scan run after a crash or against
 //! a damaged directory: orphaned `.tmp` files (interrupted finalizations)
@@ -29,18 +37,26 @@
 use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use bytes::Bytes;
 
 use crate::segment::{decode_segment, seal_frames, SegmentError};
-use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, Record};
+use crate::{encode_frame, splitmix64, DiskFault, DiskFaultKind, FaultPlan, InputLog, LogSink, Record};
 
 /// File extension of a sealed segment.
 pub const SEGMENT_EXT: &str = "rnrseg";
 
 /// Default frames per segment for [`DurableLogConfig`].
 pub const DEFAULT_FRAMES_PER_SEGMENT: usize = 8;
+
+/// Full segments that may wait for the writer thread; a recorder that
+/// fills one more blocks in [`DurableWriter::append`] until a seal ends.
+const SEAL_QUEUE: usize = 2;
 
 /// Configuration of the durable log store (the `durable_log` knob).
 /// Segment bodies are always RLE-compressed where that shrinks them. The
@@ -74,46 +90,65 @@ pub struct DiskWriteStats {
     pub bytes_written: u64,
     /// Planned disk faults injected at seal time.
     pub faults_injected: u64,
-    /// Write/sync errors swallowed (durability degraded, recording intact).
+    /// Write/sync errors swallowed (durability degraded, recording intact),
+    /// including seals that panicked and frames appended out of order.
     pub io_errors: u64,
 }
 
 /// The write side of the durable store: frames in, sealed segments out.
+/// The recorder's thread only groups frames; a writer thread, started by
+/// [`DurableWriter::create`] and joined by [`DurableWriter::finish`] (or
+/// the drop), seals them.
 #[derive(Debug)]
 pub struct DurableWriter {
-    cfg: DurableLogConfig,
-    /// Encoded frames awaiting their segment seal, with their record counts.
+    frames_per_segment: usize,
+    /// Encoded frames awaiting their segment's hand-off, with their record
+    /// counts.
     pending: Vec<(usize, Bytes)>,
     /// Sequence number of `pending[0]`.
     pending_first_seq: u64,
     next_segment: u64,
-    faults: Vec<DiskFault>,
-    seed: u64,
-    stats: DiskWriteStats,
+    /// Frames refused because they arrived out of sequence order.
+    refused: u64,
+    /// The connected stream's seal mark, when a live sink is attached.
+    mark: Option<Arc<SealMark>>,
+    /// The channel to the writer thread and its handle; `None` once joined.
+    thread: Option<(SyncSender<SealJob>, JoinHandle<DiskWriteStats>)>,
 }
 
 impl DurableWriter {
-    /// Creates the store directory (if needed) and a writer whose seals will
-    /// inject `plan`'s disk faults deterministically.
+    /// Creates the store directory (if needed) and starts the writer
+    /// thread, whose seals will inject `plan`'s disk faults
+    /// deterministically.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation failure.
+    /// Propagates directory-creation failure and a writer thread that
+    /// cannot start.
     pub fn create(cfg: DurableLogConfig, plan: &FaultPlan) -> io::Result<DurableWriter> {
         fs::create_dir_all(&cfg.dir)?;
-        Ok(DurableWriter {
+        let (jobs, queue) = sync_channel(SEAL_QUEUE);
+        let sealer = Sealer {
+            dir: cfg.dir,
             faults: plan.disk.clone(),
             seed: plan.seed,
-            cfg,
+            stats: DiskWriteStats::default(),
+        };
+        let thread =
+            std::thread::Builder::new().name("rnr-durable-writer".into()).spawn(move || sealer.run(queue))?;
+        Ok(DurableWriter {
+            frames_per_segment: cfg.frames_per_segment.max(1),
             pending: Vec::new(),
             pending_first_seq: 0,
             next_segment: 0,
-            stats: DiskWriteStats::default(),
+            refused: 0,
+            mark: None,
+            thread: Some((jobs, thread)),
         })
     }
 
     /// Appends frame `seq` — `frame` is [`crate::encode_frame`] of
-    /// `records` — and seals a segment whenever
+    /// `records` — and hands a segment to the writer thread whenever
     /// [`DurableLogConfig::frames_per_segment`] frames have accumulated.
     /// Frames must arrive in sequence order; the writer keeps the encoded
     /// bytes and never re-encodes a record.
@@ -121,12 +156,12 @@ impl DurableWriter {
         let expected = self.pending_first_seq + self.pending.len() as u64;
         debug_assert_eq!(seq, expected, "frames must be appended in sequence order");
         if seq != expected {
-            self.stats.io_errors += 1;
+            self.refused += 1;
             return;
         }
         self.pending.push((records.len(), frame));
-        if self.pending.len() >= self.cfg.frames_per_segment.max(1) {
-            self.seal();
+        if self.pending.len() >= self.frames_per_segment {
+            self.hand_off();
         }
     }
 
@@ -135,31 +170,116 @@ impl DurableWriter {
         self.append(seq, records, encode_frame(seq, records));
     }
 
-    /// Seals the remaining frames and reports what was persisted. (Dropping
-    /// the writer seals them too, swallowing errors.)
-    pub fn finish(mut self) -> DiskWriteStats {
-        self.seal();
-        self.stats
+    /// Publishes this writer's seal mark to `sink`'s stream: before the
+    /// stream's refetch reads the disk, it waits until a frame already
+    /// handed to the writer thread is sealed, with any planned damage
+    /// applied. Call it before the first frame is appended.
+    pub fn connect(&mut self, sink: &LogSink) {
+        self.mark = Some(sink.seal_mark());
     }
 
-    /// Seals the pending frames into one segment file, atomically:
-    /// write-temp + fsync + rename + directory fsync. IO errors degrade to
-    /// memory-only durability (counted, never fatal — the in-memory log
-    /// remains authoritative).
-    fn seal(&mut self) {
+    /// Hands the remaining frames to the writer thread, waits for every
+    /// seal, and reports what was persisted. (Dropping the writer does the
+    /// same, discarding the report.)
+    pub fn finish(mut self) -> DiskWriteStats {
+        self.close()
+    }
+
+    /// Hands the pending frames to the writer thread as one segment,
+    /// blocking while [`SEAL_QUEUE`] segments already wait.
+    fn hand_off(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let frames = std::mem::take(&mut self.pending);
-        let first_seq = self.pending_first_seq;
-        let index = self.next_segment;
+        let job = SealJob {
+            index: self.next_segment,
+            first_seq: self.pending_first_seq,
+            frames,
+            mark: self.mark.clone(),
+        };
         self.next_segment += 1;
-        self.pending_first_seq = first_seq + frames.len() as u64;
+        self.pending_first_seq += job.frames.len() as u64;
+        if let Some(mark) = &self.mark {
+            mark.hand(self.pending_first_seq);
+        }
+        if let Some((jobs, _)) = &self.thread {
+            // Fails only when the thread is gone; the dropped job then
+            // releases its frames from the seal mark.
+            let _ = jobs.send(job);
+        }
+    }
+
+    /// Seals the tail and joins the writer thread. Never panics, so the
+    /// drop of a writer on an unwinding recorder is safe.
+    fn close(&mut self) -> DiskWriteStats {
+        self.hand_off();
+        let Some((jobs, thread)) = self.thread.take() else { return DiskWriteStats::default() };
+        drop(jobs);
+        let mut stats = thread.join().unwrap_or(DiskWriteStats { io_errors: 1, ..DiskWriteStats::default() });
+        stats.io_errors += self.refused;
+        stats
+    }
+}
+
+impl Drop for DurableWriter {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// One segment on its way to the writer thread. However the job ends —
+/// sealed, failed, or dropped with a thread that is gone — its drop moves
+/// the seal mark past its frames, so no refetch waits on it forever.
+#[derive(Debug)]
+struct SealJob {
+    index: u64,
+    first_seq: u64,
+    /// Encoded frames, with their record counts.
+    frames: Vec<(usize, Bytes)>,
+    mark: Option<Arc<SealMark>>,
+}
+
+impl Drop for SealJob {
+    fn drop(&mut self) {
+        if let Some(mark) = &self.mark {
+            mark.seal(self.first_seq + self.frames.len() as u64);
+        }
+    }
+}
+
+/// The writer thread's state: where to seal, the plan's disk faults, and
+/// the running accounting.
+struct Sealer {
+    dir: PathBuf,
+    faults: Vec<DiskFault>,
+    seed: u64,
+    stats: DiskWriteStats,
+}
+
+impl Sealer {
+    /// Seals every job until the writer hangs up. A seal that panics is
+    /// counted as an I/O error, and the next segment still seals.
+    fn run(mut self, queue: Receiver<SealJob>) -> DiskWriteStats {
+        for job in queue {
+            if catch_unwind(AssertUnwindSafe(|| self.seal(&job))).is_err() {
+                self.stats.io_errors += 1;
+            }
+        }
+        self.stats
+    }
+
+    /// Seals one segment file, atomically: write-temp + fsync + rename +
+    /// directory fsync, then any planned damage. IO errors degrade to
+    /// memory-only durability (counted, never fatal — the in-memory log
+    /// remains authoritative).
+    fn seal(&mut self, job: &SealJob) {
+        let index = job.index;
         let fault = self.faults.iter().find(|f| f.segment == index).copied();
 
         self.stats.segments_sealed += 1;
-        self.stats.frames_written += frames.len() as u64;
-        self.stats.records_written += frames.iter().map(|&(n, _)| n as u64).sum::<u64>();
+        self.stats.frames_written += job.frames.len() as u64;
+        self.stats.records_written += job.frames.iter().map(|&(n, _)| n as u64).sum::<u64>();
 
         if matches!(fault.map(|f| f.kind), Some(DiskFaultKind::FailedFsync)) {
             // The segment never becomes durable: model the loss by not
@@ -168,15 +288,15 @@ impl DurableWriter {
             return;
         }
 
-        let bytes = seal_frames(first_seq, &frames);
-        let path = self.cfg.dir.join(segment_file_name(index));
-        let tmp = self.cfg.dir.join(format!("{}.tmp", segment_file_name(index)));
+        let bytes = seal_frames(job.first_seq, &job.frames);
+        let path = self.dir.join(segment_file_name(index));
+        let tmp = self.dir.join(format!("{}.tmp", segment_file_name(index)));
         let sealed = (|| -> io::Result<()> {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
             fs::rename(&tmp, &path)?;
-            if let Ok(dir) = File::open(&self.cfg.dir) {
+            if let Ok(dir) = File::open(&self.dir) {
                 let _ = dir.sync_all();
             }
             Ok(())
@@ -197,9 +317,52 @@ impl DurableWriter {
     }
 }
 
-impl Drop for DurableWriter {
-    fn drop(&mut self) {
-        self.seal();
+/// How far a [`DurableWriter`] has handed frames to its thread, and how far
+/// their seals are over. Shared by a [`LogSink`] and its stream; the writer
+/// publishes to it once [`DurableWriter::connect`]ed.
+#[derive(Debug, Default)]
+pub(crate) struct SealMark {
+    state: Mutex<MarkState>,
+    sealed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct MarkState {
+    /// One past the last frame handed to the writer thread.
+    handed: u64,
+    /// One past the last frame whose seal is over: renamed, the directory
+    /// fsynced and any planned damage applied — or failed, which leaves no
+    /// disk copy to wait for either.
+    sealed: u64,
+}
+
+impl SealMark {
+    /// Every update stores one counter that only grows, so the state stays
+    /// valid under a poisoned lock; and a seal job's drop takes this lock,
+    /// where a panic must not happen.
+    fn lock(&self) -> MutexGuard<'_, MarkState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn hand(&self, through: u64) {
+        let mut state = self.lock();
+        state.handed = state.handed.max(through);
+    }
+
+    fn seal(&self, through: u64) {
+        let mut state = self.lock();
+        state.sealed = state.sealed.max(through);
+        self.sealed.notify_all();
+    }
+
+    /// Blocks while frame `seq` has been handed to the writer thread but
+    /// its seal is not over. A frame the writer still holds (its segment is
+    /// not full) returns at once: no disk copy of it is coming yet.
+    pub(crate) fn wait_sealed(&self, seq: u64) {
+        let mut state = self.lock();
+        while seq < state.handed && seq >= state.sealed {
+            state = self.sealed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -506,6 +669,60 @@ mod tests {
             assert_eq!(store.frame(seq).unwrap(), &records(3, seq * 100)[..]);
         }
         assert_eq!(store.scan().missing_spans, Vec::new());
+    }
+
+    #[test]
+    fn seal_mark_passes_a_frame_only_once_its_seal_and_damage_are_over() {
+        for damage in [None, Some(DiskFaultKind::BitRot)] {
+            let tmp = TempDir::new(&format!("mark-{damage:?}"));
+            let plan = FaultPlan {
+                seed: 0x5EA1,
+                disk: damage.map(|kind| DiskFault { segment: 0, kind }).into_iter().collect(),
+                ..FaultPlan::default()
+            };
+            let (sink, _stream) = crate::log_channel(&FaultPlan::default());
+            let mut w = DurableWriter::create(cfg(&tmp.0, 1), &plan).unwrap();
+            w.connect(&sink);
+            // Not handed yet: nothing to wait for.
+            sink.seal_mark().wait_sealed(0);
+            w.append_frame(0, &records(2, 0));
+            sink.seal_mark().wait_sealed(0);
+            // The writer is still running, but frame 0's seal is over.
+            match damage {
+                None => assert_eq!(durable_fetch(&tmp.0, 0), Some(records(2, 0))),
+                Some(_) => assert_eq!(durable_fetch(&tmp.0, 0), None, "the damage lands before the mark"),
+            }
+            let stats = w.finish();
+            assert_eq!((stats.segments_sealed, stats.faults_injected), (1, damage.is_some() as u64));
+        }
+    }
+
+    #[test]
+    fn a_panicking_seal_is_an_io_error_and_the_next_segment_still_seals() {
+        let tmp = TempDir::new("panicking-seal");
+        let (sink, _stream) = crate::log_channel(&FaultPlan::default());
+        let mut w = DurableWriter::create(cfg(&tmp.0, 1), &FaultPlan::default()).unwrap();
+        w.connect(&sink);
+        // A frame shorter than its header panics the seal that slices it.
+        w.append(0, &records(1, 0), Bytes::from_static(b"short"));
+        sink.seal_mark().wait_sealed(0);
+        w.append_frame(1, &records(2, 1));
+        let stats = w.finish();
+        assert_eq!(stats.io_errors, 1, "{stats:?}");
+        assert_eq!(durable_fetch(&tmp.0, 1), Some(records(2, 1)));
+    }
+
+    #[test]
+    fn a_writer_dropped_while_unwinding_seals_its_tail() {
+        let tmp = TempDir::new("unwind");
+        let mut w = DurableWriter::create(cfg(&tmp.0, 4), &FaultPlan::default()).unwrap();
+        w.append_frame(0, &records(2, 0));
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(move || {
+            let _held = w;
+            panic!("the recorder unwinds");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(durable_fetch(&tmp.0, 0), Some(records(2, 0)), "the drop sealed the tail");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
+use crate::store::SealMark;
 use crate::{decode_frame, CodecError, FaultInjector, FaultPlan, InputLog, Record};
 
 /// Maximum re-request attempts for one damaged frame.
@@ -69,13 +70,15 @@ pub struct TransportStats {
 /// injected on the sink side. The pristine copy of each frame is retained
 /// before injection (unless the plan poisons the retained store), so
 /// recovery re-requests observe exactly what a real recorder would still
-/// hold.
+/// hold. The pair also shares a seal mark, which a durable writer
+/// [`crate::DurableWriter::connect`]ed to the sink publishes to.
 pub fn log_channel(plan: &FaultPlan) -> (LogSink, LogStream) {
     let (tx, rx) = channel();
     let retained: Retained = Arc::new(Mutex::new(Vec::new()));
+    let seals = Arc::new(SealMark::default());
     let injector = plan.wants_transport_injection().then(|| FaultInjector::from_plan(plan));
     (
-        LogSink { tx, retained: Arc::clone(&retained), injector, delayed: None },
+        LogSink { tx, retained: Arc::clone(&retained), seals: Arc::clone(&seals), injector, delayed: None },
         LogStream {
             rx,
             log: InputLog::new(),
@@ -84,6 +87,7 @@ pub fn log_channel(plan: &FaultPlan) -> (LogSink, LogStream) {
             pending: BTreeMap::new(),
             fault: None,
             retained,
+            seals,
             stats: TransportStats::default(),
             durable: None,
         },
@@ -99,6 +103,7 @@ pub fn log_channel(plan: &FaultPlan) -> (LogSink, LogStream) {
 pub struct LogSink {
     tx: Sender<Bytes>,
     retained: Retained,
+    seals: Arc<SealMark>,
     injector: Option<FaultInjector>,
     /// A frame held back by a planned delay; it rides behind its successor.
     delayed: Option<Bytes>,
@@ -138,6 +143,11 @@ impl LogSink {
     /// Closes the stream (consuming the sink hangs up the channel, which is
     /// what wakes a blocked consumer for the last time).
     pub fn finish(self) {}
+
+    /// The seal mark this sink shares with its stream.
+    pub(crate) fn seal_mark(&self) -> Arc<SealMark> {
+        Arc::clone(&self.seals)
+    }
 }
 
 impl Drop for LogSink {
@@ -167,6 +177,8 @@ pub struct LogStream {
     /// A detected fault; sticky until [`LogStream::recover`] heals it.
     fault: Option<CodecError>,
     retained: Retained,
+    /// How far a connected durable writer has handed and sealed frames.
+    seals: Arc<SealMark>,
     stats: TransportStats,
     /// Directory of the durable segment store, when the deployment persists
     /// frames to disk; [`LogStream::recover`] prefers the on-disk copy.
@@ -218,8 +230,11 @@ impl LogStream {
             // The durable store is the deployment's authoritative retained
             // log: prefer the on-disk copy (quarantining at-rest damage on
             // contact), fall back to the in-memory retained store when the
-            // covering segment is unsealed, missing, or unusable.
+            // covering segment is unsealed, missing, or unusable. A frame
+            // already handed to the writer thread is read only once its
+            // seal is over, so a seal in flight never decides the source.
             if let Some(dir) = self.durable.clone() {
+                self.seals.wait_sealed(self.next_seq);
                 if let Some(records) = crate::store::durable_fetch(&dir, self.next_seq) {
                     self.admit(records);
                     self.stats.batches_refetched += 1;

@@ -235,34 +235,55 @@ fn poisoned_retained_store_fails_with_structured_error_not_panic() {
     }
 }
 
+/// A corrupted frame is refetched from its sealed segment, never from
+/// memory: at one frame per segment every frame is handed to the writer
+/// thread before it is sent, and the refetch waits for that frame's seal.
+/// Frame 1, a middle frame and the last frame each get their own run.
 #[test]
 fn durable_store_serves_a_refetch_from_disk() {
-    let dir = TempDir::new("disk-serves");
     let cfg = |plan, durable| PipelineConfig {
         duration_insns: 250_000,
         fault_plan: plan,
         durable_log: durable,
         ..Default::default()
     };
+    let run = |tag: &str, plan| {
+        let dir = TempDir::new(tag);
+        Pipeline::new(Workload::Mysql.spec(false), cfg(plan, Some(durable_cfg(&dir.0)))).run()
+    };
     let reference =
         Pipeline::new(Workload::Mysql.spec(false), cfg(FaultPlan::default(), None)).run().expect("clean run");
-    let plan = FaultPlan {
-        seed: SEED,
-        transport: vec![TransportFault {
-            seq: 1,
-            kind: TransportFaultKind::CorruptBit,
-            poison_retained: false,
-        }],
-        ..FaultPlan::default()
-    };
-    let report = Pipeline::new(Workload::Mysql.spec(false), cfg(plan, Some(durable_cfg(&dir.0))))
-        .run()
-        .expect("healed run");
-    assert_eq!(report.to_json(), reference.to_json(), "durable heal must be report-invisible");
-    assert!(report.recovery.transport.disk_refetches >= 1, "refetch must be served from sealed segments");
-    let disk = report.recovery.disk;
-    assert!(disk.segments_sealed > 0, "the writer's stats reach the report: {disk:?}");
-    assert_eq!((disk.faults_injected, disk.io_errors), (0, 0), "an undamaged store: {disk:?}");
+    let clean = run("disk-serves-clean", FaultPlan::default()).expect("clean durable run");
+    assert_eq!(clean.to_json(), reference.to_json());
+    let frames = clean.recovery.disk.frames_written;
+    assert!(frames >= 4, "need a first, a middle and a last frame: {frames}");
+    for seq in [1, frames / 2, frames - 1] {
+        let plan = FaultPlan {
+            seed: SEED,
+            transport: vec![TransportFault {
+                seq,
+                kind: TransportFaultKind::CorruptBit,
+                poison_retained: false,
+            }],
+            ..FaultPlan::default()
+        };
+        let report = run(&format!("disk-serves-{seq}"), plan).expect("healed run");
+        assert_eq!(
+            report.to_json(),
+            reference.to_json(),
+            "frame {seq}: durable heal must be report-invisible"
+        );
+        let t = report.recovery.transport;
+        assert!(t.disk_refetches >= 1, "frame {seq}: refetch must be served from sealed segments: {t:?}");
+        assert_eq!(t.disk_fallbacks, 0, "frame {seq}: a sealed frame must never fall back to memory: {t:?}");
+        let disk = report.recovery.disk;
+        assert_eq!(disk.frames_written, frames, "frame {seq}: {disk:?}");
+        assert_eq!(
+            (disk.faults_injected, disk.io_errors),
+            (0, 0),
+            "frame {seq}: an undamaged store: {disk:?}"
+        );
+    }
 }
 
 /// A planned disk fault that no refetch reads still reaches the recovery
