@@ -9,10 +9,10 @@
 //! unified work items — `Record`, one `CrSpan` per span, `Finalize`, one
 //! `ArCase` per checkpoint shared by escalated alarms (one alarm-replay pass
 //! of the session's alarm phase, the same one [`Pipeline`](crate::Pipeline)
-//! drives, resolves that checkpoint's cases) — and a deterministic weighted
+//! drives, resolves that checkpoint's cases) — and a deterministic
 //! round-robin scheduler drains them so an alarm-storming session cannot
-//! starve its quiet siblings. Every VM a work item builds owns its decode, block and
-//! trace caches.
+//! starve its quiet siblings. Every VM a work item builds owns its decode,
+//! block and trace caches.
 //!
 //! **Invariance:** a farm of N sessions produces per-session
 //! [`PipelineReport`]s byte-identical (via `to_json()`) to N serial
@@ -65,7 +65,7 @@ impl fmt::Display for SessionId {
 }
 
 /// One session the farm will run: a workload spec, its pipeline
-/// configuration, a resource budget, and a scheduling weight.
+/// configuration, and a resource budget.
 #[derive(Debug)]
 pub struct SessionSpec {
     /// Caller-chosen session name (reported in [`SessionOutcome`]; need not
@@ -82,16 +82,12 @@ pub struct SessionSpec {
     pub config: PipelineConfig,
     /// Resource limits; [`SessionBudget::unlimited`] by default.
     pub budget: SessionBudget,
-    /// Scheduler weight: dispatches granted per round-robin cycle (≥ 1).
-    /// Wall-clock only.
-    pub weight: u32,
 }
 
 impl SessionSpec {
-    /// A session named `name` over `vm` with an unlimited budget and
-    /// weight 1.
+    /// A session named `name` over `vm` with an unlimited budget.
     pub fn new(name: impl Into<String>, vm: VmSpec, config: PipelineConfig) -> SessionSpec {
-        SessionSpec { name: name.into(), vm, config, budget: SessionBudget::unlimited(), weight: 1 }
+        SessionSpec { name: name.into(), vm, config, budget: SessionBudget::unlimited() }
     }
 }
 
@@ -367,7 +363,6 @@ impl<'s> Fleet<'s> {
         let lanes = sessions
             .iter()
             .map(|spec| LaneConfig {
-                weight: spec.weight.max(1),
                 span_slots: spec.budget.span_slots.unwrap_or(usize::MAX),
                 ar_slots: spec.budget.ar_slots.unwrap_or(usize::MAX),
             })

@@ -1,12 +1,13 @@
-//! Deterministic weighted round-robin scheduling of fleet work items.
+//! Deterministic round-robin scheduling of fleet work items.
 //!
 //! One lane per session holds that session's runnable [`WorkItem`]s in
-//! FIFO order; a cyclic cursor with per-lane credits drains the lanes so a
-//! session flooding the pool with alarm cases gets at most its weight's
-//! share of dispatches per cycle, and quiet sessions are visited every
-//! cycle regardless. Per-kind in-flight clamps (span slots, AR slots)
-//! implement budget backpressure: a clamped item stays queued — never
-//! dropped — and other sessions' items are dispatched around it.
+//! FIFO order; a cyclic cursor visits the lanes in turn and dispatches at
+//! most one item per visit, so a session flooding the pool with alarm cases
+//! gets one dispatch per cycle like every other session, and quiet sessions
+//! are visited every cycle regardless. Per-kind in-flight clamps (span
+//! slots, AR slots) implement budget backpressure: a clamped item stays
+//! queued — never dropped — and other sessions' items are dispatched
+//! around it.
 //!
 //! The scheduler orders only *wall-clock execution*. Results are written
 //! into index-keyed slots and folded in span/case order, so the per-session
@@ -40,8 +41,6 @@ pub(crate) struct WorkItem {
 /// Per-session scheduling parameters.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneConfig {
-    /// Dispatches granted per scheduler cycle (≥ 1).
-    pub(crate) weight: u32,
     /// Concurrent `CrSpan` items allowed in flight.
     pub(crate) span_slots: usize,
     /// Concurrent `ArCase` items (alarm-replay passes) allowed in flight.
@@ -87,17 +86,15 @@ impl Lane {
 pub(crate) struct Scheduler {
     lanes: Vec<Lane>,
     cursor: usize,
-    credit: u32,
 }
 
 impl Scheduler {
     pub(crate) fn new(configs: Vec<LaneConfig>) -> Scheduler {
-        let first_weight = configs.first().map_or(1, |c| c.weight.max(1));
         let lanes = configs
             .into_iter()
             .map(|config| Lane { config, runnable: VecDeque::new(), inflight_spans: 0, inflight_ars: 0 })
             .collect();
-        Scheduler { lanes, cursor: 0, credit: first_weight }
+        Scheduler { lanes, cursor: 0 }
     }
 
     /// Appends `item` to its session's lane.
@@ -105,27 +102,19 @@ impl Scheduler {
         self.lanes[item.session].runnable.push_back(item);
     }
 
-    /// The next dispatchable item under weighted round-robin, or `None`
-    /// when every queued item is clamped (or nothing is queued). The chosen
-    /// item's in-flight slot is taken; release it with
-    /// [`Scheduler::finished`].
+    /// The next dispatchable item under round-robin, or `None` when every
+    /// queued item is clamped (or nothing is queued). The chosen item's
+    /// in-flight slot is taken; release it with [`Scheduler::finished`].
     pub(crate) fn next(&mut self) -> Option<WorkItem> {
         let n = self.lanes.len();
-        let mut scanned = 0;
-        while scanned < n {
+        for _ in 0..n {
             let lane = &mut self.lanes[self.cursor];
-            let pos = lane.runnable.iter().position(|it| lane.dispatchable(it.kind));
-            if let Some(pos) = pos {
+            self.cursor = (self.cursor + 1) % n;
+            if let Some(pos) = lane.runnable.iter().position(|it| lane.dispatchable(it.kind)) {
                 let item = lane.runnable.remove(pos).expect("position exists");
                 lane.note_dispatch(item.kind);
-                self.credit = self.credit.saturating_sub(1);
-                if self.credit == 0 {
-                    self.advance();
-                }
                 return Some(item);
             }
-            self.advance();
-            scanned += 1;
         }
         None
     }
@@ -144,22 +133,14 @@ impl Scheduler {
     pub(crate) fn pending(&self, s: usize) -> usize {
         self.lanes[s].runnable.len()
     }
-
-    fn advance(&mut self) {
-        if self.lanes.is_empty() {
-            return;
-        }
-        self.cursor = (self.cursor + 1) % self.lanes.len();
-        self.credit = self.lanes[self.cursor].config.weight.max(1);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn lane(weight: u32) -> LaneConfig {
-        LaneConfig { weight, span_slots: usize::MAX, ar_slots: usize::MAX }
+    fn lane() -> LaneConfig {
+        LaneConfig { span_slots: usize::MAX, ar_slots: usize::MAX }
     }
 
     fn case(session: usize, index: usize) -> WorkItem {
@@ -168,7 +149,7 @@ mod tests {
 
     #[test]
     fn equal_weights_alternate_fairly() {
-        let mut s = Scheduler::new(vec![lane(1), lane(1)]);
+        let mut s = Scheduler::new(vec![lane(), lane()]);
         for i in 0..3 {
             s.enqueue(case(0, i));
             s.enqueue(case(1, i));
@@ -180,22 +161,8 @@ mod tests {
     }
 
     #[test]
-    fn weights_bias_dispatch_share() {
-        let mut s = Scheduler::new(vec![lane(2), lane(1)]);
-        for i in 0..4 {
-            s.enqueue(case(0, i));
-        }
-        for i in 0..2 {
-            s.enqueue(case(1, i));
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| s.next()).map(|it| it.session).collect();
-        assert_eq!(order, vec![0, 0, 1, 0, 0, 1]);
-    }
-
-    #[test]
     fn clamped_items_stay_queued_and_others_proceed() {
-        let mut s =
-            Scheduler::new(vec![LaneConfig { weight: 1, span_slots: usize::MAX, ar_slots: 1 }, lane(1)]);
+        let mut s = Scheduler::new(vec![LaneConfig { span_slots: usize::MAX, ar_slots: 1 }, lane()]);
         s.enqueue(case(0, 0));
         s.enqueue(case(0, 1));
         s.enqueue(case(1, 0));
@@ -218,7 +185,7 @@ mod tests {
         // items are queued, nothing is in flight, and no clamp will ever
         // open. The scheduler reports "nothing dispatchable" rather than
         // busy-looping or dropping the items.
-        let mut s = Scheduler::new(vec![LaneConfig { weight: 1, span_slots: 0, ar_slots: 0 }]);
+        let mut s = Scheduler::new(vec![LaneConfig { span_slots: 0, ar_slots: 0 }]);
         s.enqueue(WorkItem { session: 0, kind: WorkKind::CrSpan, index: 0 });
         assert!(s.next().is_none());
         assert_eq!(s.pending(0), 1);
@@ -226,7 +193,7 @@ mod tests {
 
     #[test]
     fn clear_session_drops_queued_work() {
-        let mut s = Scheduler::new(vec![lane(1), lane(1)]);
+        let mut s = Scheduler::new(vec![lane(), lane()]);
         s.enqueue(case(0, 0));
         s.enqueue(case(1, 0));
         s.clear_session(0);
@@ -237,7 +204,7 @@ mod tests {
 
     #[test]
     fn record_and_finalize_ignore_slot_clamps() {
-        let mut s = Scheduler::new(vec![LaneConfig { weight: 1, span_slots: 0, ar_slots: 0 }]);
+        let mut s = Scheduler::new(vec![LaneConfig { span_slots: 0, ar_slots: 0 }]);
         s.enqueue(WorkItem { session: 0, kind: WorkKind::Record, index: 0 });
         s.enqueue(WorkItem { session: 0, kind: WorkKind::Finalize, index: 0 });
         assert_eq!(s.next().unwrap().kind, WorkKind::Record);

@@ -173,11 +173,6 @@ impl KernelImage {
     pub fn proc_msg(&self) -> Addr {
         self.image.require_symbol("proc_msg")
     }
-
-    /// A machine configuration wired to this kernel (syscall entry set).
-    pub fn machine_config(&self) -> MachineConfig {
-        MachineConfig { syscall_entry: self.syscall_entry(), ..MachineConfig::default() }
-    }
 }
 
 fn zero(a: &mut Assembler, r: Reg) {

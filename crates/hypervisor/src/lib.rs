@@ -18,6 +18,10 @@
 //!   [`RecordMode::RecNoRas`], and full [`RecordMode::Rec`]. It produces an
 //!   [`rnr_log::InputLog`] and per-[`Category`](rnr_log::Category) cycle
 //!   attribution for the figure breakdowns.
+//! * [`Checkpoint`] — the one snapshot of a VM (Figure 4): pages, processor
+//!   state, disk, BackRAS and log position. [`Checkpoint::capture`] takes
+//!   it with pure reads over a `&GuestVm`; the recorder's span seeds are
+//!   such captures, and every replayer checkpoint is built on one.
 //! * [`VmSpec`] — everything needed to instantiate the guest: kernel,
 //!   workload images, boot table, timer period, network profile, disk seed.
 //!
@@ -30,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod attribution;
+mod checkpoint;
 pub mod devices;
 mod introspect;
 mod nondet;
@@ -37,10 +42,9 @@ mod recorder;
 mod spec;
 
 pub use attribution::CycleAttribution;
+pub use checkpoint::Checkpoint;
 pub use devices::{DiskDevice, NicDevice};
 pub use introspect::Introspector;
 pub use nondet::{NetProfile, NondetSource, PacketInjection};
-pub use recorder::{
-    verification_digest, RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder, SpanSeed,
-};
+pub use recorder::{verification_digest, RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder};
 pub use spec::{jop_table_from_spec, VmSpec};

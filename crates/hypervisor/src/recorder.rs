@@ -8,22 +8,22 @@ use bytes::Bytes;
 use rnr_guest::layout;
 use rnr_isa::Reg;
 use rnr_log::{
-    encode_frame, AlarmInfo, Category, DiskWriteStats, DurableWriter, InputLog, LogSink, Record,
+    encode_frame, AlarmInfo, Category, DiskWriteStats, DurableWriter, InputLog, LogCursor, LogSink, Record,
     VrtAlarmInfo, DEFAULT_BATCH, MAX_FRAME_AGE_INSNS,
 };
 use rnr_machine::{
-    CallRetTrap, CostModel, CpuState, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm,
-    MachineConfig, Page, SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING,
-    MMIO_NIC_RX_POP, PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR,
-    PORT_NIC_TX_ADDR, PORT_NIC_TX_CMD, PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE, PORT_VRT_CMD, PORT_VRT_LEN,
-    VRT_CMD_DECLARE, VRT_CMD_RETIRE,
+    CallRetTrap, CostModel, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm, MachineConfig,
+    SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING, MMIO_NIC_RX_POP,
+    PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR, PORT_NIC_TX_ADDR,
+    PORT_NIC_TX_CMD, PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE, PORT_VRT_CMD, PORT_VRT_LEN, VRT_CMD_DECLARE,
+    VRT_CMD_RETIRE,
 };
-use rnr_ras::{
-    AttributionReport, BackRasEntry, BackRasTable, RasAttribution, RasConfig, RasCounters, ThreadId,
-};
+use rnr_ras::{AttributionReport, BackRasTable, RasAttribution, RasConfig, RasCounters, ThreadId};
 use rnr_vrt::VrtParams;
 
-use crate::{CycleAttribution, DiskDevice, Introspector, NicDevice, NondetSource, PacketInjection, VmSpec};
+use crate::{
+    Checkpoint, CycleAttribution, DiskDevice, Introspector, NicDevice, NondetSource, PacketInjection, VmSpec,
+};
 
 /// The four recording setups of Figure 5(a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -103,9 +103,10 @@ pub struct RecordConfig {
     /// §3). With the §6 attack this halts the guest *before* any gadget
     /// executes.
     pub stall_on_alarm: bool,
-    /// Capture a [`SpanSeed`] roughly every this many retired instructions,
-    /// cutting the log into spans a parallel checkpointing replayer can
-    /// verify concurrently. Capture is pure reads plus `Arc` clones of the
+    /// Capture a span seed, a [`Checkpoint`] with no replay-side history,
+    /// roughly every this many retired instructions, cutting the log into
+    /// spans a parallel checkpointing replayer can verify concurrently.
+    /// [`Checkpoint::capture`] is pure reads plus `Arc` clones of the
     /// copy-on-write pages, so the log, its transport frames, cycles, and
     /// digests are byte-for-byte identical with seeding on or off. `None`
     /// disables capture.
@@ -136,39 +137,6 @@ impl RecordConfig {
             vrt: None,
         }
     }
-}
-
-/// A recorder-side snapshot from which a parallel-replay span worker can
-/// start verifying mid-log (DESIGN.md §11).
-///
-/// A seed is everything [`crate::Recorder`] knows about the guest at a
-/// quiescent point of the recording loop: architectural CPU state, the
-/// copy-on-write page `Arc`s (shared, not copied), the disk, and the
-/// hypervisor-side BackRAS bookkeeping. A replayer restored from seed *i*
-/// and driven to seed *i+1*'s position reaches, by determinism, exactly the
-/// state seed *i+1* captured — which is what lets seams between spans be
-/// checked with digests alone.
-#[derive(Debug, Clone)]
-pub struct SpanSeed {
-    /// Retired instruction count at capture — the span boundary.
-    pub at_insn: u64,
-    /// Number of log records emitted before capture: the first record the
-    /// restored worker will consume.
-    pub at_record: usize,
-    /// Architectural CPU state (registers, PC, mode, live RAS).
-    pub cpu: CpuState,
-    /// The guest's pages, shared by reference; replay-side writes
-    /// copy-on-write, never touching the recorder's view.
-    pub mem_pages: Vec<Arc<Page>>,
-    /// Disk device state, including in-flight operation bookkeeping.
-    pub disk: DiskDevice,
-    /// Saved per-thread BackRAS entries, with the running thread's RAS
-    /// folded in the same way a replay checkpoint saves it.
-    pub backras: BackRasTable,
-    /// Thread the guest kernel was running at capture.
-    pub current_tid: ThreadId,
-    /// Thread whose exit was announced but not yet switched away from.
-    pub dying: Option<ThreadId>,
 }
 
 /// Errors before or during recording.
@@ -246,8 +214,9 @@ pub struct RecordOutcome {
     /// the verified report).
     pub block_stats: rnr_machine::BlockStats,
     /// Span seeds captured during recording (empty unless
-    /// [`RecordConfig::span_seed_every_insns`] was set).
-    pub span_seeds: Vec<SpanSeed>,
+    /// [`RecordConfig::span_seed_every_insns`] was set): checkpoints whose
+    /// cursor is the number of records emitted before capture.
+    pub span_seeds: Vec<Checkpoint>,
     /// What the durable writer persisted, and the disk faults and swallowed
     /// I/O errors it saw (all zero without [`Recorder::persist_to`]).
     pub disk: DiskWriteStats,
@@ -292,7 +261,7 @@ pub struct Recorder {
     stalled: bool,
     context_switches: u64,
     switch_trace: Vec<u64>,
-    span_seeds: Vec<SpanSeed>,
+    span_seeds: Vec<Checkpoint>,
     next_seed_at: u64,
 }
 
@@ -429,7 +398,16 @@ impl Recorder {
                 && self.fault.is_none()
                 && !self.stalled
             {
-                self.capture_span_seed();
+                let cursor = LogCursor::new(self.log.records.len());
+                let seed = Checkpoint::capture(
+                    &self.vm,
+                    &self.disk,
+                    &self.backras,
+                    self.current_tid,
+                    self.dying,
+                    cursor,
+                );
+                self.span_seeds.push(seed);
                 self.next_seed_at =
                     self.vm.retired().saturating_add(self.config.span_seed_every_insns.unwrap_or(u64::MAX));
             }
@@ -474,25 +452,6 @@ impl Recorder {
             log: Arc::new(std::mem::take(&mut self.log.records)),
             attribution: self.attribution,
         }
-    }
-
-    /// Snapshots the recording into a [`SpanSeed`]. Pure reads and `Arc`
-    /// clones only — in particular the live RAS is folded into the BackRAS
-    /// copy without `save_backras`, whose hardware counters feed the
-    /// recording report and must not move.
-    fn capture_span_seed(&mut self) {
-        let mut backras = self.backras.clone();
-        backras.save(self.current_tid, BackRasEntry::from_entries(self.vm.cpu().ras.snapshot()));
-        self.span_seeds.push(SpanSeed {
-            at_insn: self.vm.retired(),
-            at_record: self.log.records.len(),
-            cpu: self.vm.cpu().save_state(),
-            mem_pages: self.vm.mem().snapshot_pages(),
-            disk: self.disk.clone(),
-            backras,
-            current_tid: self.current_tid,
-            dying: self.dying,
-        });
     }
 
     fn next_event_cycle(&self) -> u64 {

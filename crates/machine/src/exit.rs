@@ -39,25 +39,6 @@ impl Default for ExitControls {
     }
 }
 
-impl ExitControls {
-    /// Controls for a non-recorded baseline run (`NoRec`/`NoRecPV`).
-    pub fn baseline() -> ExitControls {
-        ExitControls { rdtsc_exiting: false, evict_exiting: false, callret_trap: CallRetTrap::None }
-    }
-
-    /// Controls for the checkpointing replayer: synchronous data events
-    /// still trap (their values come from the log), but the RAS is silent.
-    pub fn checkpointing_replay() -> ExitControls {
-        ExitControls { rdtsc_exiting: true, evict_exiting: false, callret_trap: CallRetTrap::None }
-    }
-
-    /// Controls for the alarm replayer: additionally trap kernel
-    /// calls/returns to drive the software RAS.
-    pub fn alarm_replay() -> ExitControls {
-        ExitControls { rdtsc_exiting: true, evict_exiting: false, callret_trap: CallRetTrap::KernelOnly }
-    }
-}
-
 /// Guest faults (treated as guest bugs / attack side effects).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum FaultKind {
@@ -201,16 +182,5 @@ mod tests {
         let c = ExitControls::default();
         assert!(c.rdtsc_exiting && c.evict_exiting);
         assert_eq!(c.callret_trap, CallRetTrap::None);
-    }
-
-    #[test]
-    fn baseline_disables_rdtsc_trap() {
-        assert!(!ExitControls::baseline().rdtsc_exiting);
-    }
-
-    #[test]
-    fn alarm_replay_traps_kernel_callret() {
-        assert_eq!(ExitControls::alarm_replay().callret_trap, CallRetTrap::KernelOnly);
-        assert!(!ExitControls::alarm_replay().evict_exiting);
     }
 }

@@ -164,11 +164,6 @@ impl RasUnit {
         &self.counters
     }
 
-    /// Resets the counters (e.g. after workload warm-up).
-    pub fn reset_counters(&mut self) {
-        self.counters = RasCounters::default();
-    }
-
     /// Direct access to the underlying stack (for checkpointing).
     pub fn ras(&self) -> &Ras {
         &self.ras

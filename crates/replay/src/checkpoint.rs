@@ -1,56 +1,8 @@
-//! Incremental checkpoints (Figure 4) and their retention policy.
+//! The retention policy of incremental checkpoints (§8.4).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-use rnr_hypervisor::DiskDevice;
-use rnr_isa::Addr;
-use rnr_log::LogCursor;
-use rnr_machine::{CpuState, Page};
-use rnr_ras::{BackRasTable, ThreadId};
-
-/// One checkpoint of the replayed VM.
-///
-/// Matches the three components of Figure 4: (1) all VM state — memory
-/// pages, a processor-state page, and the virtual disk contents; (2) the
-/// `InputLogPtr`; (3) the BackRAS. Pages and blocks are reference-counted,
-/// so consecutive checkpoints share everything that did not change — the
-/// paper's incremental scheme ("for each unmodified page or block, it keeps
-/// a pointer to it in the latest checkpoint that modified it").
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Sequence number.
-    pub id: u64,
-    /// Retired-instruction count at capture.
-    pub at_insn: u64,
-    /// Virtual cycle count at capture.
-    pub at_cycle: u64,
-    /// Processor state (PC, stack pointer, all registers — §4.6.1) plus the
-    /// live RAS entries.
-    pub cpu: CpuState,
-    /// All memory pages (shared `Arc`s; only dirty ones were copied).
-    pub mem_pages: Vec<Arc<Page>>,
-    /// The virtual disk controller: contents (shared `Arc` blocks), latched
-    /// request registers, and any in-flight operation awaiting its logged
-    /// completion interrupt.
-    pub disk: DiskDevice,
-    /// The BackRAS at the checkpoint, including the running thread's RAS
-    /// ("the hardware automatically saves the RAS into the BackRAS" before
-    /// the dump, §4.6.1).
-    pub backras: BackRasTable,
-    /// The thread scheduled at capture.
-    pub current_tid: ThreadId,
-    /// A thread that has exited but not yet been switched away from.
-    pub dying: Option<ThreadId>,
-    /// The `InputLogPtr`: next record to process after restoring.
-    pub cursor: LogCursor,
-    /// Outstanding evict records per thread (§4.6.2 matching state).
-    pub evict_store: HashMap<ThreadId, Vec<Addr>>,
-    /// Pages dirtied in the interval ending at this checkpoint (accounting).
-    pub dirty_pages: usize,
-    /// Disk blocks dirtied in the interval (accounting).
-    pub dirty_blocks: usize,
-}
+use rnr_hypervisor::Checkpoint;
 
 /// A bounded window of recent checkpoints.
 ///
@@ -123,9 +75,14 @@ impl CheckpointStore {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+    use rnr_hypervisor::DiskDevice;
     use rnr_isa::Reg;
-    use rnr_machine::Mode;
+    use rnr_log::LogCursor;
+    use rnr_machine::{CpuState, Mode};
+    use rnr_ras::{BackRasTable, ThreadId};
 
     fn checkpoint(id: u64, at_insn: u64) -> Checkpoint {
         Checkpoint {

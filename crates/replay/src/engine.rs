@@ -1,6 +1,5 @@
 //! The deterministic replay engine.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -12,7 +11,7 @@ use rnr_machine::{
     CallRetTrap, CostModel, Digest, Exit, ExitControls, FaultKind, FinishIo, GuestVm, MachineConfig,
     RunBudget, IRQ_DISK, PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR,
 };
-use rnr_ras::{BackRasEntry, BackRasTable, RasConfig, ShadowOutcome, ShadowRas, ThreadId};
+use rnr_ras::{BackRasTable, RasConfig, ShadowOutcome, ShadowRas, ThreadId};
 
 use crate::book::AlarmBook;
 use crate::{Checkpoint, CheckpointStore};
@@ -461,31 +460,23 @@ impl Replayer {
     /// identical either way; a streaming source simply blocks when it
     /// catches up to the recorder.
     pub fn new(spec: &VmSpec, log: impl Into<LogSource>, cfg: ReplayConfig) -> Replayer {
-        let machine = MachineConfig {
-            syscall_entry: spec.kernel.syscall_entry(),
-            ras: RasConfig::replay(cfg.ras_capacity),
-            exits: ExitControls { rdtsc_exiting: true, evict_exiting: false, callret_trap: cfg.callret },
-            costs: cfg.costs,
-            decode_cache: cfg.decode_cache,
-            block_engine: cfg.block_engine,
-            superblocks: cfg.superblocks,
-            ..MachineConfig::default()
-        };
         let mut images = vec![spec.kernel.image().clone()];
         images.extend(spec.extra_images.iter().cloned());
         images.push(spec.boot.to_image());
         let image_refs: Vec<&rnr_isa::Image> = images.iter().collect();
-        let mut vm = GuestVm::new(machine, &image_refs);
-        vm.set_entry(spec.kernel.entry());
-        vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
-        let intro = Introspector::new(&spec.kernel);
         let disk = DiskDevice::new(VmSpec::DEFAULT_DISK, spec.disk_seed);
-        Self::finish_setup(vm, intro, disk, log.into(), cfg)
+        let mut r = Self::build(spec, &image_refs, disk, log.into(), cfg);
+        r.vm.set_entry(spec.kernel.entry());
+        r
     }
 
-    /// A replayer resuming from a checkpoint (the AR, §4.6.2). When
-    /// `shadow` is true, a software unbounded multithreaded RAS is modeled
-    /// from the checkpoint's BackRAS.
+    /// A replayer resuming from a checkpoint (the AR, §4.6.2, and a span
+    /// worker from its seed). When `shadow` is true, a software unbounded
+    /// multithreaded RAS is modeled from the checkpoint's BackRAS.
+    ///
+    /// The restore marks every page dirty and nothing drains the marks: a
+    /// replayer with a checkpoint interval pays for them in its first
+    /// checkpoint, and alarm-replay cycles count that cost.
     pub fn from_checkpoint(
         spec: &VmSpec,
         log: impl Into<LogSource>,
@@ -493,30 +484,10 @@ impl Replayer {
         checkpoint: &Checkpoint,
         shadow: bool,
     ) -> Replayer {
-        let machine = MachineConfig {
-            syscall_entry: spec.kernel.syscall_entry(),
-            ras: RasConfig::replay(cfg.ras_capacity),
-            exits: ExitControls { rdtsc_exiting: true, evict_exiting: false, callret_trap: cfg.callret },
-            costs: cfg.costs,
-            decode_cache: cfg.decode_cache,
-            block_engine: cfg.block_engine,
-            superblocks: cfg.superblocks,
-            ..MachineConfig::default()
-        };
-        let mut vm = GuestVm::new(machine, &[]);
-        vm.mem_mut().restore_pages(checkpoint.mem_pages.clone());
-        vm.cpu_mut().restore_state(&checkpoint.cpu);
-        vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
-        vm.restore_counters(checkpoint.at_insn, checkpoint.at_cycle);
-        let intro = Introspector::new(&spec.kernel);
-        // The checkpoint's disk replaces the boot image outright — building
-        // (and deterministically filling) a fresh one here would be pure
-        // waste, and it used to dominate alarm-replay setup time.
-        let mut r = Self::finish_setup(vm, intro, checkpoint.disk.clone(), log.into(), cfg);
-        r.backras = checkpoint.backras.clone();
-        r.current_tid = checkpoint.current_tid;
-        r.dying = checkpoint.dying;
-        r.cursor = checkpoint.cursor;
+        // An empty disk: the restore puts the checkpoint's in place, so no
+        // boot image is built only to be replaced.
+        let mut r = Self::build(spec, &[], DiskDevice::new(0, 0), log.into(), cfg);
+        r.restore(checkpoint);
         r.book = AlarmBook::resume(checkpoint.evict_store.clone());
         r.start_cycles = checkpoint.at_cycle;
         r.last_checkpoint_cycle = checkpoint.at_cycle;
@@ -533,13 +504,29 @@ impl Replayer {
         r
     }
 
-    fn finish_setup(
-        mut vm: GuestVm,
-        intro: Introspector,
+    /// A replayer over a replay VM loaded with `images`, with `disk` as its
+    /// disk: the one construction [`Replayer::new`] and
+    /// [`Replayer::from_checkpoint`] share.
+    fn build(
+        spec: &VmSpec,
+        images: &[&rnr_isa::Image],
         disk: DiskDevice,
         mut source: LogSource,
         cfg: ReplayConfig,
     ) -> Replayer {
+        let machine = MachineConfig {
+            syscall_entry: spec.kernel.syscall_entry(),
+            ras: RasConfig::replay(cfg.ras_capacity),
+            exits: ExitControls { rdtsc_exiting: true, evict_exiting: false, callret_trap: cfg.callret },
+            costs: cfg.costs,
+            decode_cache: cfg.decode_cache,
+            block_engine: cfg.block_engine,
+            superblocks: cfg.superblocks,
+            ..MachineConfig::default()
+        };
+        let mut vm = GuestVm::new(machine, images);
+        vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
+        let intro = Introspector::new(&spec.kernel);
         if let Some(d) = cfg.durable_log.as_ref() {
             source.attach_durable(&d.dir);
         }
@@ -584,6 +571,38 @@ impl Replayer {
             span_marks: Vec::new(),
             cfg,
         }
+    }
+
+    /// Puts every component of `cp` in place: pages, processor state,
+    /// counters, disk, BackRAS, threads and log position. The page restore
+    /// marks every page dirty; each caller keeps its own rule for those
+    /// marks.
+    fn restore(&mut self, cp: &Checkpoint) {
+        self.vm.mem_mut().restore_pages(cp.mem_pages.clone());
+        self.vm.cpu_mut().restore_state(&cp.cpu);
+        self.vm.restore_counters(cp.at_insn, cp.at_cycle);
+        self.disk = cp.disk.clone();
+        self.backras = cp.backras.clone();
+        self.current_tid = cp.current_tid;
+        self.dying = cp.dying;
+        self.cursor = cp.cursor;
+    }
+
+    /// The replayer's state as a [`Checkpoint`] with no replay-side history
+    /// ([`Checkpoint::capture`]); callers that charge or account a
+    /// checkpoint close the dirty-tracking epoch first.
+    pub(crate) fn capture(&self) -> Checkpoint {
+        Checkpoint::capture(&self.vm, &self.disk, &self.backras, self.current_tid, self.dying, self.cursor)
+    }
+
+    /// Closes the dirty-tracking epoch of memory and disk, returning the
+    /// pages and blocks written since it opened and the copy-on-write
+    /// faults taken.
+    pub(crate) fn end_epoch(&mut self) -> (Vec<usize>, Vec<usize>, u64) {
+        let pages = self.vm.mem_mut().begin_epoch();
+        let cow_faults = self.vm.mem_mut().take_cow_faults();
+        let blocks = self.disk.store_mut().begin_epoch();
+        (pages, blocks, cow_faults)
     }
 
     /// Arms final-state verification against the recording's digest.
@@ -853,57 +872,13 @@ impl Replayer {
         }
     }
 
-    /// Packages the current state as a [`Checkpoint`] under externally
-    /// supplied identity/schedule fields (the parallel fold's absolute clock
-    /// and record position). The running thread's RAS is folded into the
-    /// BackRAS copy exactly as [`Replayer::take_checkpoint`] does.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn snapshot_checkpoint(
-        &mut self,
-        id: u64,
-        at_insn: u64,
-        at_cycle: u64,
-        cursor: LogCursor,
-        evict_store: HashMap<ThreadId, Vec<Addr>>,
-        dirty_pages: usize,
-        dirty_blocks: usize,
-    ) -> Checkpoint {
-        // Drain the dirty-tracking epochs exactly as `take_checkpoint` does
-        // before cloning: the disk clone carries its dirty bookkeeping into
-        // the checkpoint, and an alarm replayer restored from it must see
-        // the same (empty) baseline either way — a stale dirty list would
-        // inflate its first periodic checkpoint's cost.
-        let _ = self.vm.mem_mut().begin_epoch();
-        let _ = self.vm.mem_mut().take_cow_faults();
-        let _ = self.disk.store_mut().begin_epoch();
-        let mut backras = self.backras.clone();
-        backras.save(self.current_tid, BackRasEntry::from_entries(self.vm.cpu().ras.snapshot()));
-        Checkpoint {
-            id,
-            at_insn,
-            at_cycle,
-            cpu: self.vm.cpu().save_state(),
-            mem_pages: self.vm.mem().snapshot_pages(),
-            disk: self.disk.clone(),
-            backras,
-            current_tid: self.current_tid,
-            dying: self.dying,
-            cursor,
-            evict_store,
-            dirty_pages,
-            dirty_blocks,
-        }
-    }
-
     /// Does nothing: the replayer decodes into its own VM's cache. Kept
     /// only because the frozen repository benchmark calls it; deleted at
     /// the next change to `benchmark/`.
     pub fn attach_shared_cache(&mut self, _shared: std::sync::Arc<rnr_machine::SharedPageCache>) {}
 
     fn push_span_mark(&mut self, record: Option<usize>) {
-        let dirty_pages = self.vm.mem_mut().begin_epoch();
-        let _ = self.vm.mem_mut().take_cow_faults();
-        let dirty_blocks = self.disk.store_mut().begin_epoch();
+        let (dirty_pages, dirty_blocks, _) = self.end_epoch();
         self.span_marks.push(SpanMark {
             record,
             retired: self.vm.retired(),
@@ -1015,20 +990,14 @@ impl Replayer {
         let rp = self.recovery_point.clone().expect("try_recover checked the recovery point");
         let cp = &rp.checkpoint;
         let from = self.vm.retired();
-        self.vm.mem_mut().restore_pages(cp.mem_pages.clone());
+        self.restore(cp);
         // Discard the restore's epoch noise (restore marks every page dirty
         // and may count CoW activity): the re-executed span must observe
         // exactly the fault-free run's dirtying, or checkpoint costs would
         // drift.
-        let _ = self.vm.mem_mut().begin_epoch();
-        let _ = self.vm.mem_mut().take_cow_faults();
-        self.vm.cpu_mut().restore_state(&cp.cpu);
-        self.vm.restore_counters(cp.at_insn, cp.at_cycle);
-        self.disk = cp.disk.clone();
+        self.end_epoch();
+        // The live table, without the checkpoint's fold of the running RAS.
         self.backras = rp.backras.clone();
-        self.current_tid = cp.current_tid;
-        self.dying = cp.dying;
-        self.cursor = cp.cursor;
         self.book = rp.book.clone();
         self.attribution = rp.attribution.clone();
         self.landing = rp.landing.clone();
@@ -1092,30 +1061,18 @@ impl Replayer {
             self.vm.set_block_engine(true);
             self.block_quarantined = false;
         }
-        let dirty_pages = self.vm.mem_mut().begin_epoch().len();
-        let cow_faults = self.vm.mem_mut().take_cow_faults();
-        let dirty_blocks = self.disk.store_mut().begin_epoch().len();
+        let (pages, blocks, cow_faults) = self.end_epoch();
+        let (dirty_pages, dirty_blocks) = (pages.len(), blocks.len());
         let cost = self.cfg.costs.checkpoint(dirty_pages as u64, dirty_blocks as u64, cow_faults);
         self.vm.add_cycles(cost);
         self.attribution.charge_checkpoint(cost);
-        // "The hardware automatically saves the RAS into the BackRAS"
-        // (§4.6.1) so the checkpoint captures the running thread's RAS too.
-        let mut backras = self.backras.clone();
-        backras.save(self.current_tid, BackRasEntry::from_entries(self.vm.cpu().ras.snapshot()));
         let checkpoint = Checkpoint {
             id: self.next_checkpoint_id,
-            at_insn: self.vm.retired(),
             at_cycle: self.vm.cycles(),
-            cpu: self.vm.cpu().save_state(),
-            mem_pages: self.vm.mem().snapshot_pages(),
-            disk: self.disk.clone(),
-            backras,
-            current_tid: self.current_tid,
-            dying: self.dying,
-            cursor: self.cursor,
             evict_store: self.book.evicts().clone(),
             dirty_pages,
             dirty_blocks,
+            ..self.capture()
         };
         self.next_checkpoint_id += 1;
         self.last_checkpoint_cycle = self.vm.cycles();

@@ -14,6 +14,10 @@
 //!   checkpoints (Figure 4): all VM pages and disk blocks (shared
 //!   reference-counted, copied only on write), the processor-state page,
 //!   the BackRAS, and the `InputLogPtr`, with the recycling policy of §8.4.
+//!   `Checkpoint` is `rnr_hypervisor`'s, re-exported: the recorder's span
+//!   seeds are the same type, and every snapshot, seed or checkpoint, is
+//!   taken by its one read-only [`Checkpoint::capture`]. A replayer starts
+//!   from one with [`Replayer::from_checkpoint`].
 //! * The **checkpointing replayer** (CR) is a [`Replayer`] with a
 //!   checkpoint interval; it also performs the §4.6.2 special case:
 //!   matching RAS-underflow alarms against *evict* records and discarding
@@ -50,12 +54,13 @@ pub mod pool;
 
 pub use alarm::{checkpoint_groups, resolve_jop, JopVerdict};
 pub use alarm::{AlarmReplayer, ArPass, FalsePositiveKind, GadgetUse, MemReport, RopReport, Verdict};
-pub use checkpoint::{Checkpoint, CheckpointStore};
+pub use checkpoint::CheckpointStore;
 pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
     RewindStep,
 };
 pub use parallel::{assemble_spans, plan_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanJob};
+pub use rnr_hypervisor::Checkpoint;
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint
 /// intervals in seconds (RepChk5/RepChk1/RepChk02); this constant maps them

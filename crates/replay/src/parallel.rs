@@ -33,9 +33,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use rnr_hypervisor::{CycleAttribution, SpanSeed, VmSpec};
+use rnr_hypervisor::{CycleAttribution, VmSpec};
 use rnr_isa::Addr;
-use rnr_log::{Category, FaultPlan, InputLog, LogCursor, LogSource, Record, TransportStats};
+use rnr_log::{Category, FaultPlan, InputLog, LogSource, Record, TransportStats};
 use rnr_machine::{BlockStats, Digest, SharedPageCache};
 use rnr_ras::ThreadId;
 
@@ -72,7 +72,7 @@ pub struct ParallelReplayOutcome {
 pub struct SpanJob {
     index: usize,
     /// `None` for span 0 (fresh boot state), the preceding seed otherwise.
-    seed: Option<SpanSeed>,
+    seed: Option<Checkpoint>,
     /// The whole log, shared; the worker's cursor does the partitioning.
     log: Arc<InputLog>,
     /// First record index *not* in this span (`None` = run to `End`).
@@ -113,7 +113,6 @@ struct Placement {
     /// Log index of the record after which the checkpoint was taken
     /// (`None` = the initial checkpoint, before any record).
     at_record: Option<usize>,
-    at_insn: u64,
     at_cycle: u64,
     evicts: HashMap<ThreadId, Vec<Addr>>,
     dirty_pages: usize,
@@ -164,7 +163,6 @@ impl Fold {
         self.placements.push(Placement {
             span,
             at_record,
-            at_insn,
             at_cycle: self.cycles,
             evicts: self.book.evicts().clone(),
             dirty_pages,
@@ -186,7 +184,7 @@ impl Fold {
 /// Each job carries the shared log, its seam bounds, its landing-RNG
 /// pre-positioning, and whichever fault-plan injections fall inside it, so
 /// the jobs can be executed in any order, by any worker, on any pool.
-pub fn plan_spans(log: &Arc<InputLog>, seeds: &[SpanSeed], plan: &FaultPlan) -> Vec<SpanJob> {
+pub fn plan_spans(log: &Arc<InputLog>, seeds: &[Checkpoint], plan: &FaultPlan) -> Vec<SpanJob> {
     (0..=seeds.len()).map(|k| make_job(k, seeds, log, plan)).collect()
 }
 
@@ -297,15 +295,15 @@ pub fn assemble_spans(
     Ok(ParallelReplayOutcome { outcome, block_stats })
 }
 
-fn make_job(k: usize, seeds: &[SpanSeed], log: &Arc<InputLog>, plan: &FaultPlan) -> SpanJob {
+fn make_job(k: usize, seeds: &[Checkpoint], log: &Arc<InputLog>, plan: &FaultPlan) -> SpanJob {
     let (start_rec, start_insn, seed) = if k == 0 {
         (0, 0, None)
     } else {
         let s = &seeds[k - 1];
-        (s.at_record, s.at_insn, Some(s.clone()))
+        (s.cursor.index(), s.at_insn, Some(s.clone()))
     };
     let (records_end, seam, end_insn) = if k < seeds.len() {
-        (Some(seeds[k].at_record), Some(seeds[k].at_insn), seeds[k].at_insn)
+        (Some(seeds[k].cursor.index()), Some(seeds[k].at_insn), seeds[k].at_insn)
     } else {
         (None, None, u64::MAX)
     };
@@ -343,31 +341,14 @@ fn worker_cfg(cfg: &ReplayConfig) -> ReplayConfig {
     }
 }
 
+/// A span worker: span 0 boots like the serial CR (a restored boot
+/// snapshot would mark every page dirty and change the initial
+/// checkpoint's cost); every later span starts from its seed.
 fn build_replayer(spec: &VmSpec, wcfg: ReplayConfig, job: &SpanJob) -> Replayer {
     let source = LogSource::Complete(Arc::clone(&job.log));
     let mut r = match &job.seed {
         None => Replayer::new(spec, source, wcfg),
-        Some(seed) => {
-            // A span seed is a checkpoint with no replay-side history: the
-            // worker's clock starts at zero (the fold re-bases it) and the
-            // evict store starts empty (the fold owns alarm bookkeeping).
-            let cp = Checkpoint {
-                id: 0,
-                at_insn: seed.at_insn,
-                at_cycle: 0,
-                cpu: seed.cpu.clone(),
-                mem_pages: seed.mem_pages.clone(),
-                disk: seed.disk.clone(),
-                backras: seed.backras.clone(),
-                current_tid: seed.current_tid,
-                dying: seed.dying,
-                cursor: LogCursor::new(seed.at_record),
-                evict_store: HashMap::new(),
-                dirty_pages: 0,
-                dirty_blocks: 0,
-            };
-            Replayer::from_checkpoint(spec, source, wcfg, &cp, false)
-        }
+        Some(seed) => Replayer::from_checkpoint(spec, source, wcfg, seed, false),
     };
     r.skip_landing_draws(job.prior_interrupts);
     r
@@ -523,19 +504,20 @@ fn materialize_checkpoints(
             if let Some(rec) = p.at_record {
                 r.drive_to_record(rec)?;
             }
-            let cursor = LogCursor::new(p.at_record.map_or(0, |rec| rec + 1));
-            built.insert(
+            // Close the dirty-tracking epoch first, as `take_checkpoint`
+            // does: an alarm replayer restored from the checkpoint must
+            // start from the serial twin's dirty baseline, or its first
+            // periodic checkpoint would cost more.
+            r.end_epoch();
+            let checkpoint = Checkpoint {
                 id,
-                r.snapshot_checkpoint(
-                    id,
-                    p.at_insn,
-                    p.at_cycle,
-                    cursor,
-                    p.evicts.clone(),
-                    p.dirty_pages,
-                    p.dirty_blocks,
-                ),
-            );
+                at_cycle: p.at_cycle,
+                evict_store: p.evicts.clone(),
+                dirty_pages: p.dirty_pages,
+                dirty_blocks: p.dirty_blocks,
+                ..r.capture()
+            };
+            built.insert(id, checkpoint);
         }
         stats.merge(&r.block_stats());
     }

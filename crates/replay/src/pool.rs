@@ -8,7 +8,7 @@
 //! (span order, fleet fairness, budget backpressure) live entirely in the
 //! source, which keeps this primitive reusable across very different
 //! consumers: the pipeline's alarm phase feeds it checkpoint groups
-//! through an atomic cursor, and the farm feeds it a weighted round-robin
+//! through an atomic cursor, and the farm feeds it a round-robin
 //! scheduler behind a condvar.
 
 /// A unit of pooled work.

@@ -441,7 +441,7 @@ fn replay_farm_matches_serial_across_corner_matrix() {
 
 /// Adversarial interleaving: an alarm-storming attack session floods the
 /// shared pool with AR cases while a self-modifying JIT and a quiet build
-/// run beside it. The weighted round-robin scheduler keeps the siblings'
+/// run beside it. The round-robin scheduler keeps the siblings'
 /// work flowing, and every report — the attack's verdicts and detection
 /// window included — is byte-identical to its serial reference.
 ///
