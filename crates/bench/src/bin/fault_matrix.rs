@@ -31,22 +31,23 @@
 //! and the contract extends to *isolation* — the faulted session must still
 //! heal to the serial clean report, the sibling's report must stay
 //! byte-identical to its own clean reference with a quiet recovery block,
-//! and a session failing structurally (budget exhaustion) must not disturb
-//! the sibling either. The farm is the one place that replays spans, so
-//! this is the span half of the matrix.
+//! and a session that fails outright (a paravirtual guest its recording
+//! mode refuses) must fail with its typed error and not disturb the
+//! sibling either. The farm is the one place that replays spans, so this is
+//! the span half of the matrix.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rnr_bench::{attack_session_config, attack_spec, SEED};
-use rnr_hypervisor::VmSpec;
+use rnr_hypervisor::{RecordError, VmSpec};
 use rnr_log::{
     disk_fault_scenarios, fault_scenarios, unrecoverable_scenario, DurableLogConfig, FaultPlan,
     TransportFault, TransportFaultKind,
 };
 use rnr_replay::ReplayError;
 use rnr_safe::{
-    BudgetKind, Farm, FarmConfig, FarmError, FarmReport, Pipeline, PipelineConfig, PipelineError,
-    PipelineReport, SessionSpec, VerdictSummary,
+    Farm, FarmConfig, FarmError, FarmReport, Pipeline, PipelineConfig, PipelineError, PipelineReport,
+    SessionSpec, VerdictSummary,
 };
 use rnr_workloads::Workload;
 
@@ -294,10 +295,11 @@ fn durable_section(reference_json: &str) -> u32 {
 /// with a quiet recovery block. The attack session persists to its own
 /// store, and the disk scenarios damage it: no refetch reads it, so the
 /// planned disk fault is their only recovery activity. Two more cases
-/// check structural isolation — a budget-exhausted session failing beside
-/// an untouched sibling, and a farm-owned durable root laying down one
-/// segment store per session — and a last fleet runs the two adversarial
-/// guests on spans.
+/// check structural isolation — a session whose recording is refused (a
+/// paravirtual guest in the attack slot) failing with its typed error
+/// beside an untouched sibling, and a farm-owned durable root laying down
+/// one segment store per session — and a last fleet runs the two
+/// adversarial guests on spans.
 fn farm_matrix() -> u32 {
     let mut failures = 0u32;
     let attack_reference =
@@ -394,20 +396,23 @@ fn farm_matrix() -> u32 {
         }
     }
 
-    // Structural isolation: the attack session exhausts its AR-slot budget
-    // and fails with a typed error; the sibling is untouched.
+    // Structural isolation: a paravirtual guest in the attack slot, which
+    // the session's recording mode refuses, fails with a typed error; the
+    // sibling is untouched.
     let mut sessions = fleet(attack_session_config(FaultPlan::default()));
-    sessions[0].budget.ar_slots = Some(0);
+    sessions[0].vm = Workload::Mysql.spec(true);
     let report = farm.run(&sessions);
-    check_quiet("farm-budget-exhausted", &report, &mut failures);
-    match &report.session("attack").expect("attack session present").result {
-        Err(FarmError::BudgetExceeded { session, budget: BudgetKind::ArSlots { needed, max: 0 } }) => {
+    check_quiet("farm-session-fails", &report, &mut failures);
+    let failed = report.session("attack").expect("attack session present");
+    match &failed.result {
+        Err(FarmError::Pipeline(PipelineError::Record(e @ RecordError::KernelModeMismatch { .. }))) => {
             println!(
-                "ok   farm-budget-exhausted: session {session} failed structurally ({needed} case(s) over budget), sibling untouched"
+                "ok   farm-session-fails: session {} failed with a typed error ({e}), sibling untouched",
+                failed.id
             );
         }
         other => {
-            println!("FAIL farm-budget-exhausted: want BudgetExceeded(ArSlots), got {other:?}");
+            println!("FAIL farm-session-fails: want Pipeline(Record(KernelModeMismatch)), got {other:?}");
             failures += 1;
         }
     }

@@ -23,14 +23,11 @@
 //! index-keyed results in span order regardless of execution order, and
 //! the alarm phase files each case's outcome in its own slot — nothing the
 //! scheduler decides can reach a report. Failures are isolated the same way: a
-//! session that panics, exhausts a [`SessionBudget`], or trips its fault
-//! plan fails with a structured [`FarmError`] while its siblings' reports
-//! stay untouched.
+//! session whose pipeline fails (a refused recording, a divergence, an
+//! unrecoverable fault) or whose work panics fails with a structured
+//! [`FarmError`] while its siblings' reports stay untouched.
 
-mod budget;
 mod scheduler;
-
-pub use budget::{BudgetKind, SessionBudget};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,7 +48,7 @@ use crate::pipeline::{
 };
 use crate::{AlarmResolution, FailedCase, PipelineConfig, PipelineError, PipelineReport};
 
-use scheduler::{LaneConfig, Scheduler, WorkItem, WorkKind};
+use scheduler::{Scheduler, WorkItem, WorkKind};
 
 /// A fleet-unique session identifier (the session's position in the batch
 /// submitted to [`Farm::run`]).
@@ -64,8 +61,8 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// One session the farm will run: a workload spec, its pipeline
-/// configuration, and a resource budget.
+/// One session the farm will run: a name, a workload spec and its
+/// pipeline configuration.
 #[derive(Debug)]
 pub struct SessionSpec {
     /// Caller-chosen session name (reported in [`SessionOutcome`]; need not
@@ -80,14 +77,12 @@ pub struct SessionSpec {
     /// alarm cases on the shared pool, so `streaming` and `ar_workers` do
     /// not apply here; the report is byte-identical either way.
     pub config: PipelineConfig,
-    /// Resource limits; [`SessionBudget::unlimited`] by default.
-    pub budget: SessionBudget,
 }
 
 impl SessionSpec {
-    /// A session named `name` over `vm` with an unlimited budget.
+    /// A session named `name` over `vm`, run under `config`.
     pub fn new(name: impl Into<String>, vm: VmSpec, config: PipelineConfig) -> SessionSpec {
-        SessionSpec { name: name.into(), vm, config, budget: SessionBudget::unlimited() }
+        SessionSpec { name: name.into(), vm, config }
     }
 }
 
@@ -108,21 +103,6 @@ pub struct FarmConfig {
 /// [`SessionOutcome`] carries its own result.
 #[derive(Debug)]
 pub enum FarmError {
-    /// The session exhausted one of its [`SessionBudget`] limits.
-    BudgetExceeded {
-        /// The session that exceeded its budget.
-        session: SessionId,
-        /// Which budget, with observed and permitted amounts.
-        budget: BudgetKind,
-    },
-    /// The scheduler had runnable work for this session but no clamp will
-    /// ever admit it (and nothing else was in flight to change that).
-    Starved {
-        /// The starved session.
-        session: SessionId,
-        /// Work items still queued when starvation was declared.
-        pending: usize,
-    },
     /// The session's own pipeline failed (recording setup, guest fault,
     /// replay divergence, failed verification).
     Pipeline(PipelineError),
@@ -139,12 +119,6 @@ pub enum FarmError {
 impl fmt::Display for FarmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FarmError::BudgetExceeded { session, budget } => {
-                write!(f, "session {session} exceeded its {budget}")
-            }
-            FarmError::Starved { session, pending } => {
-                write!(f, "session {session} starved with {pending} items queued and none admissible")
-            }
             FarmError::Pipeline(e) => write!(f, "pipeline failed: {e}"),
             FarmError::WorkerPanicked { session, detail } => {
                 write!(f, "farm worker panicked on session {session}: {detail}")
@@ -241,9 +215,13 @@ impl Farm {
                 let id = SessionId(s as u32);
                 let result = match phase {
                     Phase::Done(result) => *result,
-                    // Unreachable by construction (the pool only drains once
-                    // every session is Done), but never panic the report.
-                    _ => Err(FarmError::Starved { session: id, pending: 0 }),
+                    // Unreachable by construction (a session not Done always
+                    // has work queued or in flight, so the pool cannot drain
+                    // before it is), but never panic the report.
+                    _ => Err(FarmError::WorkerPanicked {
+                        session: id,
+                        detail: "farm bug: the pool drained before the session finished".to_string(),
+                    }),
                 };
                 SessionOutcome { id, name: sessions[s].name.clone(), result, wall_ms }
             })
@@ -266,7 +244,7 @@ fn farm_span_cadence(sessions: &[SessionSpec], workers: usize) -> u64 {
     (total / halves).max(15_000)
 }
 
-/// Per-session configuration derived once at admission.
+/// Per-session configuration, derived once when the fleet is built.
 struct SessionPlan {
     replay_cfg: ReplayConfig,
     ar_cfg: ReplayConfig,
@@ -326,7 +304,6 @@ struct FleetState<'s> {
     phases: Vec<Phase<'s>>,
     sched: Scheduler,
     inflight: usize,
-    done: usize,
     latencies: Vec<f64>,
 }
 
@@ -360,14 +337,7 @@ impl<'s> Fleet<'s> {
                 SessionPlan { replay_cfg, ar_cfg, durable }
             })
             .collect();
-        let lanes = sessions
-            .iter()
-            .map(|spec| LaneConfig {
-                span_slots: spec.budget.span_slots.unwrap_or(usize::MAX),
-                ar_slots: spec.budget.ar_slots.unwrap_or(usize::MAX),
-            })
-            .collect();
-        let mut sched = Scheduler::new(lanes);
+        let mut sched = Scheduler::new(sessions.len());
         for s in 0..sessions.len() {
             sched.enqueue(WorkItem { session: s, kind: WorkKind::Record, index: 0 });
         }
@@ -379,7 +349,6 @@ impl<'s> Fleet<'s> {
                 phases: (0..sessions.len()).map(|_| Phase::Recording).collect(),
                 sched,
                 inflight: 0,
-                done: 0,
                 latencies: vec![0.0; sessions.len()],
             }),
             cvar: Condvar::new(),
@@ -387,29 +356,18 @@ impl<'s> Fleet<'s> {
         }
     }
 
-    fn id(&self, s: usize) -> SessionId {
-        SessionId(s as u32)
-    }
-
     /// The pool's pull hook: the next task, blocking while other workers'
-    /// in-flight items might unlock more, `None` once the fleet is done.
+    /// in-flight items might queue more, `None` once nothing is queued and
+    /// nothing is in flight (only an in-flight item queues new work).
     fn next_task(&self) -> Option<pool::Task<'_>> {
         let mut st = self.state.lock().expect("fleet lock");
         loop {
-            if st.done == self.sessions.len() && st.inflight == 0 {
-                return None;
-            }
             if let Some(item) = st.sched.next() {
                 st.inflight += 1;
                 return Some(self.build_task(&mut st, item));
             }
             if st.inflight == 0 {
-                // Queued work exists (some session is not Done) but nothing
-                // is admissible and nothing in flight can change that:
-                // structural starvation. Fail the stuck sessions instead of
-                // deadlocking the pool.
-                self.starve_incomplete(&mut st);
-                continue;
+                return None;
             }
             st = self.cvar.wait(st).expect("fleet lock");
         }
@@ -456,12 +414,11 @@ impl<'s> Fleet<'s> {
         Box::new(move || {
             let executed = catch_unwind(AssertUnwindSafe(payload));
             let mut st = self.state.lock().expect("fleet lock");
-            st.sched.finished(&item);
             match executed {
                 Ok(executed) => self.apply(&mut st, s, executed),
                 Err(payload) => {
                     let err = FarmError::WorkerPanicked {
-                        session: self.id(s),
+                        session: SessionId(s as u32),
                         detail: panic_text(payload.as_ref()),
                     };
                     self.finish(&mut st, s, Err(err));
@@ -472,29 +429,18 @@ impl<'s> Fleet<'s> {
         })
     }
 
-    /// Record payload: sequential recording with the farm's span cadence,
-    /// the session's durable store, and the post-record log-byte budget
-    /// check.
+    /// Record payload: sequential recording with the farm's span cadence
+    /// and the session's durable store.
     fn record_session(&self, s: usize) -> Result<RecordOutcome, FarmError> {
         let spec = &self.sessions[s];
         let rc = record_config(&spec.config, Some(self.cadence));
         let recorder = recorder_for(&spec.vm, rc, self.plans[s].durable.as_ref(), &spec.config.fault_plan)?;
-        let rec = run_recorder(recorder)?;
-        if let Some(max) = spec.budget.log_bytes {
-            let used = rec.log.total_bytes();
-            if used > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::LogBytes { used, max },
-                });
-            }
-        }
-        Ok(rec)
+        Ok(run_recorder(recorder)?)
     }
 
     /// Finalize payload: seam-check and fold the finished spans, verify the
-    /// final digest, apply the rewind and AR-case budgets, and move the
-    /// escalated cases into the session's alarm phase.
+    /// final digest, and move the escalated cases into the session's alarm
+    /// phase.
     fn finalize_session(&self, s: usize, rp: ReplayPhase) -> Result<Box<ResolvePhase<'s>>, FarmError> {
         // Borrow the spec through the fleet's `'s` sessions slice (not
         // through `&self`): the alarm phase keeps it for the resolve phase.
@@ -515,24 +461,6 @@ impl<'s> Fleet<'s> {
         .map_err(|e| FarmError::Pipeline(PipelineError::Replay(e)))?;
         if par.outcome.verified != Some(true) {
             return Err(FarmError::Pipeline(PipelineError::VerificationFailed));
-        }
-        if let Some(max) = spec.budget.rewind_quota {
-            let used = par.outcome.recovery.rewinds;
-            if used > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::Rewinds { used, max },
-                });
-            }
-        }
-        let cases = par.outcome.alarm_cases.len();
-        if let Some(max) = spec.budget.ar_slots {
-            if cases > max {
-                return Err(FarmError::BudgetExceeded {
-                    session: self.id(s),
-                    budget: BudgetKind::ArSlots { needed: cases, max },
-                });
-            }
         }
         let mut cr_out = par.outcome;
         let alarms = AlarmPhase::new(
@@ -561,17 +489,6 @@ impl<'s> Fleet<'s> {
             Executed::Recorded(recorded) => match *recorded {
                 Err(e) => self.finish(st, s, Err(e)),
                 Ok(rec) => {
-                    if self.sessions[s].budget.span_slots == Some(0) {
-                        // A zero span budget admits no replay work, ever;
-                        // fail fast instead of queueing items the clamp
-                        // will never release (structural starvation).
-                        let err = FarmError::BudgetExceeded {
-                            session: self.id(s),
-                            budget: BudgetKind::SpanSlots { max: 0 },
-                        };
-                        self.finish(st, s, Err(err));
-                        return;
-                    }
                     let jobs =
                         Arc::new(plan_spans(&rec.log, &rec.span_seeds, &self.sessions[s].config.fault_plan));
                     let n = jobs.len();
@@ -629,28 +546,15 @@ impl<'s> Fleet<'s> {
         self.finish(st, s, Ok(report));
     }
 
-    /// Terminates session `s` (idempotent): stamps its latency, drops its
-    /// queued work, and wakes the pool.
+    /// Terminates session `s` (idempotent): stamps its latency and drops
+    /// its queued work. The calling task's epilogue wakes the pool.
     fn finish(&self, st: &mut FleetState<'s>, s: usize, result: Result<PipelineReport, FarmError>) {
         if matches!(st.phases[s], Phase::Done(_)) {
             return;
         }
         st.phases[s] = Phase::Done(Box::new(result));
         st.latencies[s] = self.started.elapsed().as_secs_f64() * 1e3;
-        st.done += 1;
         st.sched.clear_session(s);
-    }
-
-    /// Fails every incomplete session as starved (no admissible work, none
-    /// in flight).
-    fn starve_incomplete(&self, st: &mut FleetState<'s>) {
-        for s in 0..self.sessions.len() {
-            if !matches!(st.phases[s], Phase::Done(_)) {
-                let pending = st.sched.pending(s);
-                let err = FarmError::Starved { session: self.id(s), pending };
-                self.finish(st, s, Err(err));
-            }
-        }
     }
 }
 
@@ -659,7 +563,7 @@ mod tests {
     use super::*;
     use crate::Pipeline;
     use rnr_attacks::mount_kernel_rop;
-    use rnr_log::FaultPlan;
+    use rnr_hypervisor::RecordError;
     use rnr_workloads::{Workload, WorkloadParams};
 
     fn quick(name: &str, workload: Workload, insns: u64) -> SessionSpec {
@@ -769,82 +673,44 @@ mod tests {
     }
 
     #[test]
-    fn log_byte_budget_fails_session_without_touching_sibling() {
+    fn refused_session_fails_without_touching_sibling() {
         let expected = serial_json(
             Workload::Make,
             &PipelineConfig { duration_insns: 150_000, ..PipelineConfig::default() },
         );
-        let mut capped = quick("capped", Workload::Mysql, 120_000);
-        capped.budget.log_bytes = Some(1);
-        let report = Farm::new(FarmConfig::default()).run(&[capped, quick("quiet", Workload::Make, 150_000)]);
-        let failed = &report.session("capped").unwrap().result;
-        match failed {
-            Err(FarmError::BudgetExceeded { session, budget: BudgetKind::LogBytes { used, max } }) => {
-                assert_eq!(*session, SessionId(0));
-                assert_eq!(*max, 1);
-                assert!(*used > 1);
+        for workers in [1, 2] {
+            // A paravirtual kernel, which the default `RecordMode::Rec`
+            // refuses before recording a single instruction.
+            let refused = SessionSpec::new(
+                "refused",
+                Workload::Mysql.spec(true),
+                PipelineConfig { duration_insns: 120_000, ..PipelineConfig::default() },
+            );
+            let farm = Farm::new(FarmConfig { workers, ..FarmConfig::default() });
+            let report = farm.run(&[refused, quick("quiet", Workload::Make, 150_000)]);
+            let failed = report.session("refused").unwrap();
+            assert_eq!(failed.id, SessionId(0), "workers={workers}");
+            match &failed.result {
+                Err(FarmError::Pipeline(PipelineError::Record(RecordError::KernelModeMismatch {
+                    want_pv: false,
+                }))) => {}
+                other => panic!("workers={workers}: expected a refused recording, got {other:?}"),
             }
-            other => panic!("expected log-byte budget failure, got {other:?}"),
-        }
-        let quiet = report.session("quiet").unwrap().result.as_ref().unwrap();
-        assert_eq!(quiet.to_json(), expected);
-        assert!(!quiet.recovery.any());
-    }
-
-    #[test]
-    fn zero_span_slot_budget_fails_fast() {
-        let mut capped = quick("capped", Workload::Make, 120_000);
-        capped.budget.span_slots = Some(0);
-        let report = Farm::new(FarmConfig::default()).run(&[capped]);
-        match &report.sessions[0].result {
-            Err(FarmError::BudgetExceeded { budget: BudgetKind::SpanSlots { max: 0 }, .. }) => {}
-            other => panic!("expected span-slot budget failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rewind_quota_fails_recovering_session() {
-        let mut capped = quick("capped", Workload::Mysql, 150_000);
-        capped.config.fault_plan = FaultPlan { cr_divergence_at_insn: Some(60_000), ..FaultPlan::default() };
-        capped.budget.rewind_quota = Some(0);
-        let report = Farm::new(FarmConfig::default()).run(&[capped]);
-        match &report.sessions[0].result {
-            Err(FarmError::BudgetExceeded { budget: BudgetKind::Rewinds { used, max: 0 }, .. }) => {
-                assert!(*used > 0);
-            }
-            other => panic!("expected rewind quota failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ar_slot_budget_fails_alarm_storm() {
-        let (spec, _plan) = mount_kernel_rop(&WorkloadParams::attack_demo(), 1_200_000).unwrap();
-        let config = PipelineConfig {
-            duration_insns: 900_000,
-            checkpoint_interval_secs: Some(0.125),
-            ..PipelineConfig::default()
-        };
-        let mut stormy = SessionSpec::new("stormy", spec, config);
-        stormy.budget.ar_slots = Some(0);
-        let report = Farm::new(FarmConfig::default()).run(&[stormy]);
-        match &report.sessions[0].result {
-            Err(FarmError::BudgetExceeded { budget: BudgetKind::ArSlots { needed, max: 0 }, .. }) => {
-                assert!(*needed > 0);
-            }
-            other => panic!("expected AR-slot budget failure, got {other:?}"),
+            let quiet = report.session("quiet").unwrap().result.as_ref().unwrap();
+            assert_eq!(quiet.to_json(), expected, "workers={workers}");
+            assert!(!quiet.recovery.any(), "workers={workers}");
         }
     }
 
     #[test]
     fn farm_error_display_names_the_session() {
-        let e = FarmError::BudgetExceeded {
-            session: SessionId(3),
-            budget: BudgetKind::LogBytes { used: 10, max: 5 },
-        };
-        let text = e.to_string();
+        let panicked = FarmError::WorkerPanicked { session: SessionId(3), detail: "boom".to_string() };
+        let text = panicked.to_string();
         assert!(text.contains("s3"), "{text}");
-        assert!(text.contains("log-byte"), "{text}");
-        let starved = FarmError::Starved { session: SessionId(1), pending: 4 };
-        assert!(starved.to_string().contains("s1"));
+        assert!(text.contains("boom"), "{text}");
+        let refused =
+            FarmError::Pipeline(PipelineError::Record(RecordError::KernelModeMismatch { want_pv: true }));
+        let text = refused.to_string();
+        assert!(text.contains("paravirtual"), "{text}");
     }
 }

@@ -50,10 +50,7 @@ mod pipeline;
 mod session;
 pub mod table2;
 
-pub use farm::{
-    BudgetKind, Farm, FarmConfig, FarmError, FarmReport, SessionBudget, SessionId, SessionOutcome,
-    SessionSpec,
-};
+pub use farm::{Farm, FarmConfig, FarmError, FarmReport, SessionId, SessionOutcome, SessionSpec};
 pub use pipeline::{
     AlarmResolution, DetectionWindow, FailedCase, Pipeline, PipelineConfig, PipelineError, PipelineReport,
     RecordSummary, RecoveryReport, ReplaySummary, VerdictSummary,

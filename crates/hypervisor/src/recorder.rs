@@ -222,14 +222,6 @@ pub struct RecordOutcome {
     pub disk: DiskWriteStats,
 }
 
-impl RecordOutcome {
-    /// Log bytes per million cycles — scaled to MB/s in the Figure 6(a)
-    /// harness via the virtual clock frequency.
-    pub fn log_bytes(&self) -> u64 {
-        self.log.total_bytes()
-    }
-}
-
 /// The recording hypervisor: drives one guest VM to an instruction budget,
 /// emulating devices, injecting interrupts, and (in recording modes)
 /// producing the input log.

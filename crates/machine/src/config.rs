@@ -25,14 +25,14 @@ pub struct MachineConfig {
     /// Cycle cost model.
     pub costs: CostModel,
     /// Use the predecoded instruction cache ([`crate::BlockCache`]). A pure
-    /// host-side (wall-clock) optimization: virtual cycles, digests, and
-    /// exits are identical either way while [`CostModel::decode`] is 0.
+    /// host-side (wall-clock) optimization: decoding costs no virtual
+    /// cycles, so virtual cycles, digests, and exits are identical either
+    /// way.
     pub decode_cache: bool,
     /// Execute whole cached basic blocks between event horizons instead of
     /// single-stepping (see `GuestVm::run`). Like `decode_cache`, a pure
     /// wall-clock knob: the retired stream, virtual cycles, digests, and
-    /// exits are byte-identical either way. Automatically inert while
-    /// [`CostModel::decode`] is non-zero.
+    /// exits are byte-identical either way.
     pub block_engine: bool,
     /// Chain hot basic blocks across taken branches and page boundaries
     /// into superblock traces with one dispatch and one counter commit per

@@ -48,11 +48,6 @@ pub struct CostModel {
     pub disk_latency_per_sector: u64,
     /// Minimum disk latency.
     pub disk_latency_base: u64,
-    /// Extra cycles charged when an instruction is fetched and decoded fresh
-    /// (a decode-cache miss). The default of 0 keeps decoding
-    /// architecturally free, so enabling or disabling the cache cannot move
-    /// virtual time; set it non-zero to study front-end sensitivity.
-    pub decode: u64,
 }
 
 impl CostModel {
@@ -89,7 +84,6 @@ impl Default for CostModel {
             pv_hypercall: 400,
             disk_latency_per_sector: 2_000,
             disk_latency_base: 20_000,
-            decode: 0,
         }
     }
 }

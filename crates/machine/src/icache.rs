@@ -35,9 +35,9 @@
 //! Only 8-byte-aligned PCs are cached: aligned fetches never straddle a
 //! page, so one `(page, slot)` pair identifies the instruction. Unaligned
 //! PCs (possible targets of a hijacked return) fall back to the slow
-//! fetch+decode path. Decoding is architecturally free in the cost model by
-//! default ([`crate::CostModel::decode`] is 0), so caching changes wall-clock
-//! time only, never virtual cycles.
+//! fetch+decode path. Decoding is architecturally free in the cost model
+//! ([`crate::CostModel`] charges nothing for it), so caching changes
+//! wall-clock time only, never virtual cycles.
 
 use std::sync::Arc;
 

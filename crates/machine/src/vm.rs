@@ -360,7 +360,7 @@ impl GuestVm {
     /// single-step interpreter.
     pub fn run(&mut self, budget: RunBudget) -> Exit {
         assert!(self.pending_io.is_none(), "run() with unfinished I/O exit");
-        let blocks = self.block_engine_active();
+        let blocks = self.block_engine_enabled();
         loop {
             if let Some(limit) = budget.until_retired {
                 if self.retired >= limit {
@@ -392,7 +392,8 @@ impl GuestVm {
         }
     }
 
-    /// Whether the block-engine config knob is currently on.
+    /// Whether [`GuestVm::run`] executes whole basic blocks (the
+    /// block-engine knob, as last set).
     pub fn block_engine_enabled(&self) -> bool {
         self.config.block_engine
     }
@@ -404,15 +405,6 @@ impl GuestVm {
     /// wall-clock knob — virtual cycles and digests never depend on it.
     pub fn set_block_engine(&mut self, on: bool) {
         self.config.block_engine = on;
-    }
-
-    /// Whether [`GuestVm::run`] may execute whole basic blocks.
-    ///
-    /// Besides the config knob, block execution requires a zero decode
-    /// cost: a non-zero one would charge cycles per cache build instead of
-    /// per fetch.
-    fn block_engine_active(&self) -> bool {
-        self.config.block_engine && self.config.costs.decode == 0
     }
 
     /// The event horizon: how many instructions may retire before a budget
@@ -1027,10 +1019,6 @@ impl GuestVm {
             Ok(i) => i,
             Err(_) => return Err(Exit::Fault(FaultKind::BadInstruction { pc })),
         };
-        // Decode-cache misses (every instruction, with the cache off) may
-        // carry a front-end cost; it defaults to 0 so virtual time is
-        // independent of the cache.
-        self.cycles += self.config.costs.decode;
         if self.config.decode_cache {
             self.icache.insert(pc, insn, &self.mem);
         }

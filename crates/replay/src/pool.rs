@@ -5,11 +5,10 @@
 //! closure that either produces the next runnable task (possibly blocking
 //! until one exists) or reports that the work is drained — and the pool
 //! simply keeps `workers` threads pulling from it. Scheduling decisions
-//! (span order, fleet fairness, budget backpressure) live entirely in the
-//! source, which keeps this primitive reusable across very different
-//! consumers: the pipeline's alarm phase feeds it checkpoint groups
-//! through an atomic cursor, and the farm feeds it a round-robin
-//! scheduler behind a condvar.
+//! (span order, fleet fairness) live entirely in the source, which keeps
+//! this primitive reusable across very different consumers: the
+//! pipeline's alarm phase feeds it checkpoint groups through an atomic
+//! cursor, and the farm feeds it a round-robin scheduler behind a condvar.
 
 /// A unit of pooled work.
 pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;

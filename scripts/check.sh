@@ -116,10 +116,11 @@ timed fault-matrix cargo run --release -q -p rnr-bench --bin fault_matrix --offl
 # sibling; transport scenarios must be inert (the farm records
 # sequentially — there is no wire); each disk scenario on the attack
 # session's own store must leave the clean report with exactly its planned
-# disk fault; budget exhaustion must fail its session with a typed error
-# and leave the sibling untouched; a farm-owned durable root must lay down
-# one segment store per session; and the JIT and VRT guests must report on
-# spans as they do serially, superblocks on and off.
+# disk fault; a session whose recording is refused (a paravirtual guest)
+# must fail with its typed error and leave the sibling untouched; a
+# farm-owned durable root must lay down one segment store per session; and
+# the JIT and VRT guests must report on spans as they do serially,
+# superblocks on and off.
 timed fault-matrix-farm cargo run --release -q -p rnr-bench --bin fault_matrix --offline -- --farm
 
 # Perf gate: rerun the attack-pipeline comparison and fail if the reports
