@@ -27,10 +27,17 @@
 //!   against exactly those slots, so data writes into pages that share
 //!   hot code don't kill it.
 //!
-//! The two lower layers are invalidated wholesale when the page's write-version
-//! ([`Memory::page_version`]) moves — which is what makes self-modifying
-//! code (and checkpoint restores) correct without any explicit flush
-//! protocol.
+//! The two lower layers are stamped with the page's write-version
+//! ([`Memory::page_version`]), so a lookup is one comparison. A lookup that
+//! misses because the version moved sends the executor down its miss path,
+//! which re-validates the page against the raw instruction words kept
+//! behind every decoded slot ([`BlockCache::restamp`]): when every word
+//! still holds (a data write beside the code, or a checkpoint restore of
+//! identical code), the cache is re-stamped and its decodes, blocks, trace
+//! heads and edge profile survive; when any decoded word changed
+//! (self-modifying code), the page is flushed and rebuilt. All three layers
+//! follow the same rule — version churn from data writes costs a re-stamp,
+//! not a rebuild — and none needs an explicit flush protocol.
 //!
 //! Only 8-byte-aligned PCs are cached: aligned fetches never straddle a
 //! page, so one `(page, slot)` pair identifies the instruction. Unaligned
@@ -142,29 +149,34 @@ impl TracePage {
     /// True when `cur` still decodes every op identically: each op slot's
     /// 8 bytes match the pinned build-time bytes. Non-op bytes are free to
     /// differ — only bytes an op decodes from can change its meaning.
-    /// Code is mostly contiguous, so compare maximal runs of set bits as
-    /// single slices (memcmp speed) rather than slot by slot.
     fn ops_unchanged(&self, cur: &[u8; PAGE_SIZE]) -> bool {
-        self.op_slots.iter().enumerate().all(|(w, &bits)| {
-            let mut bits = bits;
-            while bits != 0 {
-                let first = bits.trailing_zeros() as usize;
-                let run = (bits >> first).trailing_ones() as usize;
-                let lo = (w * 64 + first) * 8;
-                let hi = lo + run * 8;
-                if cur[lo..hi] != self.bytes[lo..hi] {
-                    return false;
-                }
-                // A full word (first 0, run 64) must not shift by 64.
-                if run == 64 {
-                    bits = 0;
-                } else {
-                    bits &= !(((1u64 << run) - 1) << first);
-                }
-            }
-            true
-        })
+        slots_match(&self.op_slots, cur, &self.bytes)
     }
+}
+
+/// True when every slot set in `bits` holds the same 8 bytes in `a` and
+/// `b`. Code is mostly contiguous, so maximal runs of set bits compare as
+/// single slices (memcmp speed) rather than slot by slot.
+fn slots_match(bits: &[u64; SLOTS / 64], a: &[u8; PAGE_SIZE], b: &[u8; PAGE_SIZE]) -> bool {
+    bits.iter().enumerate().all(|(w, &bits)| {
+        let mut bits = bits;
+        while bits != 0 {
+            let first = bits.trailing_zeros() as usize;
+            let run = (bits >> first).trailing_ones() as usize;
+            let lo = (w * 64 + first) * 8;
+            let hi = lo + run * 8;
+            if a[lo..hi] != b[lo..hi] {
+                return false;
+            }
+            // A full word (first 0, run 64) must not shift by 64.
+            if run == 64 {
+                bits = 0;
+            } else {
+                bits &= !(((1u64 << run) - 1) << first);
+            }
+        }
+        true
+    })
 }
 
 /// The immutable body of a superblock, behind an `Arc` so a dispatch can
@@ -283,7 +295,10 @@ pub struct BlockStats {
     pub hits: u64,
     /// Blocks decoded and installed (cold misses and rebuilds).
     pub builds: u64,
-    /// Page caches dropped because the page's write-version moved.
+    /// Page caches dropped because a decoded instruction word on the page
+    /// changed (self-modifying code, or a restore of different code). A
+    /// write-version bump that leaves every decoded word intact re-stamps
+    /// the page instead and is not counted.
     pub flushes: u64,
     /// Always 0: every VM decodes into its own cache. Kept only because the
     /// frozen repository benchmark reads it; deleted at the next change to
@@ -319,13 +334,17 @@ impl BlockStats {
     }
 }
 
-/// One page's worth of predecoded instructions and block metadata, valid for
-/// a single write version of the backing page.
+/// One page's worth of predecoded instructions and block metadata, stamped
+/// with the write version of the backing page it was last proven against.
 #[derive(Debug, Clone)]
 struct PageCache {
     version: u64,
     slots: Box<[Option<Instruction>; SLOTS]>,
     blocks: Box<[u16; SLOTS]>,
+    // The words the slots were decoded from: a stale cache whose words all
+    // still hold is re-stamped, not rebuilt. Boxed, so the lookups' stride
+    // over `BlockCache::pages` grows by one pointer only.
+    words: Box<Words>,
     // Live superblock heads: per-slot trace pool id, 0 = none. Allocated
     // on the first install so trace-free pages stay light; the direct index
     // keeps the per-dispatch lookup O(1). Heads formation gave up on are not
@@ -351,15 +370,52 @@ impl Profile {
     }
 }
 
+/// The raw instruction word behind every decoded slot of one page.
+#[derive(Debug, Clone)]
+struct Words {
+    /// Bit `s` set ⇔ slot `s` holds a decode, decoded from `bytes[8s..8s + 8]`.
+    decoded: [u64; SLOTS / 64],
+    /// The decoded slots' words at their offsets in the page; the bytes of
+    /// other slots are stale or zero and never read.
+    bytes: [u8; PAGE_SIZE],
+}
+
+impl Words {
+    /// Keeps the words of slots `first..first + n` as they are in `page`.
+    fn keep(&mut self, first: usize, n: usize, page: &[u8; PAGE_SIZE]) {
+        let (lo, hi) = (first * 8, (first + n) * 8);
+        self.bytes[lo..hi].copy_from_slice(&page[lo..hi]);
+        for s in first..first + n {
+            self.decoded[s / 64] |= 1 << (s % 64);
+        }
+    }
+
+    /// True when `page` still holds every decoded slot's word.
+    fn hold(&self, page: &[u8; PAGE_SIZE]) -> bool {
+        slots_match(&self.decoded, page, &self.bytes)
+    }
+}
+
 impl PageCache {
     fn new(version: u64) -> PageCache {
         PageCache {
             version,
             slots: Box::new([None; SLOTS]),
             blocks: Box::new([0; SLOTS]),
+            words: Box::new(Words { decoded: [0; SLOTS / 64], bytes: [0; PAGE_SIZE] }),
             heads: None,
             profile: None,
         }
+    }
+
+    /// Drops every decode, block and the edge profile, in place, and stamps
+    /// `version`. Trace heads stay (see [`BlockCache::restamp`]).
+    fn flush(&mut self, version: u64) {
+        self.version = version;
+        self.slots.fill(None);
+        self.blocks.fill(0);
+        self.words.decoded = [0; SLOTS / 64];
+        self.profile = None;
     }
 
     /// The trace pool id installed at `slot` (0 = none).
@@ -426,10 +482,11 @@ impl BlockCache {
         cached.slots[(pc as usize % PAGE_SIZE) / 8]
     }
 
-    /// Stores a fresh decode of the instruction at `pc`.
+    /// Stores a fresh decode of the instruction at `pc`, decoded from
+    /// `mem`'s current bytes.
     ///
-    /// If the page's cache is stale it is reset to the current version
-    /// first, dropping every slot (and block) decoded against old bytes.
+    /// A stale page cache is re-stamped or flushed first (see
+    /// [`BlockCache::restamp`]).
     pub fn insert(&mut self, pc: Addr, insn: Instruction, mem: &Memory) {
         if pc & 7 != 0 {
             return;
@@ -438,7 +495,7 @@ impl BlockCache {
         if page >= mem.page_count() {
             return;
         }
-        let cached = self.fresh_page(page, mem);
+        let cached = self.fresh_page(pc, 1, mem);
         cached.slots[(pc as usize % PAGE_SIZE) / 8] = Some(insn);
     }
 
@@ -456,10 +513,11 @@ impl BlockCache {
         Some(info)
     }
 
-    /// Installs a decoded basic block starting at `pc`.
+    /// Installs a basic block starting at `pc`, decoded from `mem`'s
+    /// current bytes.
     ///
-    /// The slice must not cross a page boundary. A stale page cache is reset
-    /// to the current version first.
+    /// The slice must not cross a page boundary. A stale page cache is
+    /// re-stamped or flushed first (see [`BlockCache::restamp`]).
     pub fn insert_block(&mut self, pc: Addr, insns: &[Instruction], info: BlockInfo, mem: &Memory) {
         debug_assert_eq!(pc & 7, 0, "block entries are aligned");
         debug_assert_eq!(insns.len(), info.len as usize);
@@ -470,7 +528,7 @@ impl BlockCache {
             return;
         }
         self.stats.builds += 1;
-        let cached = self.fresh_page(page, mem);
+        let cached = self.fresh_page(pc, insns.len(), mem);
         for (i, insn) in insns.iter().enumerate() {
             cached.slots[slot + i] = Some(*insn);
         }
@@ -491,27 +549,52 @@ impl BlockCache {
         self.pages[page].as_ref().expect("block page present")[slot]
     }
 
-    /// Resolves (or resets) the page cache for the current page version.
-    fn fresh_page(&mut self, page: usize, mem: &Memory) -> &mut PageCache {
+    /// Brings a stale page cache covering `pc` up to the page's current
+    /// write version, and returns true when its decodes survived. Lookups
+    /// miss as soon as the version moves, so the executor calls this on its
+    /// miss path, before it decodes. Most bumps on pages that mix code and
+    /// data change no decoded word: then the cache is re-stamped, and its
+    /// blocks, trace heads and edge profile survive. When any decoded word
+    /// changed (self-modifying code), the page is flushed. A fresh or
+    /// absent cache is left alone.
+    pub fn restamp(&mut self, pc: Addr, mem: &Memory) -> bool {
+        let page = (pc as usize) / PAGE_SIZE;
+        let Some(Some(cached)) = self.pages.get_mut(page) else { return false };
+        let version = mem.page_version(page);
+        if cached.version == version {
+            return false;
+        }
+        if mem.page_arc(page).is_some_and(|cur| cached.words.hold(cur)) {
+            cached.version = version;
+            return true;
+        }
+        self.stats.flushes += 1;
+        // The page's decodes are gone, but traces headed here may survive:
+        // their bodies pin the exact bytes they decoded from, and the
+        // changed word need not be one of their ops. The heads stay — the
+        // next `trace_at` re-validates each against its op-slot map and
+        // frees the ones the write really changed.
+        cached.flush(version);
+        false
+    }
+
+    /// The cache of the page holding `pc`, for the page's current version,
+    /// with the instruction words of the `n` slots from `pc` kept as `mem`
+    /// holds them (the caller just decoded those slots, on an in-range
+    /// page). A stale cache is re-stamped or flushed first, an absent one
+    /// created. Out of line, so the decode miss inlined into the step path
+    /// stays one call.
+    #[inline(never)]
+    fn fresh_page(&mut self, pc: Addr, n: usize, mem: &Memory) -> &mut PageCache {
+        let page = (pc as usize) / PAGE_SIZE;
         if self.pages.len() <= page {
             self.pages.resize(page + 1, None);
         }
-        let version = mem.page_version(page);
-        let stale = matches!(&self.pages[page], Some(c) if c.version != version);
-        if stale {
-            self.stats.flushes += 1;
-            // The page's decodes are gone, but traces headed here may
-            // survive: their bodies pin the exact bytes they decoded from,
-            // and most version bumps on mixed code/data pages are data
-            // writes that touch no op byte. Carry the heads into the fresh
-            // cache — the next `trace_at` re-validates each against its
-            // op-slot map and frees the ones the write really changed.
-            let dropped = self.pages[page].take().expect("stale entry present");
-            let fresh = self.pages[page].get_or_insert_with(|| PageCache::new(version));
-            fresh.heads = dropped.heads;
-            return fresh;
-        }
-        self.pages[page].get_or_insert_with(|| PageCache::new(version))
+        self.restamp(pc, mem);
+        let cached = self.pages[page].get_or_insert_with(|| PageCache::new(mem.page_version(page)));
+        let bytes = mem.page_arc(page).expect("callers check the page is in range");
+        cached.words.keep((pc as usize % PAGE_SIZE) / 8, n, bytes);
+        cached
     }
 
     /// Returns a pool entry to the free list (idempotent).
@@ -785,10 +868,39 @@ mod tests {
         let mut cache = BlockCache::new();
         let info = BlockInfo { len: 1, has_terminal: false };
         cache.insert_block(0x0, &[insn(1)], info, &mem);
-        mem.write_u8(0x100, 1).unwrap();
+        // The write lands in the decoded slot: its word changed.
+        mem.write_u8(0x4, 1).unwrap();
         cache.insert_block(0x0, &[insn(2)], info, &mem);
         assert_eq!(cache.stats().flushes, 1);
         assert_eq!(cache.slot_insn(0, 0), insn(2));
+    }
+
+    #[test]
+    fn data_write_beside_decoded_code_restamps() {
+        let mut mem = Memory::new(PAGE_SIZE);
+        let mut cache = BlockCache::new();
+        let info = BlockInfo { len: 2, has_terminal: true };
+        cache.insert_block(0x10, &[insn(1), insn(2)], info, &mem);
+        cache.insert(0x40, insn(3), &mem);
+        // A data word on the same page, in no decoded slot.
+        mem.write_u64(0x100, 7).unwrap();
+        assert_eq!(cache.block_info(0x10, &mem), None, "lookups miss on the moved version");
+        assert!(cache.restamp(0x10, &mem), "every decoded word still holds");
+        assert_eq!(cache.block_info(0x10, &mem), Some(info), "the block survives");
+        assert_eq!(cache.get(0x40, &mem), Some(insn(3)), "single decodes survive too");
+        assert!(!cache.restamp(0x10, &mem), "a fresh page needs no re-stamp");
+        // The step path's insert re-stamps the same way.
+        mem.write_u64(0x108, 7).unwrap();
+        cache.insert(0x48, insn(4), &mem);
+        assert_eq!(cache.block_info(0x10, &mem), Some(info));
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.flushes), (1, 0));
+        // A write into a decoded slot still flushes.
+        mem.write_u8(0x18, 0xff).unwrap();
+        assert!(!cache.restamp(0x10, &mem));
+        assert_eq!(cache.block_info(0x10, &mem), None);
+        assert_eq!(cache.get(0x40, &mem), None, "the whole page is dropped");
+        assert_eq!(cache.stats().flushes, 1);
     }
 
     #[test]

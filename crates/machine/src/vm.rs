@@ -835,13 +835,21 @@ impl GuestVm {
         self.icache.install_trace(head, body, &self.mem);
     }
 
-    /// Decodes and caches the basic block starting at `pc` (aligned).
+    /// Decodes and caches the basic block starting at `pc` (aligned), or
+    /// finds it still cached once a stale page re-stamps.
     ///
     /// Blocks end at the first terminator (any non-straight-line
     /// instruction, included in the block), at the page boundary, or just
     /// before undecodable bytes. Returns `None` when not even one
     /// instruction decodes — the stepping path raises the proper fault.
     fn build_block(&mut self, pc: Addr) -> Option<BlockInfo> {
+        // A lookup also misses when only the page's version moved; if the
+        // page's decoded words all still hold, the block is still there.
+        if self.icache.restamp(pc, &self.mem) {
+            if let Some(info) = self.icache.block_info(pc, &self.mem) {
+                return Some(info);
+            }
+        }
         let mut insns: Vec<Instruction> = Vec::with_capacity(16);
         let mut has_terminal = false;
         let mut cur = pc;

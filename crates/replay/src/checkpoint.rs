@@ -1,6 +1,7 @@
 //! The retention policy of incremental checkpoints (§8.4).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rnr_hypervisor::Checkpoint;
 
@@ -10,10 +11,13 @@ use rnr_hypervisor::Checkpoint;
 /// time window... plus two — to ensure the correct checkpoint is not
 /// prematurely overwritten" (§8.4). Old checkpoints are recycled; dropping
 /// the `Arc`s releases any page whose content no later checkpoint shares.
+/// Each checkpoint is held behind one `Arc` that the CR's recovery point and
+/// every alarm case it serves share, so handing one out copies no page
+/// table.
 #[derive(Debug)]
 pub struct CheckpointStore {
     retain: usize,
-    window: VecDeque<Checkpoint>,
+    window: VecDeque<Arc<Checkpoint>>,
     taken: u64,
     max_live: usize,
 }
@@ -30,7 +34,7 @@ impl CheckpointStore {
     }
 
     /// Adds a checkpoint, recycling the oldest beyond the retention window.
-    pub fn push(&mut self, checkpoint: Checkpoint) {
+    pub fn push(&mut self, checkpoint: Arc<Checkpoint>) {
         self.window.push_back(checkpoint);
         self.taken += 1;
         while self.window.len() > self.retain {
@@ -41,14 +45,14 @@ impl CheckpointStore {
 
     /// The most recent checkpoint (what an alarm replayer typically starts
     /// from).
-    pub fn latest(&self) -> Option<&Checkpoint> {
+    pub fn latest(&self) -> Option<&Arc<Checkpoint>> {
         self.window.back()
     }
 
     /// The latest checkpoint at or before instruction `at_insn` — the
     /// "checkpoint immediately preceding the alarm" (§4.6.2). Falls back to
     /// the oldest retained checkpoint if the alarm predates the window.
-    pub fn before(&self, at_insn: u64) -> Option<&Checkpoint> {
+    pub fn before(&self, at_insn: u64) -> Option<&Arc<Checkpoint>> {
         self.window.iter().rev().find(|c| c.at_insn <= at_insn).or_else(|| self.window.front())
     }
 
@@ -68,7 +72,7 @@ impl CheckpointStore {
     }
 
     /// Iterates over retained checkpoints, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Checkpoint> {
+    pub fn iter(&self) -> impl Iterator<Item = &Arc<Checkpoint>> {
         self.window.iter()
     }
 }
@@ -84,8 +88,8 @@ mod tests {
     use rnr_machine::{CpuState, Mode};
     use rnr_ras::{BackRasTable, ThreadId};
 
-    fn checkpoint(id: u64, at_insn: u64) -> Checkpoint {
-        Checkpoint {
+    fn checkpoint(id: u64, at_insn: u64) -> Arc<Checkpoint> {
+        Arc::new(Checkpoint {
             id,
             at_insn,
             at_cycle: at_insn * 2,
@@ -106,7 +110,7 @@ mod tests {
             evict_store: HashMap::new(),
             dirty_pages: 0,
             dirty_blocks: 0,
-        }
+        })
     }
 
     #[test]

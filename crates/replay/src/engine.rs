@@ -1,6 +1,7 @@
 //! The deterministic replay engine.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,8 +192,9 @@ impl CaseKind {
 /// An alarm the CR could not discard, packaged for an alarm replayer.
 #[derive(Debug, Clone)]
 pub struct AlarmCase {
-    /// The checkpoint immediately preceding the alarm.
-    pub checkpoint: Checkpoint,
+    /// The checkpoint immediately preceding the alarm, shared with the
+    /// CR's checkpoint store and every other case it serves.
+    pub checkpoint: Arc<Checkpoint>,
     /// The alarm itself, tagged by detector family.
     pub kind: CaseKind,
     /// Index of the alarm record in the input log.
@@ -427,7 +429,7 @@ pub struct Replayer {
 /// so a rewound span never contains a checkpoint boundary.
 #[derive(Debug, Clone)]
 struct RecoveryPoint {
-    checkpoint: Checkpoint,
+    checkpoint: Arc<Checkpoint>,
     /// The replayer's own table *without* the checkpoint's extra
     /// save of the running thread's RAS — exact continuation state.
     backras: BackRasTable,
@@ -1066,19 +1068,19 @@ impl Replayer {
         let cost = self.cfg.costs.checkpoint(dirty_pages as u64, dirty_blocks as u64, cow_faults);
         self.vm.add_cycles(cost);
         self.attribution.charge_checkpoint(cost);
-        let checkpoint = Checkpoint {
+        let checkpoint = Arc::new(Checkpoint {
             id: self.next_checkpoint_id,
             at_cycle: self.vm.cycles(),
             evict_store: self.book.evicts().clone(),
             dirty_pages,
             dirty_blocks,
             ..self.capture()
-        };
+        });
         self.next_checkpoint_id += 1;
         self.last_checkpoint_cycle = self.vm.cycles();
         if self.cfg.resilient {
             self.recovery_point = Some(Box::new(RecoveryPoint {
-                checkpoint: checkpoint.clone(),
+                checkpoint: Arc::clone(&checkpoint),
                 backras: self.backras.clone(),
                 attribution: self.attribution.clone(),
                 landing: self.landing.clone(),

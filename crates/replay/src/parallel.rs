@@ -487,7 +487,7 @@ fn materialize_checkpoints(
     cfg: &ReplayConfig,
     jobs: &[SpanJob],
     fold: &Fold,
-) -> Result<(HashMap<u64, Checkpoint>, BlockStats), ReplayError> {
+) -> Result<(HashMap<u64, Arc<Checkpoint>>, BlockStats), ReplayError> {
     let needed: BTreeSet<u64> = fold.case_refs.iter().map(|c| c.placement).collect();
     let mut by_span: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     for id in needed {
@@ -509,14 +509,14 @@ fn materialize_checkpoints(
             // start from the serial twin's dirty baseline, or its first
             // periodic checkpoint would cost more.
             r.end_epoch();
-            let checkpoint = Checkpoint {
+            let checkpoint = Arc::new(Checkpoint {
                 id,
                 at_cycle: p.at_cycle,
                 evict_store: p.evicts.clone(),
                 dirty_pages: p.dirty_pages,
                 dirty_blocks: p.dirty_blocks,
                 ..r.capture()
-            };
+            });
             built.insert(id, checkpoint);
         }
         stats.merge(&r.block_stats());

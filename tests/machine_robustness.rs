@@ -6,7 +6,7 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
-use rnr_isa::{Assembler, Instruction, Opcode, Reg};
+use rnr_isa::{Assembler, Image, Instruction, Opcode, Reg};
 use rnr_machine::{Digest, Exit, FinishIo, GuestVm, MachineConfig, RunBudget};
 
 proptest! {
@@ -14,8 +14,10 @@ proptest! {
 
     /// Random code from a random entry slot: the VM always reaches a clean
     /// exit within the budget, and the three execution engines
-    /// (single-step, block dispatch, superblock traces) agree on every exit
-    /// with its retired count and virtual cycles, and on the final digest.
+    /// (single-step, block dispatch, superblock traces) agree with
+    /// single-stepping that decodes every instruction afresh (no decode
+    /// cache) on every exit with its retired count and virtual cycles, and
+    /// on the final digest.
     /// Raw random bytes rarely decode, so each 8-byte slot is a decodable
     /// instruction with random registers. Half the immediates are addresses
     /// inside the program, aligned or not, so branches, calls and stores
@@ -47,8 +49,8 @@ proptest! {
                 slot
             })
             .collect();
-        let run = |block_engine: bool, superblocks: bool| {
-            let mut config = MachineConfig { block_engine, superblocks, ..MachineConfig::default() };
+        let run = |decode_cache: bool, block_engine: bool, superblocks: bool| {
+            let mut config = MachineConfig { decode_cache, block_engine, superblocks, ..MachineConfig::default() };
             config.exits.rdtsc_exiting = false;
             let mut vm = GuestVm::new(config, &[]);
             vm.mem_mut().write_bytes(PROGRAM_BASE, &bytes).unwrap();
@@ -74,9 +76,73 @@ proptest! {
             }
             (events, vm.digest())
         };
-        let stepped = run(false, false);
-        prop_assert_eq!(&run(true, false), &stepped, "block engine diverged from single-step");
-        prop_assert_eq!(&run(true, true), &stepped, "superblock traces diverged from single-step");
+        let uncached = run(false, false, false);
+        prop_assert_eq!(&run(true, false, false), &uncached, "cached single-step diverged from uncached");
+        prop_assert_eq!(&run(true, true, false), &uncached, "block engine diverged from uncached single-step");
+        prop_assert_eq!(&run(true, true, true), &uncached, "superblock traces diverged from uncached single-step");
+    }
+
+    /// A hot loop that shares its page with the data word it writes every
+    /// iteration, and patches one of its own instruction words at a drawn
+    /// iteration: the data writes move the page's write version without
+    /// touching a decoded word (the cached layers re-stamp), and the patch
+    /// changes one (they must flush). Uncached single-step, cached
+    /// single-step, block dispatch and superblock traces agree on every
+    /// exit with its retired count and virtual cycles, on the final digest,
+    /// and on the accumulator.
+    #[test]
+    fn engines_agree_on_data_writes_and_a_patch_in_one_page(
+        iters in 80i32..150,
+        patch_at in 1i32..150,
+        patched in 0usize..8,
+        chunks in prop::collection::vec(3u64..97, 4..12),
+        ops in prop::collection::vec(0u8..6, 2..8),
+    ) {
+        let image = {
+            let mut asm = Assembler::new(0x1000);
+            let patch = Instruction::new(Opcode::Addi, Reg::R2, Reg::R2, Reg::R0, 5);
+            asm.movi(Reg::R1, 0);
+            asm.movi(Reg::R6, iters);
+            asm.movi(Reg::R7, patch_at);
+            asm.lea(Reg::R5, "data");
+            // The patched word: one of the loop's ALU ops (already run this
+            // iteration) or the `nop` after the patching store (run next).
+            asm.lea(Reg::R8, format!("op{}", patched % (ops.len() + 1)).as_str());
+            asm.movi64(Reg::R4, u64::from_le_bytes(patch.encode()));
+            asm.label("loop");
+            asm.addi(Reg::R1, Reg::R1, 1);
+            for (i, &op) in ops.iter().enumerate() {
+                asm.label(&format!("op{i}"));
+                match op {
+                    0 => asm.addi(Reg::R2, Reg::R2, 3),
+                    1 => asm.xor(Reg::R3, Reg::R1, Reg::R2),
+                    2 => asm.add(Reg::R2, Reg::R2, Reg::R3),
+                    3 => asm.mul(Reg::R3, Reg::R2, Reg::R1),
+                    4 => asm.shli(Reg::R3, Reg::R2, 3),
+                    _ => asm.sub(Reg::R3, Reg::R1, Reg::R2),
+                };
+            }
+            asm.st(Reg::R5, 0, Reg::R1); // the data write, every iteration
+            asm.bne(Reg::R1, Reg::R7, "tail");
+            asm.st(Reg::R8, 0, Reg::R4); // the code patch, once
+            asm.label("tail");
+            asm.label(&format!("op{}", ops.len()));
+            asm.nop();
+            asm.bne(Reg::R1, Reg::R6, "loop");
+            asm.hlt();
+            asm.label("data");
+            asm.word(0);
+            asm.assemble().unwrap()
+        };
+        let run = |decode_cache: bool, block_engine: bool, superblocks: bool| {
+            let cfg = MachineConfig { decode_cache, block_engine, superblocks, ..MachineConfig::default() };
+            run_hot_loop(&image, &chunks, cfg).0
+        };
+        let uncached = run(false, false, false);
+        prop_assert!(matches!(uncached.0.last(), Some((Exit::Halt, ..))));
+        prop_assert_eq!(&run(true, false, false), &uncached, "cached single-step diverged from uncached");
+        prop_assert_eq!(&run(true, true, false), &uncached, "block engine diverged from uncached single-step");
+        prop_assert_eq!(&run(true, true, true), &uncached, "superblock traces diverged from uncached single-step");
     }
 
     /// Differential check of the three execution engines — single-step,
@@ -126,22 +192,7 @@ proptest! {
             asm.assemble().unwrap()
         };
         let run = |block_engine: bool, superblocks: bool| {
-            let cfg = MachineConfig { block_engine, superblocks, ..MachineConfig::default() };
-            let mut vm = GuestVm::new(cfg, &[&image]);
-            vm.set_entry(image.base());
-            vm.cpu_mut().set_sp(0x8000);
-            let mut events = Vec::new();
-            let mut target = 0u64;
-            for i in 0.. {
-                target += chunks[i % chunks.len()];
-                let exit = vm.run(RunBudget::until(target));
-                events.push((exit.clone(), vm.retired(), vm.cycles()));
-                if !matches!(exit, Exit::BudgetExhausted) || i > 20_000 {
-                    break;
-                }
-            }
-            let trace_hits = vm.block_stats().trace_hits;
-            ((events, vm.digest(), vm.cpu().reg(Reg::R2)), trace_hits)
+            run_hot_loop(&image, &chunks, MachineConfig { block_engine, superblocks, ..MachineConfig::default() })
         };
         let (stepped, _) = run(false, false);
         let (blocks, block_traces) = run(true, false);
@@ -184,6 +235,30 @@ proptest! {
         // wild sp must fault, not panic — also exercised).
         let _ = vm.run(RunBudget::until(4));
     }
+}
+
+/// A hot-loop run's exits with `(retired, cycles)`, final digest and `r2`.
+type LoopRun = (Vec<(Exit, u64, u64)>, Digest, u64);
+
+/// Runs `image` from its base under `cfg` in budgets chopped by `chunks`
+/// until it stops on anything but the budget. Returns the run and the trace
+/// dispatch count.
+fn run_hot_loop(image: &Image, chunks: &[u64], cfg: MachineConfig) -> (LoopRun, u64) {
+    let mut vm = GuestVm::new(cfg, &[image]);
+    vm.set_entry(image.base());
+    vm.cpu_mut().set_sp(0x8000);
+    let mut events = Vec::new();
+    let mut target = 0u64;
+    for i in 0.. {
+        target += chunks[i % chunks.len()];
+        let exit = vm.run(RunBudget::until(target));
+        events.push((exit.clone(), vm.retired(), vm.cycles()));
+        if !matches!(exit, Exit::BudgetExhausted) || i > 20_000 {
+            break;
+        }
+    }
+    let trace_hits = vm.block_stats().trace_hits;
+    ((events, vm.digest(), vm.cpu().reg(Reg::R2)), trace_hits)
 }
 
 /// Every byte that decodes as an opcode.
