@@ -159,6 +159,19 @@ fn bench_record_replay(c: &mut Criterion) {
             std::hint::black_box(out.cycles);
         });
     });
+    // Steady state: Radiosity retires almost every instruction inside
+    // superblock traces, so this row follows the trace executor.
+    const TRACE_INSNS: u64 = 2_000_000;
+    g.throughput(Throughput::Elements(TRACE_INSNS));
+    g.bench_function("replay_radiosity_2m_insns", |b| {
+        let spec = Workload::Radiosity.spec(false);
+        let rec = Recorder::new(&spec, RecordConfig::new(RecordMode::Rec, 42, TRACE_INSNS)).unwrap().run();
+        let log = Arc::clone(&rec.log);
+        b.iter(|| {
+            let out = Replayer::new(&spec, Arc::clone(&log), ReplayConfig::default()).run().unwrap();
+            std::hint::black_box(out.cycles);
+        });
+    });
     g.finish();
 }
 

@@ -78,39 +78,26 @@ const UNTRACEABLE: u16 = u16::MAX;
 /// "No successor observed yet" marker in the edge-profile array.
 const NO_SUCC: Addr = Addr::MAX;
 
-/// How a trace op executes: straight-line ops batch through the fast
-/// interpreter; control transfers run through the same semantics core as
-/// the stepper, with a guard on the expected next PC. Every other opcode
-/// (privileged, IO, interrupt-flag, `Rdtsc`, `Hlt`,
-/// `Syscall`/`Sysret`/`Iret`) ends trace formation, so a running trace can
-/// never change the halt/interrupt state or observe the cycle counter
-/// mid-flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStep {
-    /// Non-store straight-line instruction.
-    Straight,
-    /// Store-class straight-line instruction (`St`/`St8`/`Push`): the
-    /// executor checks the written range against the trace's op-slot map
-    /// after it (self-modification side-exits).
-    StraightStore,
-    /// Control transfer (jump, branch, call, return), guarded on the
-    /// successor observed at build time: static for direct jumps and
-    /// calls, profiled otherwise.
-    Control,
-}
-
-/// One flattened instruction of a superblock trace.
+/// One flattened instruction of a superblock trace. An op is a
+/// straight-line instruction or a control transfer (jump, branch, call,
+/// return, indirect jump), and the executor dispatches on its opcode alone:
+/// stores check the written range against the trace's op-slot map
+/// (self-modification side-exits), and control transfers check the guard
+/// in `expect`. Every other opcode (privileged, IO, interrupt-flag,
+/// `Rdtsc`, `Hlt`, `Syscall`/`Sysret`/`Iret`) ends trace formation, so a
+/// running trace can never change the halt/interrupt state or observe the
+/// cycle counter mid-flight.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceOp {
     /// The op's own PC (partial commits restore from here).
     pub pc: Addr,
     /// The decoded instruction.
     pub insn: Instruction,
-    /// Execution kind, classified at build time.
-    pub step: TraceStep,
     /// The next PC the trace expects to execute: the following op's `pc`,
-    /// or the trace's `end_pc` for the last op. Control transfers whose
-    /// actual next PC differs side-exit the trace here.
+    /// or the trace's `end_pc` for the last op. For a control transfer this
+    /// is the successor observed at build time (static for direct jumps
+    /// and calls, profiled otherwise); a transfer whose actual next PC
+    /// differs side-exits the trace here.
     pub expect: Addr,
 }
 
