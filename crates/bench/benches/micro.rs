@@ -77,6 +77,23 @@ fn bench_checkpoint(c: &mut Criterion) {
         let mem = Memory::new(4 << 20);
         b.iter(|| std::hint::black_box(mem.snapshot_pages()));
     });
+    g.bench_function("capture_4mib_13_dirty", |b| {
+        // The mean `rop_attack` CR interval: 13 pages, in 5 chunks, written
+        // between captures. Each capture is taken against the previous one
+        // and replaces it, as the CR's retention window recycles its oldest
+        // checkpoint; the writes' page copies and the release are timed too.
+        const DIRTY: [u64; 13] = [0, 1, 2, 3, 100, 101, 102, 330, 331, 650, 651, 1000, 1001];
+        let mut mem = Memory::new(4 << 20);
+        let mut base = mem.snapshot_pages();
+        let mut round = 0u64;
+        b.iter(|| {
+            round += 1;
+            for page in DIRTY {
+                mem.write_u64(page * PAGE_SIZE as u64, round).unwrap();
+            }
+            base = mem.snapshot(Some(&base));
+        });
+    });
     g.bench_function("cow_first_write_after_snapshot", |b| {
         b.iter_batched(
             || {

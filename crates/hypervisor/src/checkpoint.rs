@@ -2,23 +2,25 @@
 //! replayers' checkpoints are one type, taken by one capture.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use rnr_isa::Addr;
 use rnr_log::LogCursor;
-use rnr_machine::{CpuState, GuestVm, Page};
+use rnr_machine::{CpuState, GuestVm, PageTable};
 use rnr_ras::{BackRasEntry, BackRasTable, ThreadId};
 
-use crate::DiskDevice;
+use crate::{DiskDevice, DiskSnapshot};
 
 /// One checkpoint of a VM.
 ///
 /// Matches the three components of Figure 4: (1) all VM state — memory
 /// pages, a processor-state page, and the virtual disk contents; (2) the
-/// `InputLogPtr`; (3) the BackRAS. Pages and blocks are reference-counted,
-/// so consecutive checkpoints share everything that did not change — the
-/// paper's incremental scheme ("for each unmodified page or block, it keeps
-/// a pointer to it in the latest checkpoint that modified it").
+/// `InputLogPtr`; (3) the BackRAS. Pages and blocks are held in chunk
+/// tables ([`PageTable`]) that consecutive checkpoints of one producer
+/// share chunk by chunk, so a checkpoint holds its own copy only of the
+/// chunks its interval wrote and points into its predecessors for the rest
+/// — the paper's incremental scheme ("for each unmodified page or block, it
+/// keeps a pointer to it in the latest checkpoint that modified it").
+/// Releasing a checkpoint frees only the chunks no newer one shares.
 ///
 /// The recorder's span seeds (DESIGN.md §11) are checkpoints too: a seed
 /// is what [`Checkpoint::capture`] returns, a checkpoint with no
@@ -34,12 +36,13 @@ pub struct Checkpoint {
     /// Processor state (PC, stack pointer, all registers — §4.6.1) plus the
     /// live RAS entries.
     pub cpu: CpuState,
-    /// All memory pages (shared `Arc`s; only dirty ones were copied).
-    pub mem_pages: Vec<Arc<Page>>,
-    /// The virtual disk controller: contents (shared `Arc` blocks), latched
-    /// request registers, and any in-flight operation awaiting its logged
-    /// completion interrupt.
-    pub disk: DiskDevice,
+    /// All memory pages, in chunks shared with the base the capture was
+    /// taken against.
+    pub mem_pages: PageTable,
+    /// The virtual disk controller: its block table (chunks shared like the
+    /// pages'), latched request registers, and any in-flight operation
+    /// awaiting its logged completion interrupt.
+    pub disk: DiskSnapshot,
     /// The BackRAS at the checkpoint, including the running thread's RAS
     /// ("the hardware automatically saves the RAS into the BackRAS" before
     /// the dump, §4.6.1).
@@ -64,6 +67,14 @@ impl Checkpoint {
     /// history: `id` 0, `at_cycle` 0, no outstanding evicts and no dirty
     /// counts; a replayer's checkpoint sets those itself.
     ///
+    /// `base` is the same producer's previous capture of this VM, still
+    /// alive: the CR's latest checkpoint, the span fold's previous
+    /// materialization, the recorder's previous seed. The snapshot shares
+    /// each of its page and block chunks that the VM has not written since,
+    /// so a capture costs one pointer compare per page and block plus the
+    /// chunks written. Any base is correct; a capture with none shares
+    /// nothing.
+    ///
     /// Pure reads and `Arc` clones only, so a recording that captures seeds
     /// is byte-identical to one that does not: the running thread's RAS is
     /// folded into a copy of the BackRAS, not saved through the RAS unit,
@@ -75,6 +86,7 @@ impl Checkpoint {
         current_tid: ThreadId,
         dying: Option<ThreadId>,
         cursor: LogCursor,
+        base: Option<&Checkpoint>,
     ) -> Checkpoint {
         let cpu = vm.cpu().save_state();
         let mut backras = backras.clone();
@@ -84,8 +96,8 @@ impl Checkpoint {
             at_insn: vm.retired(),
             at_cycle: 0,
             cpu,
-            mem_pages: vm.mem().snapshot_pages(),
-            disk: disk.clone(),
+            mem_pages: vm.mem().snapshot(base.map(|b| &b.mem_pages)),
+            disk: disk.snapshot(base.map(|b| &b.disk)),
             backras,
             current_tid,
             dying,

@@ -5,8 +5,8 @@ use std::collections::VecDeque;
 use rnr_guest::layout::{NIC_MTU, NIC_RX_BUF};
 use rnr_isa::Addr;
 use rnr_machine::{
-    BlockStore, GuestVm, DISK_CMD_READ, DISK_CMD_WRITE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT,
-    PORT_DISK_SECTOR, SECTOR_SIZE,
+    BlockSnapshot, BlockStore, GuestVm, PageTable, DISK_CMD_READ, DISK_CMD_WRITE, PORT_DISK_ADDR,
+    PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR, SECTOR_SIZE,
 };
 
 /// An in-flight disk operation.
@@ -41,6 +41,29 @@ pub struct DiskDevice {
     in_flight: Option<DiskOp>,
 }
 
+/// The disk controller at a checkpoint ([`DiskDevice::snapshot`]): the
+/// block table, the latched request registers and the operation in flight.
+#[derive(Debug, Clone, Default)]
+pub struct DiskSnapshot {
+    store: BlockSnapshot,
+    sector: u64,
+    addr: u64,
+    count: u64,
+    in_flight: Option<DiskOp>,
+}
+
+impl DiskSnapshot {
+    /// The disk contents.
+    pub fn blocks(&self) -> &PageTable {
+        self.store.blocks()
+    }
+
+    /// The operation in flight at the capture, if any.
+    pub fn in_flight(&self) -> Option<DiskOp> {
+        self.in_flight
+    }
+}
+
 impl DiskDevice {
     /// A controller over a disk of `bytes` capacity, deterministically
     /// filled from `content_seed` (the "disk image").
@@ -63,6 +86,29 @@ impl DiskDevice {
     /// The operation in flight, if any.
     pub fn in_flight(&self) -> Option<DiskOp> {
         self.in_flight
+    }
+
+    /// The controller and its disk at this instant, sharing with `base`
+    /// (the same producer's previous snapshot) every chunk of blocks not
+    /// written since ([`BlockStore::snapshot`]). A pure read.
+    pub fn snapshot(&self, base: Option<&DiskSnapshot>) -> DiskSnapshot {
+        DiskSnapshot {
+            store: self.store.snapshot(base.map(|b| &b.store)),
+            sector: self.sector,
+            addr: self.addr,
+            count: self.count,
+            in_flight: self.in_flight,
+        }
+    }
+
+    /// Puts a snapshot's registers, operation and blocks in place
+    /// ([`BlockStore::restore`]).
+    pub fn restore(&mut self, snap: &DiskSnapshot) {
+        self.store.restore(&snap.store);
+        self.sector = snap.sector;
+        self.addr = snap.addr;
+        self.count = snap.count;
+        self.in_flight = snap.in_flight;
     }
 
     /// Sets the completion time of the in-flight operation (the recorder's

@@ -43,7 +43,7 @@ mod spec;
 
 pub use attribution::CycleAttribution;
 pub use checkpoint::Checkpoint;
-pub use devices::{DiskDevice, NicDevice};
+pub use devices::{DiskDevice, DiskSnapshot, NicDevice};
 pub use introspect::Introspector;
 pub use nondet::{NetProfile, NondetSource, PacketInjection};
 pub use recorder::{verification_digest, RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder};

@@ -398,6 +398,7 @@ impl Recorder {
                     self.current_tid,
                     self.dying,
                     cursor,
+                    self.span_seeds.last(),
                 );
                 self.span_seeds.push(seed);
                 self.next_seed_at =

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::mem::{Page, PAGE_SIZE};
-use crate::SECTOR_SIZE;
+use crate::{PageTable, SECTOR_SIZE};
 
 type Block = Page;
 
@@ -13,7 +13,10 @@ type Block = Page;
 /// Internally page-granular and copy-on-write, exactly like
 /// [`Memory`](crate::Memory): checkpoints snapshot "the memory pages **and disk
 /// blocks** modified since the prior checkpoint" (§4.6.1), so the disk uses
-/// the same epoch-based dirty tracking.
+/// the same epoch-based dirty tracking, and a snapshot
+/// ([`BlockStore::snapshot`]) holds its blocks in the same chunk-shared
+/// [`PageTable`] as memory's, not a copy of the live store's dirty-tracking
+/// vectors.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
     blocks: Vec<Arc<Block>>,
@@ -23,6 +26,23 @@ pub struct BlockStore {
     // exactly the indices with `dirty_epoch[i] == epoch`, each once.
     dirty: Vec<usize>,
     epoch: u64,
+}
+
+/// A [`BlockStore`] at one instant ([`BlockStore::snapshot`]).
+#[derive(Debug, Clone, Default)]
+pub struct BlockSnapshot {
+    blocks: PageTable,
+    // Blocks written in the dirty-tracking epoch open at the capture: none
+    // for a replayer's checkpoint, which closes the epoch first; every
+    // block for a recorder's seed, whose disk-image fill marked them all.
+    written: Vec<usize>,
+}
+
+impl BlockSnapshot {
+    /// The blocks.
+    pub fn blocks(&self) -> &PageTable {
+        &self.blocks
+    }
 }
 
 /// Error from out-of-range sector access.
@@ -120,28 +140,41 @@ impl BlockStore {
         dirty
     }
 
-    /// Marks every block written in the current epoch (a restore or a fresh
-    /// image replaces them all).
+    /// Marks every block written in the current epoch (a fresh image
+    /// replaces them all).
     fn mark_all_dirty(&mut self) {
         let e = self.epoch;
         self.dirty_epoch.fill(e);
         self.dirty = (0..self.blocks.len()).collect();
     }
 
-    /// Cheap reference-counted snapshot of all blocks.
-    pub fn snapshot_blocks(&self) -> Vec<Arc<Block>> {
-        self.blocks.clone()
+    /// A snapshot of every block and of the blocks written in the open
+    /// epoch. With a `base`, the same producer's previous snapshot of this
+    /// store, it shares each of the base's chunks in which no block was
+    /// written since ([`PageTable`]). A pure read.
+    pub fn snapshot(&self, base: Option<&BlockSnapshot>) -> BlockSnapshot {
+        BlockSnapshot {
+            blocks: PageTable::capture(&self.blocks, base.map(|b| &b.blocks)),
+            written: self.dirty.clone(),
+        }
     }
 
-    /// Restores a snapshot taken with [`BlockStore::snapshot_blocks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot has a different block count.
-    pub fn restore_blocks(&mut self, blocks: Vec<Arc<Block>>) {
-        assert_eq!(blocks.len(), self.blocks.len(), "snapshot size mismatch");
-        self.blocks = blocks;
-        self.mark_all_dirty();
+    /// Puts a snapshot's blocks in place, swapping only the pointers that
+    /// differ, and marks written exactly the blocks that were written in
+    /// the epoch open at its capture, so the next closed epoch reports
+    /// those plus the blocks written after the restore. A store of another
+    /// size (a replayer resuming from a checkpoint starts from an empty
+    /// disk) is first replaced by a zeroed one of the snapshot's size.
+    pub fn restore(&mut self, snap: &BlockSnapshot) {
+        if self.blocks.len() != snap.blocks.len() {
+            *self = BlockStore::new(snap.blocks.len() * PAGE_SIZE);
+        }
+        snap.blocks.restore_into(&mut self.blocks, |_| {});
+        self.epoch += 1;
+        for &b in &snap.written {
+            self.dirty_epoch[b] = self.epoch;
+        }
+        self.dirty.clone_from(&snap.written);
     }
 
     /// FNV-1a digest of the full disk contents (combined with the VM digest
@@ -233,18 +266,23 @@ mod tests {
     }
 
     #[test]
-    fn begin_epoch_is_o_dirty_and_restore_marks_all() {
+    fn begin_epoch_is_o_dirty_and_restore_brings_back_the_marks() {
         let per = BlockStore::SECTORS_PER_BLOCK as u64;
         let mut d = BlockStore::new(PAGE_SIZE * 3);
         d.write_sector(2 * per, &[1; SECTOR_SIZE]).unwrap();
         d.write_sector(0, &[1; SECTOR_SIZE]).unwrap();
         d.write_sector(1, &[1; SECTOR_SIZE]).unwrap();
         assert_eq!(d.begin_epoch(), vec![0, 2], "dirty list reported once each, in ascending order");
-        let snap = d.snapshot_blocks();
-        d.restore_blocks(snap);
-        // After a restore every block belongs to the new baseline.
-        assert_eq!(d.begin_epoch(), vec![0, 1, 2]);
-        assert!(d.begin_epoch().is_empty());
+        let closed = d.snapshot(None);
+        d.write_sector(per, &[2; SECTOR_SIZE]).unwrap();
+        let open = d.snapshot(Some(&closed));
+        d.write_sector(2 * per, &[2; SECTOR_SIZE]).unwrap();
+        // A restore marks what was written in the epoch open at the capture.
+        d.restore(&open);
+        assert_eq!(d.begin_epoch(), vec![1]);
+        d.write_sector(0, &[2; SECTOR_SIZE]).unwrap();
+        d.restore(&closed);
+        assert!(d.begin_epoch().is_empty(), "a capture right after an epoch closed marks nothing");
         d.fill_deterministic(7);
         assert_eq!(d.begin_epoch(), vec![0, 1, 2], "a fresh image marks every block");
         assert!(d.begin_epoch().is_empty());
@@ -276,17 +314,17 @@ mod tests {
         #[test]
         fn dirty_list_matches_a_full_scan(ops in prop::collection::vec(op(), 1..64)) {
             let mut d = BlockStore::new(PAGE_SIZE * DISK_BLOCKS);
-            let mut snap = d.snapshot_blocks();
+            let mut snap = d.snapshot(None);
             for op in ops {
                 match op {
                     Op::Write(sector) => d.write_sector(sector, &[sector as u8; SECTOR_SIZE]).unwrap(),
-                    Op::Restore => d.restore_blocks(snap.clone()),
+                    Op::Restore => d.restore(&snap),
                     Op::Fill(seed) => d.fill_deterministic(seed),
                     Op::Epoch => {
                         let scan: Vec<usize> =
                             (0..DISK_BLOCKS).filter(|&b| d.dirty_epoch[b] == d.epoch).collect();
                         prop_assert_eq!(d.begin_epoch(), scan);
-                        snap = d.snapshot_blocks();
+                        snap = d.snapshot(Some(&snap));
                     }
                 }
             }
@@ -297,9 +335,9 @@ mod tests {
     fn snapshot_isolation() {
         let mut d = BlockStore::new(PAGE_SIZE);
         d.write_sector(0, &[1; SECTOR_SIZE]).unwrap();
-        let snap = d.snapshot_blocks();
+        let snap = d.snapshot(None);
         d.write_sector(0, &[2; SECTOR_SIZE]).unwrap();
-        d.restore_blocks(snap);
+        d.restore(&snap);
         let mut buf = [0u8; SECTOR_SIZE];
         d.read_sector(0, &mut buf).unwrap();
         assert_eq!(buf, [1; SECTOR_SIZE]);

@@ -805,7 +805,7 @@ mod tests {
         let mut cache = BlockCache::new();
         mem.write_u8(0x10, 7).unwrap();
         cache.insert(0x0, insn(1), &mem);
-        mem.restore_pages(snap);
+        mem.restore_pages(&snap);
         assert_eq!(cache.get(0x0, &mem), None, "restore of a differing page flushes");
     }
 
@@ -818,7 +818,7 @@ mod tests {
         // Nothing was written between snapshot and restore: the pages are
         // the same `Arc`s, the content cannot have changed, and the decode
         // survives (the warm-restore optimization for CR rewinds).
-        mem.restore_pages(snap);
+        mem.restore_pages(&snap);
         assert_eq!(cache.get(0x0, &mem), Some(insn(1)));
     }
 

@@ -39,16 +39,18 @@ mod icache;
 mod jop;
 mod mem;
 mod ports;
+mod table;
 mod vm;
 
 pub use config::MachineConfig;
 pub use cost::CostModel;
 pub use cpu::{Cpu, CpuState, Mode};
 pub use digest::{fnv1a, Digest, Fnv1a};
-pub use disk::BlockStore;
+pub use disk::{BlockSnapshot, BlockStore};
 pub use exit::{CallRetTrap, Exit, ExitControls, FaultKind, FinishIo};
 pub use icache::{BlockCache, BlockInfo, BlockStats, SharedPageCache};
 pub use jop::JopTable;
 pub use mem::{MemError, Memory, Page, PAGE_SIZE};
 pub use ports::*;
+pub use table::{PageTable, CHUNK_PAGES};
 pub use vm::{GuestVm, InjectError, RunBudget};

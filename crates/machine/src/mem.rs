@@ -8,6 +8,7 @@ use std::sync::Arc;
 use rnr_isa::Addr;
 
 use crate::digest::Fnv1a;
+use crate::PageTable;
 
 /// Guest page size in bytes (matches the paper's x86 hosts).
 pub const PAGE_SIZE: usize = 4096;
@@ -103,10 +104,12 @@ impl std::error::Error for MemError {}
 
 /// Byte-addressable guest physical memory.
 ///
-/// Pages are reference-counted ([`Arc`]), so taking a checkpoint is a cheap
-/// clone of the page table; the first write to a shared page copies it —
-/// the same copy-on-write scheme the paper borrows from Linux `fork` for its
-/// checkpointing replayer (§7.4).
+/// Pages are reference-counted ([`Arc`]), so a snapshot
+/// ([`Memory::snapshot`], a [`PageTable`]) shares them instead of copying
+/// bytes; the first write to a shared page copies it — the same
+/// copy-on-write scheme the paper borrows from Linux `fork` for its
+/// checkpointing replayer (§7.4). The live page table stays flat, so reads
+/// and writes index it directly.
 ///
 /// Each page carries the *epoch* of its last write. Epochs advance at
 /// checkpoints, so "pages modified since the previous checkpoint" (the
@@ -306,9 +309,19 @@ impl Memory {
         std::mem::take(&mut self.cow_faults)
     }
 
-    /// A cheap snapshot of all pages (reference-counted clones).
-    pub fn snapshot_pages(&self) -> Vec<Arc<Page>> {
-        self.pages.clone()
+    /// A snapshot of every page. With a `base`, the same producer's
+    /// previous snapshot of this memory, it shares each of the base's chunks
+    /// in which no page was written since: one pointer compare per page,
+    /// plus a new chunk per chunk written ([`PageTable`]). A pure read; the
+    /// dirty-tracking epoch is the caller's to close.
+    pub fn snapshot(&self, base: Option<&PageTable>) -> PageTable {
+        PageTable::capture(&self.pages, base)
+    }
+
+    /// A snapshot that shares no chunk with an earlier one:
+    /// [`Memory::snapshot`] with no base.
+    pub fn snapshot_pages(&self) -> PageTable {
+        self.snapshot(None)
     }
 
     /// The reference-counted page at `index`, if in range. Pointer identity
@@ -324,21 +337,21 @@ impl Memory {
         self.pages.iter().map(|p| &**p)
     }
 
-    /// Replaces the entire contents from a snapshot.
-    pub fn restore_pages(&mut self, pages: Vec<Arc<Page>>) {
-        assert_eq!(pages.len(), self.pages.len(), "snapshot size mismatch");
+    /// Replaces the entire contents from a snapshot, taken by reference:
+    /// only the page pointers that differ from the snapshot's are swapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot has a different page count.
+    pub fn restore_pages(&mut self, table: &PageTable) {
         // Pages are immutable behind their `Arc`: pointer equality implies
         // identical content, so only pages that actually changed invalidate
         // derived per-page caches (decoded blocks stay warm across a CR
         // rewind to its last checkpoint). The dirty / CoW accounting below
         // stays unconditional — virtual costs must not depend on pointer
         // sharing.
-        for (index, new) in pages.iter().enumerate() {
-            if !Arc::ptr_eq(&self.pages[index], new) {
-                self.versions[index] = self.versions[index].wrapping_add(1);
-            }
-        }
-        self.pages = pages;
+        let versions = &mut self.versions;
+        table.restore_into(&mut self.pages, |index| versions[index] = versions[index].wrapping_add(1));
         // All restored pages belong to the new epoch's baseline.
         let e = self.epoch;
         self.dirty_epoch.fill(e);
@@ -389,7 +402,7 @@ mod tests {
         let snap = m.snapshot_pages();
         m.write_u64(0, 2).unwrap();
         assert_eq!(m.read_u64(0).unwrap(), 2);
-        m.restore_pages(snap);
+        m.restore_pages(&snap);
         assert_eq!(m.read_u64(0).unwrap(), 1);
     }
 
@@ -419,7 +432,7 @@ mod tests {
         m.write_u8(0, 2).unwrap();
         let v2 = m.page_version(0);
         assert_ne!(v1, v2);
-        m.restore_pages(snap);
+        m.restore_pages(&snap);
         // A restore invalidates exactly the pages whose content could have
         // changed: page 0 was written after the snapshot (its Arc differs),
         // page 1 was never touched and still shares the snapshot's Arc.
@@ -434,7 +447,7 @@ mod tests {
         m.write_u8(0, 1).unwrap();
         assert_eq!(m.begin_epoch(), vec![0, 2], "dirty list reported in ascending order");
         let snap = m.snapshot_pages();
-        m.restore_pages(snap);
+        m.restore_pages(&snap);
         // After a restore every page belongs to the new baseline.
         assert_eq!(m.begin_epoch(), vec![0, 1, 2]);
         assert!(m.begin_epoch().is_empty());

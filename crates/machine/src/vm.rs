@@ -2025,7 +2025,7 @@ mod tests {
 
     fn reference_disk_digest(disk: &crate::BlockStore) -> Digest {
         let mut h = Fnv1a::new();
-        for block in disk.snapshot_blocks() {
+        for block in disk.snapshot(None).blocks().iter() {
             h.update_u64(raw_page_hash(&block[..]));
         }
         h.finish()
@@ -2074,7 +2074,7 @@ mod tests {
         ) {
             let mut vm = GuestVm::new(MachineConfig::default(), &[]);
             let mut disk = crate::BlockStore::new(MEMO_BLOCKS * crate::PAGE_SIZE);
-            let mut snaps = vec![(vm.mem().snapshot_pages(), disk.snapshot_blocks())];
+            let mut snaps = vec![(vm.mem().snapshot_pages(), disk.snapshot(None))];
             let mut clones: Vec<(GuestVm, Digest)> = Vec::new();
             for op in ops {
                 match op {
@@ -2082,11 +2082,15 @@ mod tests {
                     StateOp::U64(a, v) => vm.mem_mut().write_u64(a, v).unwrap(),
                     StateOp::Bytes(a, n, v) => vm.mem_mut().write_bytes(a, &vec![v; n]).unwrap(),
                     StateOp::Sector(s, v) => disk.write_sector(s, &[v; crate::SECTOR_SIZE]).unwrap(),
-                    StateOp::Snapshot => snaps.push((vm.mem().snapshot_pages(), disk.snapshot_blocks())),
+                    StateOp::Snapshot => {
+                        let (pages, blocks) = snaps.last().expect("the first snapshot is never popped");
+                        let snap = (vm.mem().snapshot(Some(pages)), disk.snapshot(Some(blocks)));
+                        snaps.push(snap);
+                    }
                     StateOp::Restore(i) => {
-                        let (pages, blocks) = snaps[i % snaps.len()].clone();
+                        let (pages, blocks) = &snaps[i % snaps.len()];
                         vm.mem_mut().restore_pages(pages);
-                        disk.restore_blocks(blocks);
+                        disk.restore(blocks);
                     }
                     StateOp::Fill(seed) => disk.fill_deterministic(seed),
                     StateOp::Clone => {

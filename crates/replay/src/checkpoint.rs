@@ -10,7 +10,7 @@ use rnr_hypervisor::Checkpoint;
 /// "RnR-Safe only needs to keep as many checkpoints as the duration of the
 /// time window... plus two — to ensure the correct checkpoint is not
 /// prematurely overwritten" (§8.4). Old checkpoints are recycled; dropping
-/// the `Arc`s releases any page whose content no later checkpoint shares.
+/// one releases only the page and block chunks no later checkpoint shares.
 /// Each checkpoint is held behind one `Arc` that the CR's recovery point and
 /// every alarm case it serves share, so handing one out copies no page
 /// table.
@@ -82,10 +82,10 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use rnr_hypervisor::DiskDevice;
+    use rnr_hypervisor::DiskSnapshot;
     use rnr_isa::Reg;
     use rnr_log::LogCursor;
-    use rnr_machine::{CpuState, Mode};
+    use rnr_machine::{CpuState, Mode, PageTable};
     use rnr_ras::{BackRasTable, ThreadId};
 
     fn checkpoint(id: u64, at_insn: u64) -> Arc<Checkpoint> {
@@ -101,8 +101,8 @@ mod tests {
                 halted: false,
                 ras_entries: vec![],
             },
-            mem_pages: vec![],
-            disk: DiskDevice::new(4096, 0),
+            mem_pages: PageTable::default(),
+            disk: DiskSnapshot::default(),
             backras: BackRasTable::new(),
             current_tid: ThreadId(1),
             dying: None,

@@ -576,14 +576,15 @@ impl Replayer {
     }
 
     /// Puts every component of `cp` in place: pages, processor state,
-    /// counters, disk, BackRAS, threads and log position. The page restore
-    /// marks every page dirty; each caller keeps its own rule for those
-    /// marks.
+    /// counters, disk, BackRAS, threads and log position. Pages and blocks
+    /// are taken by reference, swapping only the pointers that differ. The
+    /// page restore marks every page dirty; each caller keeps its own rule
+    /// for those marks.
     fn restore(&mut self, cp: &Checkpoint) {
-        self.vm.mem_mut().restore_pages(cp.mem_pages.clone());
+        self.vm.mem_mut().restore_pages(&cp.mem_pages);
         self.vm.cpu_mut().restore_state(&cp.cpu);
         self.vm.restore_counters(cp.at_insn, cp.at_cycle);
-        self.disk = cp.disk.clone();
+        self.disk.restore(&cp.disk);
         self.backras = cp.backras.clone();
         self.current_tid = cp.current_tid;
         self.dying = cp.dying;
@@ -591,10 +592,19 @@ impl Replayer {
     }
 
     /// The replayer's state as a [`Checkpoint`] with no replay-side history
-    /// ([`Checkpoint::capture`]); callers that charge or account a
-    /// checkpoint close the dirty-tracking epoch first.
-    pub(crate) fn capture(&self) -> Checkpoint {
-        Checkpoint::capture(&self.vm, &self.disk, &self.backras, self.current_tid, self.dying, self.cursor)
+    /// ([`Checkpoint::capture`]), sharing `base`'s unwritten chunks; callers
+    /// that charge or account a checkpoint close the dirty-tracking epoch
+    /// first.
+    pub(crate) fn capture(&self, base: Option<&Checkpoint>) -> Checkpoint {
+        Checkpoint::capture(
+            &self.vm,
+            &self.disk,
+            &self.backras,
+            self.current_tid,
+            self.dying,
+            self.cursor,
+            base,
+        )
     }
 
     /// Closes the dirty-tracking epoch of memory and disk, returning the
@@ -1074,7 +1084,7 @@ impl Replayer {
             evict_store: self.book.evicts().clone(),
             dirty_pages,
             dirty_blocks,
-            ..self.capture()
+            ..self.capture(self.store.latest().map(Arc::as_ref))
         });
         self.next_checkpoint_id += 1;
         self.last_checkpoint_cycle = self.vm.cycles();

@@ -497,6 +497,9 @@ fn materialize_checkpoints(
     let mut stats = BlockStats::default();
     for (span, ids) in by_span {
         let mut r = build_replayer(spec, worker_cfg(cfg), &jobs[span]);
+        // Each snapshot shares the chunks its predecessor in the span (the
+        // span's seed for the first) holds and the span has not written.
+        let mut base: Option<Arc<Checkpoint>> = None;
         // Placement ids ascend with record order, so one pass per span
         // reaches every snapshot point without restarting.
         for id in ids {
@@ -515,8 +518,9 @@ fn materialize_checkpoints(
                 evict_store: p.evicts.clone(),
                 dirty_pages: p.dirty_pages,
                 dirty_blocks: p.dirty_blocks,
-                ..r.capture()
+                ..r.capture(base.as_deref().or(jobs[span].seed.as_ref()))
             });
+            base = Some(Arc::clone(&checkpoint));
             built.insert(id, checkpoint);
         }
         stats.merge(&r.block_stats());

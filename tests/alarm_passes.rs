@@ -109,13 +109,13 @@ fn assert_checkpoints_equal(span: &Checkpoint, serial: &Checkpoint, what: &str) 
     assert_eq!(span.cpu, serial.cpu, "{what}: CPU state");
     assert_eq!(span.backras, serial.backras, "{what}: BackRAS");
     assert_eq!(span.mem_pages.len(), serial.mem_pages.len(), "{what}: page count");
-    for (i, (a, b)) in span.mem_pages.iter().zip(&serial.mem_pages).enumerate() {
+    for (i, (a, b)) in span.mem_pages.iter().zip(serial.mem_pages.iter()).enumerate() {
         assert!(a[..] == b[..], "{what}: page {i}");
     }
     assert_eq!(span.disk.in_flight(), serial.disk.in_flight(), "{what}: disk operation in flight");
-    let (a, b) = (span.disk.store().snapshot_blocks(), serial.disk.store().snapshot_blocks());
+    let (a, b) = (span.disk.blocks(), serial.disk.blocks());
     assert_eq!(a.len(), b.len(), "{what}: disk block count");
-    for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+    for (i, (a, b)) in a.iter().zip(b.iter()).enumerate() {
         assert!(a[..] == b[..], "{what}: disk block {i}");
     }
 }
