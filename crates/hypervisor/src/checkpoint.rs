@@ -5,10 +5,10 @@ use std::collections::HashMap;
 
 use rnr_isa::Addr;
 use rnr_log::LogCursor;
-use rnr_machine::{CpuState, GuestVm, PageTable};
+use rnr_machine::{CpuState, PageTable};
 use rnr_ras::{BackRasEntry, BackRasTable, ThreadId};
 
-use crate::{DiskDevice, DiskSnapshot};
+use crate::{DiskSnapshot, GuestHost};
 
 /// One checkpoint of a VM.
 ///
@@ -62,10 +62,10 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Snapshots `vm`, its disk and the hypervisor's BackRAS bookkeeping,
-    /// with the log position at `cursor`. The snapshot has no replay-side
-    /// history: `id` 0, `at_cycle` 0, no outstanding evicts and no dirty
-    /// counts; a replayer's checkpoint sets those itself.
+    /// Snapshots `host`'s VM, its disk and the BackRAS bookkeeping, with the
+    /// log position at `cursor`. The snapshot has no replay-side history:
+    /// `id` 0, `at_cycle` 0, no outstanding evicts and no dirty counts; a
+    /// replayer's checkpoint sets those itself.
     ///
     /// `base` is the same producer's previous capture of this VM, still
     /// alive: the CR's latest checkpoint, the span fold's previous
@@ -79,28 +79,20 @@ impl Checkpoint {
     /// is byte-identical to one that does not: the running thread's RAS is
     /// folded into a copy of the BackRAS, not saved through the RAS unit,
     /// whose hardware counters feed the recording report.
-    pub fn capture(
-        vm: &GuestVm,
-        disk: &DiskDevice,
-        backras: &BackRasTable,
-        current_tid: ThreadId,
-        dying: Option<ThreadId>,
-        cursor: LogCursor,
-        base: Option<&Checkpoint>,
-    ) -> Checkpoint {
-        let cpu = vm.cpu().save_state();
-        let mut backras = backras.clone();
-        backras.save(current_tid, BackRasEntry::from_entries(cpu.ras_entries.clone()));
+    pub fn capture(host: &GuestHost, cursor: LogCursor, base: Option<&Checkpoint>) -> Checkpoint {
+        let cpu = host.vm.cpu().save_state();
+        let mut backras = host.backras.clone();
+        backras.save(host.current_tid, BackRasEntry::from_entries(cpu.ras_entries.clone()));
         Checkpoint {
             id: 0,
-            at_insn: vm.retired(),
+            at_insn: host.vm.retired(),
             at_cycle: 0,
             cpu,
-            mem_pages: vm.mem().snapshot(base.map(|b| &b.mem_pages)),
-            disk: disk.snapshot(base.map(|b| &b.disk)),
+            mem_pages: host.vm.mem().snapshot(base.map(|b| &b.mem_pages)),
+            disk: host.disk.snapshot(base.map(|b| &b.disk)),
             backras,
-            current_tid,
-            dying,
+            current_tid: host.current_tid,
+            dying: host.dying,
             cursor,
             evict_store: HashMap::new(),
             dirty_pages: 0,

@@ -18,9 +18,15 @@
 //!   [`RecordMode::RecNoRas`], and full [`RecordMode::Rec`]. It produces an
 //!   [`rnr_log::InputLog`] and per-[`Category`](rnr_log::Category) cycle
 //!   attribution for the figure breakdowns.
+//! * [`GuestHost`] — one guest VM and what the hypervisor keeps around it:
+//!   disk, console, introspector, BackRAS table, running and dying thread,
+//!   cycle attribution. The recorder and every replayer hold one, so the
+//!   BackRAS protocol at the three interposition traps
+//!   ([`GuestHost::on_breakpoint`], §4.3, §5.2), the guest's restore and
+//!   the verification digest are written once.
 //! * [`Checkpoint`] — the one snapshot of a VM (Figure 4): pages, processor
 //!   state, disk, BackRAS and log position. [`Checkpoint::capture`] takes
-//!   it with pure reads over a `&GuestVm`; the recorder's span seeds are
+//!   it with pure reads over a `&GuestHost`; the recorder's span seeds are
 //!   such captures, and every replayer checkpoint is built on one.
 //! * [`VmSpec`] — everything needed to instantiate the guest: kernel,
 //!   workload images, boot table, timer period, network profile, disk seed.
@@ -36,6 +42,7 @@
 mod attribution;
 mod checkpoint;
 pub mod devices;
+mod host;
 mod introspect;
 mod nondet;
 mod recorder;
@@ -44,7 +51,8 @@ mod spec;
 pub use attribution::CycleAttribution;
 pub use checkpoint::Checkpoint;
 pub use devices::{DiskDevice, DiskSnapshot, NicDevice};
+pub use host::{GuestHost, ThreadEvent};
 pub use introspect::Introspector;
 pub use nondet::{NetProfile, NondetSource, PacketInjection};
-pub use recorder::{verification_digest, RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder};
+pub use recorder::{RecordConfig, RecordError, RecordMode, RecordOutcome, Recorder};
 pub use spec::{jop_table_from_spec, VmSpec};

@@ -12,17 +12,16 @@ use rnr_log::{
     VrtAlarmInfo, DEFAULT_BATCH, MAX_FRAME_AGE_INSNS,
 };
 use rnr_machine::{
-    CallRetTrap, CostModel, Digest, Exit, ExitControls, FaultKind, FinishIo, Fnv1a, GuestVm, MachineConfig,
-    SharedPageCache, IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING, MMIO_NIC_RX_POP,
-    PORT_CONSOLE, PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR, PORT_NIC_TX_ADDR,
-    PORT_NIC_TX_CMD, PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE, PORT_VRT_CMD, PORT_VRT_LEN, VRT_CMD_DECLARE,
-    VRT_CMD_RETIRE,
+    CallRetTrap, CostModel, Digest, Exit, ExitControls, FaultKind, FinishIo, MachineConfig, SharedPageCache,
+    IRQ_DISK, IRQ_NIC, IRQ_TIMER, MMIO_NIC_RX_LEN, MMIO_NIC_RX_PENDING, MMIO_NIC_RX_POP, PORT_CONSOLE,
+    PORT_DISK_ADDR, PORT_DISK_CMD, PORT_DISK_COUNT, PORT_DISK_SECTOR, PORT_NIC_TX_ADDR, PORT_NIC_TX_CMD,
+    PORT_NIC_TX_LEN, PORT_RNG, PORT_VRT_BASE, PORT_VRT_CMD, PORT_VRT_LEN, VRT_CMD_DECLARE, VRT_CMD_RETIRE,
 };
-use rnr_ras::{AttributionReport, BackRasTable, RasAttribution, RasConfig, RasCounters, ThreadId};
+use rnr_ras::{AttributionReport, RasAttribution, RasConfig, RasCounters, ThreadId};
 use rnr_vrt::VrtParams;
 
 use crate::{
-    Checkpoint, CycleAttribution, DiskDevice, Introspector, NicDevice, NondetSource, PacketInjection, VmSpec,
+    Checkpoint, CycleAttribution, GuestHost, NicDevice, NondetSource, PacketInjection, ThreadEvent, VmSpec,
 };
 
 /// The four recording setups of Figure 5(a).
@@ -227,18 +226,11 @@ pub struct RecordOutcome {
 /// producing the input log.
 #[derive(Debug)]
 pub struct Recorder {
-    vm: GuestVm,
+    host: GuestHost,
     config: RecordConfig,
     nondet: NondetSource,
-    disk: DiskDevice,
     nic: NicDevice,
-    console: Vec<u8>,
     log: FramedLog,
-    attribution: CycleAttribution,
-    intro: Introspector,
-    current_tid: ThreadId,
-    dying: Option<ThreadId>,
-    backras: BackRasTable,
     pending_irqs: VecDeque<u8>,
     next_timer: u64,
     timer_period: u64,
@@ -251,7 +243,6 @@ pub struct Recorder {
     alarms: usize,
     fault: Option<FaultKind>,
     stalled: bool,
-    context_switches: u64,
     switch_trace: Vec<u64>,
     span_seeds: Vec<Checkpoint>,
     next_seed_at: u64,
@@ -294,18 +285,9 @@ impl Recorder {
             block_engine: config.block_engine,
             superblocks: config.superblocks,
         };
-        let mut images = vec![spec.kernel.image().clone()];
-        images.extend(spec.extra_images.iter().cloned());
-        images.push(spec.boot.to_image());
-        let image_refs: Vec<&rnr_isa::Image> = images.iter().collect();
-        let mut vm = GuestVm::new(machine, &image_refs);
-        vm.set_entry(spec.kernel.entry());
-        vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
-        let intro = Introspector::new(&spec.kernel);
+        let mut host = GuestHost::boot(spec, machine);
         if mode.has_ras_extension() {
-            vm.add_breakpoint(intro.switch_sp_trap());
-            vm.add_breakpoint(intro.thread_create_trap());
-            vm.add_breakpoint(intro.thread_exit_trap());
+            host.arm_traps();
         }
         let fig8 = config
             .functional_ras_analysis
@@ -314,17 +296,10 @@ impl Recorder {
         let next_timer = spec.timer_period + nondet.timer_jitter(spec.timer_period);
         let next_packet = spec.net.mean_interarrival.map(|m| nondet.packet_gap(m));
         Ok(Recorder {
-            vm,
+            host,
             nondet,
-            disk: DiskDevice::new(VmSpec::DEFAULT_DISK, spec.disk_seed),
             nic: NicDevice::new(),
-            console: Vec::new(),
             log: FramedLog::default(),
-            attribution: CycleAttribution::new(),
-            intro,
-            current_tid: ThreadId(1),
-            dying: None,
-            backras: BackRasTable::new(),
             pending_irqs: VecDeque::new(),
             next_timer,
             timer_period: spec.timer_period,
@@ -337,7 +312,6 @@ impl Recorder {
             alarms: 0,
             fault: None,
             stalled: false,
-            context_switches: 0,
             switch_trace: Vec::new(),
             span_seeds: Vec::new(),
             next_seed_at: config.span_seed_every_insns.unwrap_or(u64::MAX),
@@ -370,7 +344,7 @@ impl Recorder {
 
     /// Appends a record to the log, cutting a frame when it fills.
     fn emit(&mut self, rec: Record) {
-        self.log.push(rec, self.vm.retired());
+        self.log.push(rec, self.host.vm.retired());
     }
 
     /// Runs to the instruction budget and returns the outcome.
@@ -383,73 +357,69 @@ impl Recorder {
             // pending interrupt, no fault, budget not yet exhausted. At such
             // a point every emitted record is fully serviced, so (at_record,
             // at_insn) is a consistent cut of the execution.
+            let retired = self.host.vm.retired();
             if self.config.mode.is_recording()
-                && self.vm.retired() >= self.next_seed_at
-                && self.vm.retired() < until
+                && retired >= self.next_seed_at
+                && retired < until
                 && self.pending_irqs.is_empty()
                 && self.fault.is_none()
                 && !self.stalled
             {
                 let cursor = LogCursor::new(self.log.records.len());
-                let seed = Checkpoint::capture(
-                    &self.vm,
-                    &self.disk,
-                    &self.backras,
-                    self.current_tid,
-                    self.dying,
-                    cursor,
-                    self.span_seeds.last(),
-                );
+                let seed = Checkpoint::capture(&self.host, cursor, self.span_seeds.last());
                 self.span_seeds.push(seed);
                 self.next_seed_at =
-                    self.vm.retired().saturating_add(self.config.span_seed_every_insns.unwrap_or(u64::MAX));
+                    retired.saturating_add(self.config.span_seed_every_insns.unwrap_or(u64::MAX));
             }
-            if self.vm.retired() >= until || self.fault.is_some() || self.stalled {
+            if retired >= until || self.fault.is_some() || self.stalled {
                 break;
             }
-            self.log.cut_if_aged(self.vm.retired());
+            self.log.cut_if_aged(retired);
             let deadline = self.next_event_cycle();
             let exit = self
+                .host
                 .vm
                 .run(rnr_machine::RunBudget { until_retired: Some(until), until_cycles: Some(deadline) });
             self.handle_exit(exit);
         }
         if self.config.mode.is_recording() {
-            self.emit(Record::End { at_insn: self.vm.retired(), at_cycle: self.vm.cycles() });
+            self.emit(Record::End { at_insn: self.host.vm.retired(), at_cycle: self.host.vm.cycles() });
         }
         let disk = self.log.finish();
         if let Some(f) = self.fig8.as_mut() {
-            f.add_instructions(self.vm.retired());
+            f.add_instructions(self.host.vm.retired());
         }
-        let final_digest = verification_digest(&self.vm, &self.disk);
+        let final_digest = self.host.digest();
         RecordOutcome {
-            cycles: self.vm.cycles(),
-            retired: self.vm.retired(),
+            cycles: self.host.vm.cycles(),
+            retired: self.host.vm.retired(),
             final_digest,
-            ras_counters: *self.vm.cpu().ras.counters(),
+            ras_counters: *self.host.vm.cpu().ras.counters(),
             alarms: self.alarms,
             tx_frames: self.nic.tx_frames().len(),
             fig8: self.fig8.as_ref().map(RasAttribution::report),
             fault: self.fault,
             stalled: self.stalled,
-            priv_flag: self.intro.priv_flag(&self.vm),
+            priv_flag: self.host.intro().priv_flag(&self.host.vm),
             ops: (0..rnr_guest::layout::MAX_THREADS as u64)
-                .map(|slot| self.vm.mem().read_u64(rnr_guest::layout::OPS_BASE + (slot + 1) * 8).unwrap_or(0))
+                .map(|slot| {
+                    self.host.vm.mem().read_u64(rnr_guest::layout::OPS_BASE + (slot + 1) * 8).unwrap_or(0)
+                })
                 .sum(),
-            context_switches: self.context_switches,
-            block_stats: self.vm.block_stats(),
+            context_switches: self.switch_trace.len() as u64,
+            block_stats: self.host.vm.block_stats(),
             switch_trace: self.switch_trace,
-            console: self.console,
+            console: self.host.console,
             span_seeds: self.span_seeds,
             disk,
             log: Arc::new(std::mem::take(&mut self.log.records)),
-            attribution: self.attribution,
+            attribution: self.host.attribution,
         }
     }
 
     fn next_event_cycle(&self) -> u64 {
         let mut next = self.next_timer;
-        if let Some(op) = self.disk.in_flight().filter(|_| !self.disk_irq_raised()) {
+        if let Some(op) = self.host.disk.in_flight().filter(|_| !self.disk_irq_raised()) {
             next = next.min(op.complete_at);
         }
         if let Some(p) = self.next_packet {
@@ -462,7 +432,7 @@ impl Recorder {
     }
 
     fn service_due_events(&mut self) {
-        let now = self.vm.cycles();
+        let now = self.host.vm.cycles();
         // Timer.
         while self.next_timer <= now {
             self.pending_irqs.push_back(IRQ_TIMER);
@@ -473,7 +443,7 @@ impl Recorder {
         // where replay performs it — at the `Interrupt` record — so a guest
         // that is masked, or a recording that stops, in between sees the
         // same memory in both.
-        if self.disk.in_flight().is_some_and(|op| op.complete_at <= now) && !self.disk_irq_raised() {
+        if self.host.disk.in_flight().is_some_and(|op| op.complete_at <= now) && !self.disk_irq_raised() {
             self.pending_irqs.push_back(IRQ_DISK);
         }
         // Benign packet arrivals.
@@ -494,15 +464,15 @@ impl Recorder {
     }
 
     fn try_deliver_nic(&mut self) {
-        if let Some(frame) = self.nic.deliver(&mut self.vm) {
+        if let Some(frame) = self.nic.deliver(&mut self.host.vm) {
             if self.config.mode.is_recording() {
                 let rec = Record::Dma {
                     source: rnr_log::DmaSource::Nic,
                     addr: layout::NIC_RX_BUF,
                     data: frame,
-                    at_insn: self.vm.retired(),
+                    at_insn: self.host.vm.retired(),
                 };
-                self.charge(Category::Network, self.config.costs.log_append(rec.encoded_len()));
+                self.host.charge(Category::Network, self.config.costs.log_append(rec.encoded_len()));
                 self.emit(rec);
             }
             self.pending_irqs.push_back(IRQ_NIC);
@@ -511,25 +481,25 @@ impl Recorder {
 
     fn try_inject_pending(&mut self) {
         while let Some(&irq) = self.pending_irqs.front() {
-            if !self.vm.can_inject() {
-                self.vm.request_interrupt_window();
+            if !self.host.vm.can_inject() {
+                self.host.vm.request_interrupt_window();
                 return;
             }
-            if irq == IRQ_DISK && self.disk.in_flight().is_some() {
-                self.disk.complete(&mut self.vm);
+            if irq == IRQ_DISK && self.host.disk.in_flight().is_some() {
+                self.host.disk.complete(&mut self.host.vm);
             }
-            match self.vm.inject_interrupt(irq) {
+            match self.host.vm.inject_interrupt(irq) {
                 Ok(()) => {
                     self.pending_irqs.pop_front();
                     if self.config.mode.is_recording() {
-                        let rec = Record::Interrupt { irq, at_insn: self.vm.retired() };
-                        self.charge(
+                        let rec = Record::Interrupt { irq, at_insn: self.host.vm.retired() };
+                        self.host.charge(
                             Category::Interrupt,
                             self.config.costs.vmexit + self.config.costs.log_append(rec.encoded_len()),
                         );
                         self.emit(rec);
                     } else {
-                        self.charge(Category::Interrupt, self.config.costs.irq_virtualized);
+                        self.host.charge(Category::Interrupt, self.config.costs.irq_virtualized);
                     }
                 }
                 Err(rnr_machine::InjectError::BadVector(_)) => {
@@ -537,7 +507,7 @@ impl Recorder {
                     self.pending_irqs.pop_front();
                 }
                 Err(_) => {
-                    self.vm.request_interrupt_window();
+                    self.host.vm.request_interrupt_window();
                     return;
                 }
             }
@@ -549,11 +519,6 @@ impl Recorder {
         self.pending_irqs.contains(&IRQ_DISK)
     }
 
-    fn charge(&mut self, category: Category, cycles: u64) {
-        self.vm.add_cycles(cycles);
-        self.attribution.charge(category, cycles);
-    }
-
     fn handle_exit(&mut self, exit: Exit) {
         let costs = self.config.costs;
         let recording = self.config.mode.is_recording();
@@ -561,53 +526,53 @@ impl Recorder {
             Exit::BudgetExhausted | Exit::InterruptWindow => {}
             Exit::Halt => {
                 // Idle guest: fast-forward virtual time to the next event.
-                let next = self.next_event_cycle().max(self.vm.cycles() + 1);
-                let now = self.vm.cycles();
-                self.vm.add_cycles(next - now);
+                let next = self.next_event_cycle().max(self.host.vm.cycles() + 1);
+                let now = self.host.vm.cycles();
+                self.host.vm.add_cycles(next - now);
             }
             Exit::Rdtsc { rd } => {
-                let value = self.vm.cycles() + self.nondet.tsc_jitter();
-                self.charge(Category::Rdtsc, costs.vmexit);
+                let value = self.host.vm.cycles() + self.nondet.tsc_jitter();
+                self.host.charge(Category::Rdtsc, costs.vmexit);
                 if recording {
                     let rec = Record::Rdtsc { value };
-                    self.charge(Category::Rdtsc, costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::Rdtsc, costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
-                self.vm.finish_io(FinishIo::Read { rd, value });
+                self.host.vm.finish_io(FinishIo::Read { rd, value });
             }
             Exit::PioIn { rd, port } => {
                 let value = match port {
                     PORT_RNG => self.nondet.rng_port(),
                     _ => 0,
                 };
-                self.charge(Category::PioMmio, costs.vmexit);
+                self.host.charge(Category::PioMmio, costs.vmexit);
                 if recording {
                     let rec = Record::PioIn { port, value };
-                    self.charge(Category::PioMmio, costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::PioMmio, costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
-                self.vm.finish_io(FinishIo::Read { rd, value });
+                self.host.vm.finish_io(FinishIo::Read { rd, value });
             }
             Exit::PioOut { port, value } => {
-                self.charge(Category::PioMmio, costs.vmexit);
+                self.host.charge(Category::PioMmio, costs.vmexit);
                 match port {
                     PORT_DISK_SECTOR | PORT_DISK_ADDR | PORT_DISK_COUNT | PORT_DISK_CMD
-                        if self.disk.handle_out(port, value, 0) =>
+                        if self.host.disk.handle_out(port, value, 0) =>
                     {
                         // A command write started an operation; latch writes
                         // fall through to the arm below.
-                        let op = self.disk.in_flight().expect("just started");
+                        let op = self.host.disk.in_flight().expect("just started");
                         let latency = self.nondet.disk_latency(
                             op.count.max(1),
                             costs.disk_latency_base,
                             costs.disk_latency_per_sector,
                         );
-                        self.disk.set_complete_at(self.vm.cycles() + latency);
+                        self.host.disk.set_complete_at(self.host.vm.cycles() + latency);
                     }
                     PORT_NIC_TX_ADDR | PORT_NIC_TX_LEN | PORT_NIC_TX_CMD => {
-                        self.nic.handle_out(port, value, &self.vm);
+                        self.nic.handle_out(port, value, &self.host.vm);
                     }
-                    PORT_CONSOLE => self.console.push(value as u8),
+                    PORT_CONSOLE => self.host.console.push(value as u8),
                     // VRT doorbells: deterministic guest-visible no-ops (no
                     // readable state, no interrupt), so no log records — the
                     // replayer's generic PioOut arm charges the same vmexit
@@ -615,13 +580,13 @@ impl Recorder {
                     PORT_VRT_BASE => self.vrt_base = value,
                     PORT_VRT_LEN => self.vrt_len = value,
                     PORT_VRT_CMD => match value {
-                        VRT_CMD_DECLARE => self.vm.vrt_declare(self.vrt_base, self.vrt_len),
-                        VRT_CMD_RETIRE => self.vm.vrt_retire(self.vrt_base),
+                        VRT_CMD_DECLARE => self.host.vm.vrt_declare(self.vrt_base, self.vrt_len),
+                        VRT_CMD_RETIRE => self.host.vm.vrt_retire(self.vrt_base),
                         _ => {}
                     },
                     _ => {}
                 }
-                self.vm.finish_io(FinishIo::Write);
+                self.host.vm.finish_io(FinishIo::Write);
             }
             Exit::MmioRead { rd, addr } => {
                 let value = match addr {
@@ -629,20 +594,20 @@ impl Recorder {
                     MMIO_NIC_RX_LEN => self.nic.mailbox_len(),
                     _ => 0,
                 };
-                self.charge(Category::PioMmio, costs.vmexit);
+                self.host.charge(Category::PioMmio, costs.vmexit);
                 if recording {
                     let rec = Record::MmioRead { addr, value };
-                    self.charge(Category::PioMmio, costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::PioMmio, costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
-                self.vm.finish_io(FinishIo::Read { rd, value });
+                self.host.vm.finish_io(FinishIo::Read { rd, value });
             }
             Exit::MmioWrite { addr, value: _ } => {
-                self.charge(Category::PioMmio, costs.vmexit);
+                self.host.charge(Category::PioMmio, costs.vmexit);
                 if addr == MMIO_NIC_RX_POP {
                     self.nic.pop_mailbox();
                 }
-                self.vm.finish_io(FinishIo::Write);
+                self.host.vm.finish_io(FinishIo::Write);
                 if addr == MMIO_NIC_RX_POP {
                     self.try_deliver_nic();
                 }
@@ -654,8 +619,8 @@ impl Recorder {
                     f.on_call(ret_addr);
                 }
                 if recording {
-                    let rec = Record::Evict { tid: self.current_tid, addr: evicted };
-                    self.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
+                    let rec = Record::Evict { tid: self.host.current_tid(), addr: evicted };
+                    self.host.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
             }
@@ -666,13 +631,13 @@ impl Recorder {
                 }
                 if recording {
                     let rec = Record::JopAlarm {
-                        tid: self.current_tid,
+                        tid: self.host.current_tid(),
                         branch_pc,
                         target,
-                        at_insn: self.vm.retired(),
-                        at_cycle: self.vm.cycles(),
+                        at_insn: self.host.vm.retired(),
+                        at_cycle: self.host.vm.cycles(),
                     };
-                    self.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
             }
@@ -683,13 +648,13 @@ impl Recorder {
                 }
                 if recording {
                     let rec = Record::VrtAlarm(VrtAlarmInfo {
-                        tid: self.current_tid,
+                        tid: self.host.current_tid(),
                         kind,
                         addr,
-                        at_insn: self.vm.retired(),
-                        at_cycle: self.vm.cycles(),
+                        at_insn: self.host.vm.retired(),
+                        at_cycle: self.host.vm.cycles(),
                     });
-                    self.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
             }
@@ -703,12 +668,12 @@ impl Recorder {
                 }
                 if recording {
                     let rec = Record::Alarm(AlarmInfo {
-                        tid: self.current_tid,
+                        tid: self.host.current_tid(),
                         mispredict: m,
-                        at_insn: self.vm.retired(),
-                        at_cycle: self.vm.cycles(),
+                        at_insn: self.host.vm.retired(),
+                        at_cycle: self.host.vm.cycles(),
                     });
-                    self.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
+                    self.host.charge(Category::Ras, costs.vmexit + costs.log_append(rec.encoded_len()));
                     self.emit(rec);
                 }
             }
@@ -730,11 +695,11 @@ impl Recorder {
 
     fn handle_vmcall(&mut self) {
         let costs = self.config.costs;
-        let op = self.vm.cpu().reg(Reg::R1);
-        let a2 = self.vm.cpu().reg(Reg::R2);
-        let a3 = self.vm.cpu().reg(Reg::R3);
-        let a4 = self.vm.cpu().reg(Reg::R4);
-        self.charge(Category::PioMmio, costs.pv_hypercall);
+        let op = self.host.vm.cpu().reg(Reg::R1);
+        let a2 = self.host.vm.cpu().reg(Reg::R2);
+        let a3 = self.host.vm.cpu().reg(Reg::R3);
+        let a4 = self.host.vm.cpu().reg(Reg::R4);
+        self.host.charge(Category::PioMmio, costs.pv_hypercall);
         let result = match op {
             layout::pv::DISK_READ | layout::pv::DISK_WRITE => {
                 let cmd = if op == layout::pv::DISK_READ {
@@ -742,11 +707,11 @@ impl Recorder {
                 } else {
                     rnr_machine::DISK_CMD_WRITE
                 };
-                self.disk.handle_out(PORT_DISK_SECTOR, a2, 0);
-                self.disk.handle_out(PORT_DISK_ADDR, a3, 0);
-                self.disk.handle_out(PORT_DISK_COUNT, a4, 0);
-                self.disk.handle_out(PORT_DISK_CMD, cmd, 0);
-                self.disk.complete(&mut self.vm);
+                self.host.disk.handle_out(PORT_DISK_SECTOR, a2, 0);
+                self.host.disk.handle_out(PORT_DISK_ADDR, a3, 0);
+                self.host.disk.handle_out(PORT_DISK_COUNT, a4, 0);
+                self.host.disk.handle_out(PORT_DISK_CMD, cmd, 0);
+                self.host.disk.complete(&mut self.host.vm);
                 // PV avoids the per-access exits and overlaps/merges
                 // requests (virtio-style queueing): model as half the
                 // effective device latency, still far from free.
@@ -755,16 +720,16 @@ impl Recorder {
                     costs.disk_latency_base,
                     costs.disk_latency_per_sector,
                 );
-                self.vm.add_cycles(latency / 2);
+                self.host.vm.add_cycles(latency / 2);
                 0
             }
             layout::pv::NET_RECV => {
                 // Blocking poll: fast-forward to the next arrival if idle.
                 if self.nic.rx_pending() == 0 {
                     if let Some(at) = self.next_arrival_cycle() {
-                        let now = self.vm.cycles();
+                        let now = self.host.vm.cycles();
                         if at > now {
-                            self.vm.add_cycles(at - now);
+                            self.host.vm.add_cycles(at - now);
                         }
                         self.service_net_arrivals();
                     }
@@ -774,21 +739,21 @@ impl Recorder {
                         let padded = frame.len().div_ceil(32) * 32;
                         frame.resize(padded.min(layout::NIC_MTU), 0);
                         let len = frame.len() as u64;
-                        let _ = self.vm.mem_mut().write_bytes(a2, &frame);
+                        let _ = self.host.vm.mem_mut().write_bytes(a2, &frame);
                         len
                     }
                     None => u64::MAX,
                 }
             }
             layout::pv::NET_TX => {
-                self.nic.handle_out(PORT_NIC_TX_ADDR, a2, &self.vm);
-                self.nic.handle_out(PORT_NIC_TX_LEN, a3, &self.vm);
-                self.nic.handle_out(PORT_NIC_TX_CMD, 1, &self.vm);
+                self.nic.handle_out(PORT_NIC_TX_ADDR, a2, &self.host.vm);
+                self.nic.handle_out(PORT_NIC_TX_LEN, a3, &self.host.vm);
+                self.nic.handle_out(PORT_NIC_TX_CMD, 1, &self.host.vm);
                 0
             }
             _ => u64::MAX,
         };
-        self.vm.finish_io(FinishIo::Read { rd: Reg::R1, value: result });
+        self.host.vm.finish_io(FinishIo::Read { rd: Reg::R1, value: result });
     }
 
     fn next_arrival_cycle(&self) -> Option<u64> {
@@ -801,7 +766,7 @@ impl Recorder {
     }
 
     fn service_net_arrivals(&mut self) {
-        let now = self.vm.cycles();
+        let now = self.host.vm.cycles();
         while let Some(at) = self.next_packet {
             if at > now {
                 break;
@@ -816,41 +781,25 @@ impl Recorder {
         }
     }
 
+    /// Feeds an interposition trap's thread event to the switch trace and
+    /// the Figure 8 analysis; the host keeps the BackRAS. The switch is
+    /// stamped with the cycle before its exit is charged.
     fn handle_breakpoint(&mut self, pc: rnr_isa::Addr) {
-        let costs = self.config.costs;
-        if pc == self.intro.switch_sp_trap() {
-            self.context_switches += 1;
-            self.switch_trace.push(self.vm.cycles());
-            let next = self.intro.next_thread_at_switch(&self.vm).unwrap_or(self.current_tid);
-            let prev = self.current_tid;
-            if let Some(saved) = self.vm.cpu_mut().ras.save_backras() {
-                if self.dying == Some(prev) {
-                    self.backras.remove(prev);
-                    self.dying = None;
-                } else {
-                    self.backras.save(prev, saved);
+        let now = self.host.vm.cycles();
+        match self.host.on_breakpoint(pc) {
+            Some(ThreadEvent::Switch { next, .. }) => {
+                self.switch_trace.push(now);
+                if let Some(f) = self.fig8.as_mut() {
+                    f.on_context_switch(next);
                 }
             }
-            let entry = self.backras.load(next);
-            self.vm.cpu_mut().ras.restore_backras(&entry);
-            self.charge(Category::Ras, costs.vmexit + costs.ras_save + costs.ras_restore);
-            if let Some(f) = self.fig8.as_mut() {
-                f.on_context_switch(next);
+            Some(ThreadEvent::Exited(tid)) => {
+                if let Some(f) = self.fig8.as_mut() {
+                    f.on_thread_exit(tid);
+                }
             }
-            self.current_tid = next;
-        } else if pc == self.intro.thread_create_trap() {
-            let tid = self.intro.thread_at_commit(&self.vm);
-            self.backras.allocate(tid);
-            self.charge(Category::Ras, costs.vmexit);
-        } else if pc == self.intro.thread_exit_trap() {
-            let tid = self.intro.thread_at_commit(&self.vm);
-            self.dying = Some(tid);
-            if let Some(f) = self.fig8.as_mut() {
-                f.on_thread_exit(tid);
-            }
-            self.charge(Category::Ras, costs.vmexit);
+            Some(ThreadEvent::Created(_)) | None => {}
         }
-        self.vm.skip_breakpoint_once();
     }
 }
 
@@ -967,16 +916,6 @@ impl Drop for FramedLog {
     fn drop(&mut self) {
         self.finish();
     }
-}
-
-/// The verification digest of a guest: its VM digest (CPU and memory)
-/// combined with its disk digest. The recorder's final digest and every
-/// replayer's final and seam digests are this one function.
-pub fn verification_digest(vm: &GuestVm, disk: &DiskDevice) -> Digest {
-    let mut h = Fnv1a::new();
-    h.update_u64(vm.digest().0);
-    h.update_u64(disk.store().digest().0);
-    h.finish()
 }
 
 #[cfg(test)]

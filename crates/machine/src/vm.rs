@@ -146,11 +146,6 @@ impl GuestVm {
         }
     }
 
-    /// The VRT's diagnostic counters, if the VM is armed.
-    pub fn vrt_counters(&self) -> Option<&rnr_vrt::VrtCounters> {
-        self.vrt.as_ref().map(|v| v.counters())
-    }
-
     /// Sets the CPU entry point.
     pub fn set_entry(&mut self, entry: Addr) {
         self.cpu.pc = entry;

@@ -6,10 +6,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rnr_guest::layout;
-use rnr_hypervisor::{Introspector, VmSpec};
+use rnr_hypervisor::{GuestHost, VmSpec};
 use rnr_isa::{disasm, Addr, Opcode};
 use rnr_log::{AlarmInfo, InputLog, Record, VrtAlarmInfo};
-use rnr_machine::{BlockStats, CallRetTrap, GuestVm};
+use rnr_machine::{BlockStats, CallRetTrap};
 use rnr_ras::ThreadId;
 use rnr_vrt::{coverage, VrtKind};
 
@@ -263,7 +263,8 @@ impl<'a> AlarmReplayer<'a> {
     /// ended. The hardware's noisy rules (capacity eviction, coarse granule
     /// rounding, stale frame windows) are each refuted — or confirmed — from
     /// that precise state.
-    fn classify_vrt(&self, alarm: &VrtAlarmInfo, vm: &GuestVm) -> Verdict {
+    fn classify_vrt(&self, alarm: &VrtAlarmInfo, host: &GuestHost) -> Verdict {
+        let vm = &host.vm;
         let params = self.config.vrt.clone().unwrap_or_default();
         let addr = alarm.addr;
         match alarm.kind {
@@ -297,14 +298,14 @@ impl<'a> AlarmReplayer<'a> {
                     };
                     return Verdict::FalsePositive(fp);
                 }
-                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, vm, nearest)))
+                Verdict::HeapOverflow(Box::new(self.build_mem_report(alarm, host, nearest)))
             }
             VrtKind::Stack => {
                 let sp = vm.cpu().sp();
                 if addr < sp {
                     // Below the live stack at the alarm point: the store
                     // went through a pointer into a dead frame.
-                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, vm, None)))
+                    Verdict::UseAfterReturn(Box::new(self.build_mem_report(alarm, host, None)))
                 } else {
                     Verdict::FalsePositive(FalsePositiveKind::StaleFrame)
                 }
@@ -312,8 +313,13 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn build_mem_report(&self, alarm: &VrtAlarmInfo, vm: &GuestVm, region: Option<(Addr, u64)>) -> MemReport {
-        let intro = Introspector::new(&self.spec.kernel);
+    fn build_mem_report(
+        &self,
+        alarm: &VrtAlarmInfo,
+        host: &GuestHost,
+        region: Option<(Addr, u64)>,
+    ) -> MemReport {
+        let (vm, intro) = (&host.vm, host.intro());
         MemReport {
             tid: alarm.tid,
             kind: alarm.kind,
@@ -327,7 +333,7 @@ impl<'a> AlarmReplayer<'a> {
         }
     }
 
-    fn classify(&self, alarm: &AlarmInfo, vm: &GuestVm, events: &[ShadowEvent]) -> Verdict {
+    fn classify(&self, alarm: &AlarmInfo, host: &GuestHost, events: &[ShadowEvent]) -> Verdict {
         let event =
             events.iter().rev().find(|e| e.at_insn == alarm.at_insn && e.ret_pc == alarm.mispredict.ret_pc);
         match event.map(|e| e.kind) {
@@ -341,16 +347,16 @@ impl<'a> AlarmReplayer<'a> {
                 Verdict::FalsePositive(FalsePositiveKind::ImperfectNesting { unwound_frames: frames })
             }
             Some(ShadowEventKind::UnderflowUnexplained) | Some(ShadowEventKind::WhitelistViolation) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, None)))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, host, None)))
             }
             Some(ShadowEventKind::MismatchUnexplained { predicted }) => {
-                Verdict::RopAttack(Box::new(self.build_report(alarm, vm, Some(predicted))))
+                Verdict::RopAttack(Box::new(self.build_report(alarm, host, Some(predicted))))
             }
         }
     }
 
-    fn build_report(&self, alarm: &AlarmInfo, vm: &GuestVm, predicted: Option<Addr>) -> RopReport {
-        let intro = Introspector::new(&self.spec.kernel);
+    fn build_report(&self, alarm: &AlarmInfo, host: &GuestHost, predicted: Option<Addr>) -> RopReport {
+        let (vm, intro) = (&host.vm, host.intro());
         let image = self.spec.kernel.image();
         let sp = vm.cpu().sp();
         // Decode the attacker's payload: walk the stack words above the
@@ -441,22 +447,22 @@ impl ArPass<'_> {
         if self.replayer.position() != index + 1 {
             return Err(self.misaligned(case, format!("the log ended before record {index}")));
         }
-        let vm = self.replayer.vm();
+        let host = &self.replayer.host;
         let verdict = match &case.kind {
-            CaseKind::Ras(info) => self.ar.classify(info, vm, self.replayer.shadow_events()),
-            CaseKind::Vrt(info) => self.ar.classify_vrt(info, vm),
+            CaseKind::Ras(info) => self.ar.classify(info, host, self.replayer.shadow_events()),
+            CaseKind::Vrt(info) => self.ar.classify_vrt(info, host),
         };
         Ok((verdict, self.replayer.cycles_replayed()))
     }
 
     /// Block-cache counters of the pass's VM so far (wall-clock diagnostics).
     pub fn block_stats(&self) -> BlockStats {
-        self.replayer.block_stats()
+        self.replayer.host.vm.block_stats()
     }
 
     fn misaligned(&self, case: &AlarmCase, detail: String) -> ReplayError {
         ReplayError::Divergence {
-            at_insn: self.replayer.vm().retired(),
+            at_insn: self.replayer.host.vm.retired(),
             detail: format!("alarm case at instruction {}: {detail}", case.at_insn()),
         }
     }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rnr_hypervisor::{verification_digest, CycleAttribution, DiskDevice, Introspector, VmSpec};
+use rnr_hypervisor::{CycleAttribution, GuestHost, ThreadEvent, VmSpec};
 use rnr_isa::Addr;
 use rnr_log::{AlarmInfo, Category, LogCursor, LogSource, Record, VrtAlarmInfo};
 use rnr_machine::{
@@ -121,17 +121,19 @@ pub(crate) struct SpanMark {
     pub dirty_blocks: Vec<usize>,
 }
 
-/// What [`Replayer::run_span`] returns: the worker's outcome plus the seam
-/// digest and the per-record marks the fold consumes.
+/// A finished span: the worker's outcome, its recovery accounting included,
+/// plus the seam digest and the per-record marks the fold consumes. Opaque
+/// outside this crate; returned by [`crate::run_planned_span`] and consumed
+/// by [`crate::assemble_spans`].
 #[derive(Debug)]
-pub(crate) struct SpanRun {
+pub struct SpanDone {
     /// Architectural digest at the worker's starting state (its seam with
     /// the previous span).
-    pub start_digest: Digest,
+    pub(crate) start_digest: Digest,
     /// Per-record marks, starting with the entry mark.
-    pub marks: Vec<SpanMark>,
+    pub(crate) marks: Vec<SpanMark>,
     /// The worker's replay outcome (cycles are worker-relative).
-    pub outcome: ReplayOutcome,
+    pub(crate) outcome: ReplayOutcome,
 }
 
 /// A JOP alarm lifted from the log (Table 1, row 2), for replay-side
@@ -327,8 +329,6 @@ pub(crate) enum ShadowEventKind {
 pub(crate) struct ShadowEvent {
     pub at_insn: u64,
     pub ret_pc: Addr,
-    #[allow(dead_code)]
-    pub actual: Addr,
     pub kind: ShadowEventKind,
 }
 
@@ -380,18 +380,12 @@ impl ReplayOutcome {
 /// The deterministic replayer (both CR and AR are configurations of it).
 #[derive(Debug)]
 pub struct Replayer {
-    vm: GuestVm,
-    disk: DiskDevice,
-    console: Vec<u8>,
-    intro: Introspector,
-    backras: BackRasTable,
-    current_tid: ThreadId,
-    dying: Option<ThreadId>,
+    /// The replayed guest and the BackRAS bookkeeping around it.
+    pub(crate) host: GuestHost,
     source: LogSource,
     cursor: LogCursor,
     store: CheckpointStore,
     book: AlarmBook,
-    attribution: CycleAttribution,
     landing: StdRng,
     cfg: ReplayConfig,
     last_checkpoint_cycle: u64,
@@ -440,6 +434,7 @@ struct RecoveryPoint {
     callret_traps: u64,
     console_len: usize,
     shadow_events_len: usize,
+    span_marks_len: usize,
     last_checkpoint_cycle: u64,
     next_checkpoint_id: u64,
     next_sample: u64,
@@ -462,14 +457,7 @@ impl Replayer {
     /// identical either way; a streaming source simply blocks when it
     /// catches up to the recorder.
     pub fn new(spec: &VmSpec, log: impl Into<LogSource>, cfg: ReplayConfig) -> Replayer {
-        let mut images = vec![spec.kernel.image().clone()];
-        images.extend(spec.extra_images.iter().cloned());
-        images.push(spec.boot.to_image());
-        let image_refs: Vec<&rnr_isa::Image> = images.iter().collect();
-        let disk = DiskDevice::new(VmSpec::DEFAULT_DISK, spec.disk_seed);
-        let mut r = Self::build(spec, &image_refs, disk, log.into(), cfg);
-        r.vm.set_entry(spec.kernel.entry());
-        r
+        Self::build(spec, GuestHost::boot, log.into(), cfg)
     }
 
     /// A replayer resuming from a checkpoint (the AR, §4.6.2, and a span
@@ -486,10 +474,9 @@ impl Replayer {
         checkpoint: &Checkpoint,
         shadow: bool,
     ) -> Replayer {
-        // An empty disk: the restore puts the checkpoint's in place, so no
-        // boot image is built only to be replaced.
-        let mut r = Self::build(spec, &[], DiskDevice::new(0, 0), log.into(), cfg);
-        r.restore(checkpoint);
+        let mut r = Self::build(spec, GuestHost::empty, log.into(), cfg);
+        r.host.restore(checkpoint);
+        r.cursor = checkpoint.cursor;
         r.book = AlarmBook::resume(checkpoint.evict_store.clone());
         r.start_cycles = checkpoint.at_cycle;
         r.last_checkpoint_cycle = checkpoint.at_cycle;
@@ -506,13 +493,12 @@ impl Replayer {
         r
     }
 
-    /// A replayer over a replay VM loaded with `images`, with `disk` as its
-    /// disk: the one construction [`Replayer::new`] and
-    /// [`Replayer::from_checkpoint`] share.
+    /// A replayer over a replay VM that `host` builds (booted, or empty for
+    /// a checkpoint to be restored over): the one construction
+    /// [`Replayer::new`] and [`Replayer::from_checkpoint`] share.
     fn build(
         spec: &VmSpec,
-        images: &[&rnr_isa::Image],
-        disk: DiskDevice,
+        host: fn(&VmSpec, MachineConfig) -> GuestHost,
         mut source: LogSource,
         cfg: ReplayConfig,
     ) -> Replayer {
@@ -526,30 +512,18 @@ impl Replayer {
             superblocks: cfg.superblocks,
             ..MachineConfig::default()
         };
-        let mut vm = GuestVm::new(machine, images);
-        vm.cpu_mut().ras.set_whitelists(spec.kernel.whitelists());
-        let intro = Introspector::new(&spec.kernel);
+        let mut host = host(spec, machine);
+        host.arm_traps();
         if let Some(d) = cfg.durable_log.as_ref() {
             source.attach_durable(&d.dir);
         }
-        vm.add_breakpoint(intro.switch_sp_trap());
-        vm.add_breakpoint(intro.thread_create_trap());
-        vm.add_breakpoint(intro.thread_exit_trap());
-        let landing = StdRng::seed_from_u64(LANDING_SEED);
         Replayer {
-            vm,
-            disk,
-            console: Vec::new(),
-            intro,
-            backras: BackRasTable::new(),
-            current_tid: ThreadId(1),
-            dying: None,
+            host,
             cursor: LogCursor::new(0),
             source,
             store: CheckpointStore::new(cfg.retain),
             book: AlarmBook::default(),
-            attribution: CycleAttribution::new(),
-            landing,
+            landing: StdRng::seed_from_u64(LANDING_SEED),
             last_checkpoint_cycle: 0,
             start_cycles: 0,
             cases: Vec::new(),
@@ -575,46 +549,12 @@ impl Replayer {
         }
     }
 
-    /// Puts every component of `cp` in place: pages, processor state,
-    /// counters, disk, BackRAS, threads and log position. Pages and blocks
-    /// are taken by reference, swapping only the pointers that differ. The
-    /// page restore marks every page dirty; each caller keeps its own rule
-    /// for those marks.
-    fn restore(&mut self, cp: &Checkpoint) {
-        self.vm.mem_mut().restore_pages(&cp.mem_pages);
-        self.vm.cpu_mut().restore_state(&cp.cpu);
-        self.vm.restore_counters(cp.at_insn, cp.at_cycle);
-        self.disk.restore(&cp.disk);
-        self.backras = cp.backras.clone();
-        self.current_tid = cp.current_tid;
-        self.dying = cp.dying;
-        self.cursor = cp.cursor;
-    }
-
     /// The replayer's state as a [`Checkpoint`] with no replay-side history
     /// ([`Checkpoint::capture`]), sharing `base`'s unwritten chunks; callers
     /// that charge or account a checkpoint close the dirty-tracking epoch
     /// first.
     pub(crate) fn capture(&self, base: Option<&Checkpoint>) -> Checkpoint {
-        Checkpoint::capture(
-            &self.vm,
-            &self.disk,
-            &self.backras,
-            self.current_tid,
-            self.dying,
-            self.cursor,
-            base,
-        )
-    }
-
-    /// Closes the dirty-tracking epoch of memory and disk, returning the
-    /// pages and blocks written since it opened and the copy-on-write
-    /// faults taken.
-    pub(crate) fn end_epoch(&mut self) -> (Vec<usize>, Vec<usize>, u64) {
-        let pages = self.vm.mem_mut().begin_epoch();
-        let cow_faults = self.vm.mem_mut().take_cow_faults();
-        let blocks = self.disk.store_mut().begin_epoch();
-        (pages, blocks, cow_faults)
+        Checkpoint::capture(&self.host, self.cursor, base)
     }
 
     /// Arms final-state verification against the recording's digest.
@@ -678,7 +618,7 @@ impl Replayer {
                 }
             }
             if let Some(stop) = self.stop_at_insn {
-                if self.vm.retired() >= stop {
+                if self.host.vm.retired() >= stop {
                     return Ok(());
                 }
                 // Do not run past the audit point for records with a known
@@ -728,7 +668,7 @@ impl Replayer {
                                 checkpoint,
                                 kind,
                                 alarm_index: index,
-                                cr_cycle: self.vm.cycles(),
+                                cr_cycle: self.host.vm.cycles(),
                             });
                         }
                     }
@@ -737,12 +677,13 @@ impl Replayer {
                     self.run_to(at_insn)?;
                     self.charge_landing();
                     if irq == IRQ_DISK {
-                        if self.disk.in_flight().is_none() {
+                        if self.host.disk.in_flight().is_none() {
                             return Err(self.diverge("disk interrupt with no in-flight operation"));
                         }
-                        self.disk.complete(&mut self.vm);
+                        self.host.disk.complete(&mut self.host.vm);
                     }
-                    self.vm
+                    self.host
+                        .vm
                         .inject_interrupt(irq)
                         .map_err(|e| self.diverge_msg(format!("interrupt injection failed: {e}")))?;
                     self.cursor.advance();
@@ -750,18 +691,19 @@ impl Replayer {
                 Record::Dma { addr, data, at_insn, .. } => {
                     self.run_to(at_insn)?;
                     let bytes = data.len() as u64;
-                    self.vm
+                    self.host
+                        .vm
                         .mem_mut()
                         .write_bytes(addr, &data)
                         .map_err(|_| self.diverge_msg(format!("DMA outside guest memory at {addr:#x}")))?;
-                    self.charge(Category::Network, self.cfg.costs.log_per_word * bytes.div_ceil(8));
+                    self.host.charge(Category::Network, self.cfg.costs.log_per_word * bytes.div_ceil(8));
                     self.cursor.advance();
                 }
                 Record::Rdtsc { value } => {
                     match self.run_to_sync()? {
                         Exit::Rdtsc { rd } => {
-                            self.charge(Category::Rdtsc, self.cfg.costs.vmexit);
-                            self.vm.finish_io(FinishIo::Read { rd, value });
+                            self.host.charge(Category::Rdtsc, self.cfg.costs.vmexit);
+                            self.host.vm.finish_io(FinishIo::Read { rd, value });
                         }
                         other => return Err(self.diverge_msg(format!("expected rdtsc exit, got {other:?}"))),
                     }
@@ -770,8 +712,8 @@ impl Replayer {
                 Record::PioIn { port, value } => {
                     match self.run_to_sync()? {
                         Exit::PioIn { rd, port: p } if p == port => {
-                            self.charge(Category::PioMmio, self.cfg.costs.vmexit);
-                            self.vm.finish_io(FinishIo::Read { rd, value });
+                            self.host.charge(Category::PioMmio, self.cfg.costs.vmexit);
+                            self.host.vm.finish_io(FinishIo::Read { rd, value });
                         }
                         other => {
                             return Err(self.diverge_msg(format!("expected in({port:#x}), got {other:?}")))
@@ -782,8 +724,8 @@ impl Replayer {
                 Record::MmioRead { addr, value } => {
                     match self.run_to_sync()? {
                         Exit::MmioRead { rd, addr: a } if a == addr => {
-                            self.charge(Category::PioMmio, self.cfg.costs.vmexit);
-                            self.vm.finish_io(FinishIo::Read { rd, value });
+                            self.host.charge(Category::PioMmio, self.cfg.costs.vmexit);
+                            self.host.vm.finish_io(FinishIo::Read { rd, value });
                         }
                         other => {
                             return Err(
@@ -806,17 +748,39 @@ impl Replayer {
     /// final span, which ends at the log's `End` marker), then run to the
     /// `seam` instruction where the next span's seed was captured, leaving a
     /// [`SpanMark`] after every record plus a tail mark at the seam.
+    ///
+    /// A resilient worker recovers as the serial CR does ([`Replayer::run`]),
+    /// with the span's start as its one recovery point: `seed`, or for span
+    /// 0 (`None`) a capture of the boot state.
     pub(crate) fn run_span(
         mut self,
+        seed: Option<&Arc<Checkpoint>>,
         records_end: Option<usize>,
         seam: Option<u64>,
-    ) -> Result<SpanRun, ReplayError> {
-        let start_digest = verification_digest(&self.vm, &self.disk);
+    ) -> Result<SpanDone, ReplayError> {
+        let start_digest = self.host.digest();
         self.span_trace = true;
         // Entry mark: drains the epoch noise of construction/restore and
         // baselines dirty tracking. For the first span this is exactly what
         // the serial CR's initial checkpoint would have drained.
         self.push_span_mark(None);
+        if self.cfg.resilient {
+            let start = seed.map_or_else(|| Arc::new(self.capture(None)), Arc::clone);
+            self.set_recovery_point(start);
+        }
+        loop {
+            match self.drive_span(records_end, seam) {
+                Ok(()) => break,
+                Err(e) => self.try_recover(e)?,
+            }
+        }
+        let marks = std::mem::take(&mut self.span_marks);
+        Ok(SpanDone { start_digest, marks, outcome: self.finish() })
+    }
+
+    /// [`Replayer::run_span`]'s body, from wherever a rewind left the
+    /// replayer.
+    fn drive_span(&mut self, records_end: Option<usize>, seam: Option<u64>) -> Result<(), ReplayError> {
         if let Some(end) = records_end {
             if end > self.cursor.index() {
                 self.stop_after_record = Some(end - 1);
@@ -833,8 +797,7 @@ impl Replayer {
             self.check_injected_faults()?;
             self.push_span_mark(None);
         }
-        let marks = std::mem::take(&mut self.span_marks);
-        Ok(SpanRun { start_digest, marks, outcome: self.finish() })
+        Ok(())
     }
 
     /// Drives until the record at `index` has been consumed, without
@@ -844,17 +807,6 @@ impl Replayer {
     pub(crate) fn drive_to_record(&mut self, index: usize) -> Result<(), ReplayError> {
         self.stop_after_record = Some(index);
         self.drive()
-    }
-
-    /// Decoded-block statistics of this replayer's VM (wall-clock
-    /// diagnostics for the parallel orchestrator and alarm-replay passes).
-    pub(crate) fn block_stats(&self) -> rnr_machine::BlockStats {
-        self.vm.block_stats()
-    }
-
-    /// The VM at the current stop point (alarm forensics reads its state).
-    pub(crate) fn vm(&self) -> &GuestVm {
-        &self.vm
     }
 
     /// Shadow-RAS anomalies observed so far (alarm replay only).
@@ -870,7 +822,7 @@ impl Replayer {
     /// Virtual cycles replayed since the engine's start point — what
     /// [`ReplayOutcome::cycles`] reports when the run finishes here.
     pub(crate) fn cycles_replayed(&self) -> u64 {
-        self.vm.cycles() - self.start_cycles
+        self.host.vm.cycles() - self.start_cycles
     }
 
     /// Advances the landing RNG past `draws` asynchronous-event landings, so
@@ -890,26 +842,26 @@ impl Replayer {
     pub fn attach_shared_cache(&mut self, _shared: std::sync::Arc<rnr_machine::SharedPageCache>) {}
 
     fn push_span_mark(&mut self, record: Option<usize>) {
-        let (dirty_pages, dirty_blocks, _) = self.end_epoch();
+        let (dirty_pages, dirty_blocks, _) = self.host.end_epoch();
         self.span_marks.push(SpanMark {
             record,
-            retired: self.vm.retired(),
-            cycles: self.vm.cycles(),
+            retired: self.host.vm.retired(),
+            cycles: self.host.vm.cycles(),
             dirty_pages,
             dirty_blocks,
         });
     }
 
     fn finish(mut self) -> ReplayOutcome {
-        let final_digest = verification_digest(&self.vm, &self.disk);
+        let final_digest = self.host.digest();
         let mut recovery = std::mem::take(&mut self.recovery);
         recovery.transport = self.source.transport_stats();
         ReplayOutcome {
             cycles: self.cycles_replayed(),
-            retired: self.vm.retired(),
+            retired: self.host.vm.retired(),
             final_digest,
             verified: self.expected_digest.map(|d| d == final_digest),
-            attribution: std::mem::take(&mut self.attribution),
+            attribution: std::mem::take(&mut self.host.attribution),
             checkpoints_taken: self.store.taken(),
             checkpoints_live_max: self.store.max_live(),
             alarms_seen: self.book.alarms_seen,
@@ -917,10 +869,10 @@ impl Replayer {
             alarm_cases: std::mem::take(&mut self.cases),
             jop_cases: std::mem::take(&mut self.book.jop_cases),
             callret_traps: self.callret_traps,
-            console: std::mem::take(&mut self.console),
+            console: std::mem::take(&mut self.host.console),
             recovery,
             profile: std::mem::take(&mut self.profile),
-            vm: self.vm,
+            vm: self.host.vm,
         }
     }
 
@@ -930,13 +882,13 @@ impl Replayer {
     /// transient fault must not re-fire, or recovery would loop forever.
     fn check_injected_faults(&mut self) -> Result<(), ReplayError> {
         if let Some(at) = self.cfg.fault_plan.cr_divergence_at_insn {
-            if !self.injected_cr_fired && self.vm.retired() >= at {
+            if !self.injected_cr_fired && self.host.vm.retired() >= at {
                 self.injected_cr_fired = true;
                 return Err(self.diverge("injected transient divergence (fault plan)"));
             }
         }
         if let Some(at) = self.cfg.fault_plan.block_divergence_at_insn {
-            if !self.injected_block_fired && self.vm.retired() >= at {
+            if !self.injected_block_fired && self.host.vm.retired() >= at {
                 self.injected_block_fired = true;
                 return Err(self.diverge("injected block-engine divergence (fault plan)"));
             }
@@ -959,7 +911,7 @@ impl Replayer {
         if !self.cfg.resilient || !retriable || self.recovery_point.is_none() {
             return Err(err);
         }
-        let at = self.vm.retired();
+        let at = self.host.vm.retired();
         if self.last_fault_insn == Some(at) {
             self.same_point_attempts += 1;
         } else {
@@ -976,10 +928,10 @@ impl Replayer {
                 return Err(self.unrecoverable(ReplayError::Transport(c)));
             }
         }
-        if matches!(err, ReplayError::Divergence { .. }) && self.vm.block_engine_enabled() {
+        if matches!(err, ReplayError::Divergence { .. }) && self.host.vm.block_engine_enabled() {
             // Graceful degradation: re-execute the failed span stepped; the
             // next checkpoint lifts the quarantine.
-            self.vm.set_block_engine(false);
+            self.host.vm.set_block_engine(false);
             self.block_quarantined = true;
             self.recovery.block_fallback_spans += 1;
         }
@@ -1001,22 +953,24 @@ impl Replayer {
     fn rewind(&mut self, reason: &str) -> RewindStep {
         let rp = self.recovery_point.clone().expect("try_recover checked the recovery point");
         let cp = &rp.checkpoint;
-        let from = self.vm.retired();
-        self.restore(cp);
+        let from = self.host.vm.retired();
+        self.host.restore(cp);
+        self.cursor = cp.cursor;
         // Discard the restore's epoch noise (restore marks every page dirty
         // and may count CoW activity): the re-executed span must observe
         // exactly the fault-free run's dirtying, or checkpoint costs would
         // drift.
-        self.end_epoch();
+        self.host.end_epoch();
         // The live table, without the checkpoint's fold of the running RAS.
-        self.backras = rp.backras.clone();
+        self.host.set_backras(rp.backras.clone());
+        self.host.attribution = rp.attribution.clone();
+        self.host.console.truncate(rp.console_len);
         self.book = rp.book.clone();
-        self.attribution = rp.attribution.clone();
         self.landing = rp.landing.clone();
         self.cases.truncate(rp.cases_len);
         self.callret_traps = rp.callret_traps;
-        self.console.truncate(rp.console_len);
         self.shadow_events.truncate(rp.shadow_events_len);
+        self.span_marks.truncate(rp.span_marks_len);
         self.last_checkpoint_cycle = rp.last_checkpoint_cycle;
         self.next_checkpoint_id = rp.next_checkpoint_id;
         self.next_sample = rp.next_sample;
@@ -1025,16 +979,11 @@ impl Replayer {
     }
 
     fn diverge(&self, detail: &str) -> ReplayError {
-        ReplayError::Divergence { at_insn: self.vm.retired(), detail: detail.to_string() }
+        ReplayError::Divergence { at_insn: self.host.vm.retired(), detail: detail.to_string() }
     }
 
     fn diverge_msg(&self, detail: String) -> ReplayError {
-        ReplayError::Divergence { at_insn: self.vm.retired(), detail }
-    }
-
-    fn charge(&mut self, category: Category, cycles: u64) {
-        self.vm.add_cycles(cycles);
-        self.attribution.charge(category, cycles);
+        ReplayError::Divergence { at_insn: self.host.vm.retired(), detail }
     }
 
     /// The §7.3 asynchronous-event landing: arm a performance counter, take
@@ -1043,7 +992,7 @@ impl Replayer {
     fn charge_landing(&mut self) {
         let steps = self.landing.gen_range(1..=self.cfg.costs.replay_max_steps.max(1));
         let cost = steps * self.cfg.costs.replay_step;
-        self.charge(Category::Interrupt, cost);
+        self.host.charge(Category::Interrupt, cost);
     }
 
     /// Whether this alarm replayer's shadow RAS already matched `record`'s
@@ -1060,7 +1009,7 @@ impl Replayer {
 
     fn maybe_checkpoint(&mut self) {
         if let Some(interval) = self.cfg.checkpoint_interval {
-            if self.vm.cycles() - self.last_checkpoint_cycle >= interval {
+            if self.host.vm.cycles() - self.last_checkpoint_cycle >= interval {
                 self.take_checkpoint();
             }
         }
@@ -1070,57 +1019,64 @@ impl Replayer {
         if self.block_quarantined {
             // The quarantined span reached a clean checkpoint: lift the
             // stepped-execution fallback.
-            self.vm.set_block_engine(true);
+            self.host.vm.set_block_engine(true);
             self.block_quarantined = false;
         }
-        let (pages, blocks, cow_faults) = self.end_epoch();
+        let (pages, blocks, cow_faults) = self.host.end_epoch();
         let (dirty_pages, dirty_blocks) = (pages.len(), blocks.len());
         let cost = self.cfg.costs.checkpoint(dirty_pages as u64, dirty_blocks as u64, cow_faults);
-        self.vm.add_cycles(cost);
-        self.attribution.charge_checkpoint(cost);
+        self.host.vm.add_cycles(cost);
+        self.host.attribution.charge_checkpoint(cost);
         let checkpoint = Arc::new(Checkpoint {
             id: self.next_checkpoint_id,
-            at_cycle: self.vm.cycles(),
+            at_cycle: self.host.vm.cycles(),
             evict_store: self.book.evicts().clone(),
             dirty_pages,
             dirty_blocks,
             ..self.capture(self.store.latest().map(Arc::as_ref))
         });
         self.next_checkpoint_id += 1;
-        self.last_checkpoint_cycle = self.vm.cycles();
+        self.last_checkpoint_cycle = self.host.vm.cycles();
         if self.cfg.resilient {
-            self.recovery_point = Some(Box::new(RecoveryPoint {
-                checkpoint: Arc::clone(&checkpoint),
-                backras: self.backras.clone(),
-                attribution: self.attribution.clone(),
-                landing: self.landing.clone(),
-                book: self.book.clone(),
-                cases_len: self.cases.len(),
-                callret_traps: self.callret_traps,
-                console_len: self.console.len(),
-                shadow_events_len: self.shadow_events.len(),
-                last_checkpoint_cycle: self.last_checkpoint_cycle,
-                next_checkpoint_id: self.next_checkpoint_id,
-                next_sample: self.next_sample,
-                profile: self.profile.clone(),
-            }));
+            self.set_recovery_point(Arc::clone(&checkpoint));
         }
         self.store.push(checkpoint);
+    }
+
+    /// Makes `checkpoint`, which must hold the replayer's current state, the
+    /// point a rewind returns to, with the accumulators it does not carry.
+    fn set_recovery_point(&mut self, checkpoint: Arc<Checkpoint>) {
+        self.recovery_point = Some(Box::new(RecoveryPoint {
+            checkpoint,
+            backras: self.host.backras().clone(),
+            attribution: self.host.attribution.clone(),
+            landing: self.landing.clone(),
+            book: self.book.clone(),
+            cases_len: self.cases.len(),
+            callret_traps: self.callret_traps,
+            console_len: self.host.console.len(),
+            shadow_events_len: self.shadow_events.len(),
+            span_marks_len: self.span_marks.len(),
+            last_checkpoint_cycle: self.last_checkpoint_cycle,
+            next_checkpoint_id: self.next_checkpoint_id,
+            next_sample: self.next_sample,
+            profile: self.profile.clone(),
+        }));
     }
 
     /// Runs until exactly `target` instructions have retired, servicing
     /// breakpoints, device-output exits, and call/return traps on the way.
     fn run_to(&mut self, target: u64) -> Result<(), ReplayError> {
-        if self.vm.retired() > target {
+        if self.host.vm.retired() > target {
             return Err(self.diverge_msg(format!(
                 "already past target instruction {target} (at {})",
-                self.vm.retired()
+                self.host.vm.retired()
             )));
         }
         loop {
             // With profiling on, stop early at sampling points.
             let stop = self.next_profile_stop(Some(target));
-            let exit = self.vm.run(RunBudget::until(stop));
+            let exit = self.host.vm.run(RunBudget::until(stop));
             if matches!(exit, Exit::BudgetExhausted) && stop < target {
                 self.take_profile_sample();
                 continue;
@@ -1128,7 +1084,7 @@ impl Replayer {
             match exit {
                 Exit::BudgetExhausted => return Ok(()),
                 Exit::Halt => {
-                    if self.vm.retired() == target {
+                    if self.host.vm.retired() == target {
                         return Ok(());
                     }
                     return Err(self.diverge("guest halted before the next event's instruction count"));
@@ -1143,6 +1099,7 @@ impl Replayer {
         loop {
             let stop = self.next_profile_stop(None);
             let exit = self
+                .host
                 .vm
                 .run(RunBudget { until_retired: (stop != u64::MAX).then_some(stop), until_cycles: None });
             match exit {
@@ -1160,8 +1117,8 @@ impl Replayer {
         let Some(step) = self.cfg.profile_sample_every else {
             return target.unwrap_or(u64::MAX);
         };
-        if self.next_sample <= self.vm.retired() {
-            self.next_sample = self.vm.retired() + step.max(1);
+        if self.next_sample <= self.host.vm.retired() {
+            self.next_sample = self.host.vm.retired() + step.max(1);
         }
         match target {
             Some(t) => self.next_sample.min(t),
@@ -1174,33 +1131,33 @@ impl Replayer {
         let costs = self.cfg.costs;
         match exit {
             Exit::PioOut { port, value } => {
-                self.charge(Category::PioMmio, costs.vmexit);
+                self.host.charge(Category::PioMmio, costs.vmexit);
                 match port {
                     PORT_DISK_SECTOR | PORT_DISK_ADDR | PORT_DISK_COUNT | PORT_DISK_CMD => {
-                        self.disk.handle_out(port, value, 0);
+                        self.host.disk.handle_out(port, value, 0);
                     }
-                    PORT_CONSOLE => self.console.push(value as u8),
+                    PORT_CONSOLE => self.host.console.push(value as u8),
                     _ => {} // NIC transmit: outputs need no replay effect
                 }
-                self.vm.finish_io(FinishIo::Write);
+                self.host.vm.finish_io(FinishIo::Write);
             }
             Exit::MmioWrite { .. } => {
-                self.charge(Category::PioMmio, costs.vmexit);
-                self.vm.finish_io(FinishIo::Write);
+                self.host.charge(Category::PioMmio, costs.vmexit);
+                self.host.vm.finish_io(FinishIo::Write);
             }
             Exit::Breakpoint { pc } => self.handle_breakpoint(pc),
             Exit::CallTrap { ret_addr, .. } => {
                 self.callret_traps += 1;
-                self.charge(Category::Other, costs.callret_trap);
+                self.host.charge(Category::Other, costs.callret_trap);
                 // After a retired call, sp names the slot holding ret_addr.
-                let slot = self.vm.cpu().sp();
+                let slot = self.host.vm.cpu().sp();
                 if let Some(shadow) = self.shadow.as_mut() {
                     shadow.on_call(ret_addr, slot);
                 }
             }
             Exit::RetTrap { ret_pc, target } => {
                 self.callret_traps += 1;
-                self.charge(Category::Other, costs.callret_trap);
+                self.host.charge(Category::Other, costs.callret_trap);
                 self.handle_shadow_ret(ret_pc, target);
             }
             Exit::Fault(kind) => return Err(ReplayError::GuestFault(kind)),
@@ -1213,8 +1170,8 @@ impl Replayer {
 
     fn handle_shadow_ret(&mut self, ret_pc: Addr, actual: Addr) {
         // After a retired ret, sp sits one word above the popped slot.
-        let slot = self.vm.cpu().sp().wrapping_sub(8);
-        let at_insn = self.vm.retired();
+        let slot = self.host.vm.cpu().sp().wrapping_sub(8);
+        let at_insn = self.host.vm.retired();
         if self.cfg.nesting_ret_sites.contains(&ret_pc) {
             // A known longjmp-style routine: fix the software RAS by
             // discarding the frames the unwind skipped (§4.5).
@@ -1222,7 +1179,6 @@ impl Replayer {
             self.shadow_events.push(ShadowEvent {
                 at_insn,
                 ret_pc,
-                actual,
                 kind: ShadowEventKind::MismatchUnwound { frames },
             });
             return;
@@ -1240,56 +1196,30 @@ impl Replayer {
             }
             ShadowOutcome::Mismatch { predicted, .. } => ShadowEventKind::MismatchUnexplained { predicted },
         };
-        self.shadow_events.push(ShadowEvent { at_insn, ret_pc, actual, kind });
+        self.shadow_events.push(ShadowEvent { at_insn, ret_pc, kind });
     }
 
     fn take_profile_sample(&mut self) {
         let step = self.cfg.profile_sample_every.unwrap_or(0).max(1);
-        *self.profile.entry(self.vm.cpu().pc).or_insert(0) += 1;
-        self.next_sample = self.vm.retired() + step;
+        *self.profile.entry(self.host.vm.cpu().pc).or_insert(0) += 1;
+        self.next_sample = self.host.vm.retired() + step;
     }
 
+    /// Feeds an interposition trap's thread event to the shadow RAS of an
+    /// alarm replayer; the host keeps the BackRAS.
     fn handle_breakpoint(&mut self, pc: Addr) {
-        let costs = self.cfg.costs;
-        if pc == self.intro.switch_sp_trap() {
-            let next = self.intro.next_thread_at_switch(&self.vm).unwrap_or(self.current_tid);
-            let prev = self.current_tid;
-            // Read before the BackRAS update clears it: the shadow RAS must
-            // drop the dead thread's stack too.
-            let killed = self.dying == Some(prev);
-            if let Some(saved) = self.vm.cpu_mut().ras.save_backras() {
-                if killed {
-                    self.backras.remove(prev);
-                    self.dying = None;
-                } else {
-                    self.backras.save(prev, saved);
-                }
-            }
-            let entry = self.backras.load(next);
-            self.vm.cpu_mut().ras.restore_backras(&entry);
-            self.charge(Category::Ras, costs.vmexit + costs.ras_save + costs.ras_restore);
-            if let Some(shadow) = self.shadow.as_mut() {
+        let event = self.host.on_breakpoint(pc);
+        let (Some(shadow), Some(event)) = (self.shadow.as_mut(), event) else { return };
+        match event {
+            ThreadEvent::Switch { prev, next, killed } => {
+                // The shadow RAS drops the dead thread's stack too.
                 if killed {
                     shadow.kill_thread(prev);
                 }
                 shadow.context_switch(next);
             }
-            self.current_tid = next;
-        } else if pc == self.intro.thread_create_trap() {
-            let tid = self.intro.thread_at_commit(&self.vm);
-            self.backras.allocate(tid);
-            if let Some(shadow) = self.shadow.as_mut() {
-                shadow.start_thread(tid);
-            }
-            self.charge(Category::Ras, costs.vmexit);
-        } else if pc == self.intro.thread_exit_trap() {
-            let tid = self.intro.thread_at_commit(&self.vm);
-            self.dying = Some(tid);
-            if let Some(shadow) = self.shadow.as_mut() {
-                shadow.kill_thread(tid);
-            }
-            self.charge(Category::Ras, costs.vmexit);
+            ThreadEvent::Created(tid) => shadow.start_thread(tid),
+            ThreadEvent::Exited(tid) => shadow.kill_thread(tid),
         }
-        self.vm.skip_breakpoint_once();
     }
 }

@@ -57,9 +57,9 @@ pub use alarm::{AlarmReplayer, ArPass, FalsePositiveKind, GadgetUse, MemReport, 
 pub use checkpoint::CheckpointStore;
 pub use engine::{
     AlarmCase, CaseKind, JopCase, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
-    RewindStep,
+    RewindStep, SpanDone,
 };
-pub use parallel::{assemble_spans, plan_spans, run_planned_span, ParallelReplayOutcome, SpanDone, SpanJob};
+pub use parallel::{assemble_spans, plan_spans, run_planned_span, ParallelReplayOutcome, SpanJob};
 pub use rnr_hypervisor::Checkpoint;
 
 /// Virtual cycles per "second" of guest time. The paper quotes checkpoint

@@ -40,15 +40,10 @@ use rnr_machine::{BlockStats, Digest, SharedPageCache};
 use rnr_ras::ThreadId;
 
 use crate::book::AlarmBook;
-use crate::engine::SpanRun;
 use crate::{
     AlarmCase, CaseKind, Checkpoint, ReplayConfig, ReplayError, ReplayOutcome, ReplayRecovery, Replayer,
-    RewindStep,
+    SpanDone,
 };
-
-/// Re-execution attempts per span before giving up (mirrors the serial
-/// engine's per-point recovery bound).
-const MAX_SPAN_ATTEMPTS: u32 = 3;
 
 /// Result of [`assemble_spans`]: the serial-identical outcome plus the
 /// merged wall-clock block-engine statistics of every span (the outcome's
@@ -71,8 +66,9 @@ pub struct ParallelReplayOutcome {
 #[derive(Debug, Clone)]
 pub struct SpanJob {
     index: usize,
-    /// `None` for span 0 (fresh boot state), the preceding seed otherwise.
-    seed: Option<Checkpoint>,
+    /// `None` for span 0 (fresh boot state), the preceding seed otherwise,
+    /// its id the span's index (the rewind trail names it).
+    seed: Option<Arc<Checkpoint>>,
     /// The whole log, shared; the worker's cursor does the partitioning.
     log: Arc<InputLog>,
     /// First record index *not* in this span (`None` = run to `End`).
@@ -93,17 +89,6 @@ impl SpanJob {
     pub fn index(&self) -> usize {
         self.index
     }
-}
-
-/// A finished span: its trace plus what recovery had to do to finish it.
-/// Opaque outside this crate; consumed by [`assemble_spans`].
-#[derive(Debug)]
-pub struct SpanDone {
-    run: SpanRun,
-    rewinds: u64,
-    rewound_insns: u64,
-    block_fallbacks: u64,
-    trail: Vec<RewindStep>,
 }
 
 /// A checkpoint the fold scheduled; materialized only if an alarm case
@@ -227,7 +212,7 @@ pub fn assemble_spans(
     // Seam check: each span must end in exactly the architectural state the
     // next span was seeded with.
     for k in 0..spans.len().saturating_sub(1) {
-        if spans[k].run.outcome.final_digest != spans[k + 1].run.start_digest {
+        if spans[k].outcome.final_digest != spans[k + 1].start_digest {
             return Err(ReplayError::Divergence {
                 at_insn: jobs[k + 1].start_insn,
                 detail: format!("parallel span seam digest mismatch between spans {k} and {}", k + 1),
@@ -235,8 +220,7 @@ pub fn assemble_spans(
         }
     }
 
-    let runs: Vec<&SpanRun> = spans.iter().map(|s| &s.run).collect();
-    let fold = fold_spans(cfg, records, &runs);
+    let fold = fold_spans(cfg, records, &spans);
     let (built, mat_stats) = materialize_checkpoints(spec, cfg, jobs, &fold)?;
 
     let mut block_stats = mat_stats;
@@ -245,19 +229,20 @@ pub fn assemble_spans(
     let mut callret_traps = 0;
     let mut recovery = ReplayRecovery { transport, ..ReplayRecovery::default() };
     for s in &spans {
-        block_stats.merge(&s.run.outcome.vm.block_stats());
+        block_stats.merge(&s.outcome.vm.block_stats());
         for c in Category::ALL {
-            let v = s.run.outcome.attribution.for_category(c);
+            let v = s.outcome.attribution.for_category(c);
             if v > 0 {
                 attribution.charge(c, v);
             }
         }
-        console.extend_from_slice(&s.run.outcome.console);
-        callret_traps += s.run.outcome.callret_traps;
-        recovery.rewinds += s.rewinds;
-        recovery.rewound_insns += s.rewound_insns;
-        recovery.block_fallback_spans += s.block_fallbacks;
-        recovery.trail.extend(s.trail.iter().cloned());
+        console.extend_from_slice(&s.outcome.console);
+        callret_traps += s.outcome.callret_traps;
+        let r = &s.outcome.recovery;
+        recovery.rewinds += r.rewinds;
+        recovery.rewound_insns += r.rewound_insns;
+        recovery.block_fallback_spans += r.block_fallback_spans;
+        recovery.trail.extend(r.trail.iter().cloned());
     }
     attribution.charge_checkpoint(fold.checkpoint_cycles);
 
@@ -273,10 +258,10 @@ pub fn assemble_spans(
         .collect();
 
     let last = spans.pop().expect("at least one span");
-    let final_digest = last.run.outcome.final_digest;
+    let final_digest = last.outcome.final_digest;
     let outcome = ReplayOutcome {
         cycles: fold.cycles,
-        retired: last.run.outcome.retired,
+        retired: last.outcome.retired,
         final_digest,
         verified: expected.map(|d| d == final_digest),
         attribution,
@@ -290,7 +275,7 @@ pub fn assemble_spans(
         console,
         recovery,
         profile: HashMap::new(),
-        vm: last.run.outcome.vm,
+        vm: last.outcome.vm,
     };
     Ok(ParallelReplayOutcome { outcome, block_stats })
 }
@@ -300,7 +285,7 @@ fn make_job(k: usize, seeds: &[Checkpoint], log: &Arc<InputLog>, plan: &FaultPla
         (0, 0, None)
     } else {
         let s = &seeds[k - 1];
-        (s.cursor.index(), s.at_insn, Some(s.clone()))
+        (s.cursor.index(), s.at_insn, Some(Arc::new(Checkpoint { id: k as u64, ..s.clone() })))
     };
     let (records_end, seam, end_insn) = if k < seeds.len() {
         (Some(seeds[k].cursor.index()), Some(seeds[k].at_insn), seeds[k].at_insn)
@@ -326,9 +311,9 @@ fn make_job(k: usize, seeds: &[Checkpoint], log: &Arc<InputLog>, plan: &FaultPla
     }
 }
 
-/// The per-worker replay configuration: span workers never checkpoint, never
-/// collect cases (the fold owns both), and never self-recover (the retry
-/// loop around them does).
+/// The per-worker replay configuration: span workers never checkpoint and
+/// never collect cases (the fold owns both); they are injection-free and do
+/// not recover unless [`run_planned_span`] arms them.
 fn worker_cfg(cfg: &ReplayConfig) -> ReplayConfig {
     ReplayConfig {
         checkpoint_interval: None,
@@ -354,17 +339,17 @@ fn build_replayer(spec: &VmSpec, wcfg: ReplayConfig, job: &SpanJob) -> Replayer 
     r
 }
 
-/// Replays one planned span to completion, retrying transient divergences
-/// in place: the span *is* the rewind unit (its seed is the checkpoint), so
-/// recovery re-executes it from scratch, stepped after a block-engine
-/// suspect, and the returned [`SpanDone`] carries the same accounting a
-/// serial rewind would.
+/// Replays one planned span to completion, with the planned injections that
+/// fall inside it. When `cfg.resilient` is set the worker heals as the
+/// serial CR does, under the same bounds and fired-once injections, with the
+/// span's start as its recovery point (the span *is* the rewind unit), and
+/// the returned [`SpanDone`] carries its recovery accounting.
 ///
 /// # Errors
 ///
-/// The span's terminal replay failure after the bounded retries:
-/// [`ReplayError::Unrecoverable`] with the rewind trail when `cfg.resilient`
-/// is set, or the first raw fault when it is not.
+/// The span's terminal replay failure: [`ReplayError::Unrecoverable`] with
+/// the rewind trail once recovery is exhausted, or the first raw fault when
+/// `cfg.resilient` is not set.
 ///
 /// `_shared` does nothing: every span worker decodes into its own VM's
 /// cache. The parameter is kept only because the frozen repository
@@ -375,55 +360,13 @@ pub fn run_planned_span(
     _shared: Option<&Arc<SharedPageCache>>,
     job: &SpanJob,
 ) -> Result<SpanDone, ReplayError> {
-    let mut rewinds = 0;
-    let mut rewound_insns = 0;
-    let mut block_fallbacks = 0;
-    let mut trail: Vec<RewindStep> = Vec::new();
-    let mut degraded = false;
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let mut wcfg = worker_cfg(cfg);
-        if attempt == 1 {
-            // Injections are one-shot, like the serial engine's fired flags:
-            // a retry after a healed transient must not re-fire them.
-            wcfg.fault_plan.cr_divergence_at_insn = job.inject_cr;
-            wcfg.fault_plan.block_divergence_at_insn = job.inject_block;
-        }
-        if degraded {
-            wcfg.block_engine = false;
-            wcfg.superblocks = false;
-        }
-        let r = build_replayer(spec, wcfg, job);
-        match r.run_span(job.records_end, job.seam) {
-            Ok(run) => return Ok(SpanDone { run, rewinds, rewound_insns, block_fallbacks, trail }),
-            Err(err) => {
-                let at = match (&err, cfg.resilient) {
-                    (ReplayError::Divergence { at_insn, .. }, true) => *at_insn,
-                    // A worker reads a finished log, so no transport fault
-                    // reaches it; everything else is terminal.
-                    _ => return Err(err),
-                };
-                if cfg.block_engine && !degraded {
-                    // Quarantine the block engine for the re-execution, as
-                    // serial recovery does for a divergence-suspect span.
-                    degraded = true;
-                    block_fallbacks += 1;
-                }
-                rewinds += 1;
-                rewound_insns += at.saturating_sub(job.start_insn);
-                trail.push(RewindStep {
-                    at_insn: at,
-                    to_insn: job.start_insn,
-                    checkpoint_id: job.index as u64,
-                    reason: err.to_string(),
-                });
-                if attempt >= MAX_SPAN_ATTEMPTS {
-                    return Err(ReplayError::Unrecoverable { fault: Box::new(err), trail });
-                }
-            }
-        }
-    }
+    let fault_plan = FaultPlan {
+        cr_divergence_at_insn: job.inject_cr,
+        block_divergence_at_insn: job.inject_block,
+        ..FaultPlan::default()
+    };
+    let wcfg = ReplayConfig { resilient: cfg.resilient, fault_plan, ..worker_cfg(cfg) };
+    build_replayer(spec, wcfg, job).run_span(job.seed.as_ref(), job.records_end, job.seam)
 }
 
 /// Replays the span traces through the serial CR's bookkeeping: one walk
@@ -431,7 +374,7 @@ pub fn run_planned_span(
 /// onto the absolute clock, scheduling checkpoints where the serial CR
 /// would (charging their costs into the clock), and feeding every record
 /// through the serial CR's [`AlarmBook`].
-fn fold_spans(cfg: &ReplayConfig, records: &[Record], spans: &[&SpanRun]) -> Fold {
+fn fold_spans(cfg: &ReplayConfig, records: &[Record], spans: &[SpanDone]) -> Fold {
     let mut fold = Fold::default();
     if cfg.collect_cases {
         // The initial checkpoint: the serial `run()` takes it before the
@@ -511,19 +454,19 @@ fn materialize_checkpoints(
             // does: an alarm replayer restored from the checkpoint must
             // start from the serial twin's dirty baseline, or its first
             // periodic checkpoint would cost more.
-            r.end_epoch();
+            r.host.end_epoch();
             let checkpoint = Arc::new(Checkpoint {
                 id,
                 at_cycle: p.at_cycle,
                 evict_store: p.evicts.clone(),
                 dirty_pages: p.dirty_pages,
                 dirty_blocks: p.dirty_blocks,
-                ..r.capture(base.as_deref().or(jobs[span].seed.as_ref()))
+                ..r.capture(base.as_deref().or(jobs[span].seed.as_deref()))
             });
             base = Some(Arc::clone(&checkpoint));
             built.insert(id, checkpoint);
         }
-        stats.merge(&r.block_stats());
+        stats.merge(&r.host.vm.block_stats());
     }
     Ok((built, stats))
 }

@@ -30,7 +30,7 @@ printf '%-12s %6d\n' "total" "$total"
 echo
 knobs=0
 for name in PipelineConfig RecordConfig ReplayConfig MachineConfig RasConfig DurableLogConfig \
-    FarmConfig CostModel FaultPlan SessionBudget; do
+    FarmConfig CostModel FaultPlan; do
     count="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk -v name="$name" '
         $0 ~ "^pub struct " name " [{]" { inside = 1; depth = 1; found = 1; next }
         !inside { next }

@@ -135,6 +135,38 @@ fn cr_divergence_rewinds_and_refetches_under_parallel_span_replay() {
     assert!(!report.recovery.rewind_trail.is_empty());
 }
 
+/// Span workers heal under the serial CR's policy: with a CR divergence and
+/// a block-engine divergence planned in one span, the farm fires both and
+/// accounts the same rewinds, block-engine fallbacks and trail faults as
+/// `Pipeline::run`. A worker that dropped every planned injection at its
+/// first rewind would fire only the first.
+#[test]
+fn span_workers_and_the_serial_cr_heal_two_injections_alike() {
+    let plan = FaultPlan {
+        seed: SEED,
+        cr_divergence_at_insn: Some(100_000),
+        block_divergence_at_insn: Some(120_000),
+        ..FaultPlan::default()
+    };
+    let cfg =
+        PipelineConfig { seed: SEED, duration_insns: 400_000, fault_plan: plan, ..PipelineConfig::default() };
+    let serial = Pipeline::new(Workload::Make.spec(false), cfg.clone()).run().expect("serial pipeline heals");
+    let farm = farm_of_one(Workload::Make.spec(false), cfg, 1);
+    assert_eq!(farm.to_json(), serial.to_json());
+    let faults = |report: &PipelineReport| {
+        report
+            .recovery
+            .rewind_trail
+            .iter()
+            .map(|step| (step.at_insn, step.reason.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(serial.recovery.cr_rewinds, 2, "serial trail: {:?}", serial.recovery.rewind_trail);
+    assert_eq!(farm.recovery.cr_rewinds, serial.recovery.cr_rewinds);
+    assert_eq!(farm.recovery.block_fallback_spans, serial.recovery.block_fallback_spans);
+    assert_eq!(faults(&farm), faults(&serial));
+}
+
 /// The VRT detector family rides the same self-healing replay path as the
 /// RAS: the mounted heap-overflow attack, VRT-armed, heals a corrupted
 /// transport batch, a CR divergence, and an injected AR panic back to the
